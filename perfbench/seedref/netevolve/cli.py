@@ -1,0 +1,255 @@
+"""Command-line interface: analyze, generate, fit, report.
+
+Exit codes: 0 ok, 2 config error, 3 parse/io error, 4 analysis error.
+Failures print a structured JSON error naming the failing stage to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from .errors import InsufficientDataError, ParseError, PipelineError, UndefinedMetricError
+from .evolution import SmallWorldThresholds
+from .generators import GeneratorSpec, generate
+from .ingest import parse_timestamp, write_edge_events_text
+from .graph_core import InteractionEvent
+from .metrics import degree_histogram
+from .pipeline import (
+    AnalysisConfig,
+    ReportBundle,
+    build_snapshots_for_config,
+    bundle_to_csv,
+    bundle_to_json,
+    fit_plot_csv,
+    run_analysis,
+)
+from .powerlaw import fit_powerlaw
+
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_PARSE = 3
+EXIT_ANALYSIS = 4
+
+
+def _add_slicing_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", default="-", help="input file, or - for stdin")
+    parser.add_argument(
+        "--kind", choices=("events", "publications"), default="events"
+    )
+    parser.add_argument(
+        "--breakpoints",
+        help="comma-separated period breakpoints (ISO dates or numbers, inclusive)",
+    )
+    parser.add_argument("--labels", help="comma-separated period labels")
+    parser.add_argument(
+        "--yearly", action="store_true", help="slice into cumulative calendar years"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="netevolve",
+        description="Longitudinal collaboration-network analysis",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    analyze = sub.add_parser("analyze", help="run the full analysis pipeline")
+    _add_slicing_args(analyze)
+    analyze.add_argument("--format", choices=("csv", "json"), default="csv")
+    analyze.add_argument("--out", default="-", help="output file, or - for stdout")
+    analyze.add_argument("--rel-tolerance", type=float, default=0.10)
+    analyze.add_argument("--threads", type=int, default=None)
+    analyze.add_argument("--sw-density-max", type=float, default=0.05)
+    analyze.add_argument("--sw-clustering-min", type=float, default=0.3)
+    analyze.add_argument("--sw-r2-min", type=float, default=0.6)
+    analyze.add_argument("--sw-exponent-min", type=float, default=1.0)
+
+    gen = sub.add_parser("generate", help="emit a synthetic graph as edge-event CSV")
+    gen.add_argument("--model", choices=("er", "ws", "ba"), required=True)
+    gen.add_argument("-n", type=int, required=True, help="number of actors")
+    gen.add_argument("--p", type=float, help="er edge probability")
+    gen.add_argument("--k", type=int, help="ws even neighbor count")
+    gen.add_argument("--beta", type=float, default=0.0, help="ws rewiring probability")
+    gen.add_argument("-m", type=int, help="ba edges per arriving node")
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out", default="-")
+
+    fit = sub.add_parser("fit", help="export log-log points and the fitted line")
+    _add_slicing_args(fit)
+    fit.add_argument("--out-prefix", required=True)
+
+    report = sub.add_parser("report", help="render a saved JSON bundle")
+    report.add_argument("--bundle", required=True, help="bundle JSON from analyze")
+    report.add_argument("--out", default="-")
+
+    return parser
+
+
+def _read_input(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _write_output(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+
+
+def _parse_breakpoints(args) -> tuple:
+    breakpoints = None
+    labels = None
+    if args.breakpoints:
+        breakpoints = [parse_timestamp(b) for b in args.breakpoints.split(",")]
+    if args.labels:
+        labels = [lab.strip() for lab in args.labels.split(",")]
+    return breakpoints, labels
+
+
+def _config_from_args(args) -> AnalysisConfig:
+    breakpoints, labels = _parse_breakpoints(args)
+    thresholds = SmallWorldThresholds(
+        density_max=getattr(args, "sw_density_max", 0.05),
+        clustering_min=getattr(args, "sw_clustering_min", 0.3),
+        r_squared_min=getattr(args, "sw_r2_min", 0.6),
+        exponent_min=getattr(args, "sw_exponent_min", 1.0),
+    )
+    return AnalysisConfig(
+        input_path=args.input,
+        kind=args.kind,
+        breakpoints=breakpoints,
+        labels=labels,
+        yearly=args.yearly,
+        rel_tolerance=getattr(args, "rel_tolerance", 0.10),
+        thresholds=thresholds,
+        threads=getattr(args, "threads", None),
+    )
+
+
+def _cmd_analyze(args) -> int:
+    config = _config_from_args(args)
+    data = _read_input(args.input)
+    bundle = run_analysis(config, input_bytes=data)
+    text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
+    _write_output(args.out, text)
+    return EXIT_OK
+
+
+def _cmd_generate(args) -> int:
+    if args.model == "er":
+        if args.p is None:
+            raise ValueError("--model er requires --p")
+        spec = GeneratorSpec("er", args.n, args.p, seed=args.seed)
+    elif args.model == "ws":
+        if args.k is None:
+            raise ValueError("--model ws requires --k")
+        spec = GeneratorSpec("ws", args.n, args.k, args.beta, seed=args.seed)
+    else:
+        if args.m is None:
+            raise ValueError("--model ba requires -m")
+        spec = GeneratorSpec("ba", args.n, args.m, seed=args.seed)
+    snapshot = generate(spec)
+    events = [
+        InteractionEvent(i, a, b, w)
+        for i, ((a, b), w) in enumerate(sorted(snapshot.edges.items()))
+    ]
+    _write_output(args.out, write_edge_events_text(events))
+    return EXIT_OK
+
+
+def _cmd_fit(args) -> int:
+    config = _config_from_args(args)
+    data = _read_input(args.input)
+    snapshots, _ = build_snapshots_for_config(config, data.decode("utf-8"))
+    for snapshot in snapshots:
+        hist = degree_histogram(snapshot)
+        points_csv, line_csv = fit_plot_csv(hist)
+        _write_output(f"{args.out_prefix}_{snapshot.label}_points.csv", points_csv)
+        _write_output(f"{args.out_prefix}_{snapshot.label}_line.csv", line_csv)
+        fit = fit_powerlaw(hist)
+        sys.stdout.write(
+            f"{snapshot.label}: exponent={fit.exponent:.2f} "
+            f"r_squared={fit.r_squared:.3f} points={fit.n_points}\n"
+        )
+    return EXIT_OK
+
+
+def _cmd_report(args) -> int:
+    with open(args.bundle, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    lines = []
+    header = ["label", "n_actors", "n_links", "sum_links", "clustering", "diameter", "small_world"]
+    lines.append("\t".join(header))
+    for row, verdict in zip(payload["rows"], payload["verdicts"]):
+        clustering = row["clustering"]
+        lines.append(
+            "\t".join(
+                [
+                    row["label"],
+                    str(row["n_actors"]),
+                    str(row["n_links"]),
+                    str(row["sum_links"]),
+                    "" if clustering is None else f"{clustering:.2f}",
+                    "" if row["diameter"] is None else str(row["diameter"]),
+                    "" if verdict["verdict"] is None else str(verdict["verdict"]).lower(),
+                ]
+            )
+        )
+    drivers = payload["correlations"]["ranked_drivers"]
+    lines.append("ranked_drivers: " + (", ".join(drivers) if drivers else "(none)"))
+    for check in payload["static_checks"]:
+        lines.append(
+            f"static[{check['metric']}]: {str(check['static']).lower()} "
+            f"(spread={check['spread']:.4g}, mean={check['mean']:.4g})"
+        )
+    _write_output(args.out, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+_HANDLERS = {
+    "analyze": _cmd_analyze,
+    "generate": _cmd_generate,
+    "fit": _cmd_fit,
+    "report": _cmd_report,
+}
+
+
+def _emit_error(stage: str, message: str) -> None:
+    sys.stderr.write(json.dumps({"stage": stage, "error": message}) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except PipelineError as exc:
+        cause = exc.__cause__
+        _emit_error(exc.stage, str(cause) if cause else str(exc))
+        if isinstance(cause, (ParseError, OSError, UnicodeDecodeError)):
+            return EXIT_PARSE
+        if isinstance(cause, ValueError):
+            return EXIT_CONFIG
+        return EXIT_ANALYSIS
+    except ParseError as exc:
+        _emit_error("parse", str(exc))
+        return EXIT_PARSE
+    except OSError as exc:
+        _emit_error("io", str(exc))
+        return EXIT_PARSE
+    except (UndefinedMetricError, InsufficientDataError) as exc:
+        _emit_error("analysis", str(exc))
+        return EXIT_ANALYSIS
+    except ValueError as exc:
+        _emit_error("config", str(exc))
+        return EXIT_CONFIG
+
+
+def entrypoint() -> None:
+    sys.exit(main())

@@ -1,0 +1,205 @@
+"""File ingestion: edge-event CSV and publication JSON Lines.
+
+Edge events use a `time,a,b,weight` CSV (weight optional, default 1).
+Publications are one JSON object per line: {"pub_id", "date", "authors"}.
+Malformed rows are skipped with a warning; a file where more than 10% of the
+data rows are malformed raises ParseError. Self-loop rows and empty author
+lists are treated as domain noise: they warn and skip but do not count
+toward the 10% budget.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from dataclasses import dataclass
+from datetime import datetime
+from itertools import combinations
+from typing import Iterable, Sequence
+
+from .errors import ParseError
+from .graph_core import InteractionEvent, Timestamp
+
+EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
+_MAX_BAD_FRACTION = 0.10
+
+
+def parse_timestamp(text: str) -> Timestamp:
+    """Parse an integer, float, or ISO-8601 timestamp."""
+    raw = text.strip()
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        return float(raw)
+    except ValueError:
+        pass
+    try:
+        return datetime.fromisoformat(raw)
+    except ValueError:
+        raise ValueError(f"unparseable time {text!r}") from None
+
+
+def parse_edge_events_text(
+    text: str, source: str = "<string>"
+) -> tuple[list[InteractionEvent], list[str]]:
+    """Parse edge-event CSV content; returns (events, warnings)."""
+    rows = [row for row in csv.reader(io.StringIO(text))]
+    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    if not rows:
+        return [], []
+    header = [cell.strip().lower() for cell in rows[0]]
+    if header[:3] != ["time", "a", "b"]:
+        raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0]!r}")
+    events: list[InteractionEvent] = []
+    warnings: list[str] = []
+    malformed = 0
+    data_rows = rows[1:]
+    for lineno, row in enumerate(data_rows, start=2):
+        if len(row) < 3:
+            warnings.append(f"{source}:{lineno}: too few fields, row skipped")
+            malformed += 1
+            continue
+        try:
+            time = parse_timestamp(row[0])
+        except ValueError as exc:
+            warnings.append(f"{source}:{lineno}: {exc}, row skipped")
+            malformed += 1
+            continue
+        a, b = row[1].strip(), row[2].strip()
+        if not a or not b:
+            warnings.append(f"{source}:{lineno}: empty actor label, row skipped")
+            malformed += 1
+            continue
+        weight = 1
+        if len(row) >= 4 and row[3].strip():
+            try:
+                weight = int(row[3])
+            except ValueError:
+                warnings.append(f"{source}:{lineno}: bad weight {row[3]!r}, row skipped")
+                malformed += 1
+                continue
+            if weight < 1:
+                warnings.append(f"{source}:{lineno}: weight {weight} < 1, row skipped")
+                malformed += 1
+                continue
+        if a == b:
+            warnings.append(f"{source}:{lineno}: self-loop on {a!r}, row skipped")
+            continue
+        events.append(InteractionEvent(time, a, b, weight))
+    if data_rows and malformed / len(data_rows) > _MAX_BAD_FRACTION:
+        raise ParseError(
+            f"{source}: {malformed} of {len(data_rows)} rows malformed (> 10%)"
+        )
+    categories = {isinstance(ev.time, datetime) for ev in events}
+    if len(categories) > 1:
+        raise ParseError(f"{source}: file mixes date and numeric times")
+    return events, warnings
+
+
+def parse_edge_events(path: str) -> tuple[list[InteractionEvent], list[str]]:
+    """Read and parse an edge-event CSV file (UTF-8)."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return parse_edge_events_text(text, source=path)
+
+
+def format_timestamp(t: Timestamp) -> str:
+    return t.isoformat() if isinstance(t, datetime) else repr(t)
+
+
+def write_edge_events_text(events: Iterable[InteractionEvent]) -> str:
+    """Serialize events to edge-event CSV (LF line endings)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(EDGE_EVENT_FIELDS)
+    for ev in events:
+        writer.writerow([format_timestamp(ev.time), ev.a, ev.b, ev.weight])
+    return buffer.getvalue()
+
+
+def write_edge_events(events: Iterable[InteractionEvent], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(write_edge_events_text(events))
+
+
+@dataclass(frozen=True)
+class PublicationRecord:
+    """One publication: an id, a date, and its (deduplicated) author list."""
+
+    pub_id: str
+    date: Timestamp
+    authors: tuple[str, ...]
+
+
+def parse_publications_text(
+    text: str, source: str = "<string>"
+) -> tuple[list[PublicationRecord], list[str]]:
+    """Parse publication JSON Lines content; returns (records, warnings).
+
+    Authors are trimmed and deduplicated case-sensitively, record order
+    preserved. Records with an empty author list or a duplicate pub_id are
+    skipped with a warning.
+    """
+    records: list[PublicationRecord] = []
+    warnings: list[str] = []
+    seen_ids: set[str] = set()
+    malformed = 0
+    data_lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    for lineno, line in data_lines:
+        try:
+            obj = json.loads(line)
+            pub_id = str(obj["pub_id"]).strip()
+            date = parse_timestamp(str(obj["date"]))
+            raw_authors = obj["authors"]
+            if not isinstance(raw_authors, list):
+                raise ValueError("authors must be a list")
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            warnings.append(f"{source}:{lineno}: {exc}, record skipped")
+            malformed += 1
+            continue
+        authors = tuple(dict.fromkeys(str(a).strip() for a in raw_authors if str(a).strip()))
+        if not authors:
+            warnings.append(f"{source}:{lineno}: empty author list, record skipped")
+            continue
+        if pub_id in seen_ids:
+            warnings.append(f"{source}:{lineno}: duplicate pub_id {pub_id!r}, record skipped")
+            continue
+        seen_ids.add(pub_id)
+        records.append(PublicationRecord(pub_id, date, authors))
+    if data_lines and malformed / len(data_lines) > _MAX_BAD_FRACTION:
+        raise ParseError(
+            f"{source}: {malformed} of {len(data_lines)} records malformed (> 10%)"
+        )
+    return records, warnings
+
+
+def parse_publications(path: str) -> tuple[list[PublicationRecord], list[str]]:
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return parse_publications_text(text, source=path)
+
+
+def expand_publications(
+    records: Sequence[PublicationRecord],
+) -> tuple[list[InteractionEvent], list[tuple[Timestamp, str]]]:
+    """Clique-expand publications into unit-weight pair events.
+
+    A publication with k >= 2 authors emits k(k-1)/2 events timestamped with
+    its date. Every author (including single authors, who emit no events) is
+    returned in the arrivals list so snapshots can register them as actors.
+    """
+    events: list[InteractionEvent] = []
+    arrivals: list[tuple[Timestamp, str]] = []
+    for record in records:
+        for author in record.authors:
+            arrivals.append((record.date, author))
+        for a, b in combinations(record.authors, 2):
+            events.append(InteractionEvent(record.date, a, b, 1))
+    return events, arrivals
