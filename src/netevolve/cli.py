@@ -166,7 +166,7 @@ def _cmd_generate(args) -> int:
 def _cmd_fit(args) -> int:
     config = _config_from_args(args)
     data = _read_input(args.input)
-    snapshots, _ = build_snapshots_for_config(config, data.decode("utf-8"))
+    snapshots, _ = build_snapshots_for_config(config, data.decode("utf-8-sig"))
     for snapshot in snapshots:
         hist = degree_histogram(snapshot)
         points_csv, line_csv = fit_plot_csv(hist)

@@ -13,10 +13,9 @@ metrics row into a verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-from scipy import stats as _scipy_stats
 
 from .errors import InsufficientDataError, UndefinedMetricError
 from .graph_core import GraphSnapshot
@@ -173,8 +172,47 @@ def normality_gate(x: Sequence[float]) -> str:
         raise ValueError("need at least 3 observations")
     if len(x) < SMALL_SAMPLE_CUTOFF:
         return "spearman"
-    _, p_value = _scipy_stats.normaltest(list(x))
-    return "spearman" if p_value < 0.05 else "pearson"
+    return "spearman" if _normaltest_pvalue(x) < 0.05 else "pearson"
+
+
+def _normaltest_pvalue(x: Sequence[float]) -> float:
+    """D'Agostino-Pearson K^2 omnibus normality test; returns the p-value.
+
+    K^2 adds the squared skewness z-score (D'Agostino 1970) and kurtosis
+    z-score (Anscombe & Glynn 1983); under normality it is chi-squared with
+    two degrees of freedom, whose survival function is exp(-K^2/2). Needs
+    n >= 8; NaN when the series has (numerically) no spread, which never
+    counts as a rejection.
+    """
+    n = len(x)
+    if n < 8:
+        raise ValueError("the normality test needs at least 8 observations")
+    mean = math.fsum(x) / n
+    m2, m3, m4 = (math.fsum((v - mean) ** k for v in x) / n for k in (2, 3, 4))
+    if m2 <= (sys.float_info.epsilon * mean) ** 2:
+        return math.nan
+    # skewness z-score
+    y = m3 / m2**1.5 * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2)))
+    beta2 = 3.0 * (n * n + 27 * n - 70) * (n + 1) * (n + 3) / ((n - 2.0) * (n + 5) * (n + 7) * (n + 9))
+    w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    alpha = math.sqrt(2.0 / (w2 - 1.0))
+    y = (y or 1.0) / alpha
+    z_skew = math.log(y + math.sqrt(y * y + 1.0)) / math.sqrt(0.5 * math.log(w2))
+    # kurtosis z-score
+    expected = 3.0 * (n - 1) / (n + 1)
+    variance = 24.0 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1.0) * (n + 3) * (n + 5))
+    k = (m4 / (m2 * m2) - expected) / math.sqrt(variance)
+    root_beta1 = (
+        6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+        * math.sqrt(6.0 * (n + 3) * (n + 5) / (n * (n - 2) * (n - 3)))
+    )
+    a = 6.0 + 8.0 / root_beta1 * (2.0 / root_beta1 + math.sqrt(1.0 + 4.0 / root_beta1**2))
+    denom = 1.0 + k * math.sqrt(2.0 / (a - 4.0))
+    if denom == 0.0:
+        return math.nan
+    tail = math.copysign(((1.0 - 2.0 / a) / abs(denom)) ** (1.0 / 3.0), denom)
+    z_kurt = (1.0 - 2.0 / (9.0 * a) - tail) / math.sqrt(2.0 / (9.0 * a))
+    return math.exp(-(z_skew * z_skew + z_kurt * z_kurt) / 2.0)
 
 
 def proxy_series(snapshots: Sequence[GraphSnapshot]) -> list[ProxyRow]:

@@ -29,7 +29,9 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 
 
 def _time_category(t: Timestamp) -> str:
-    return "datetime" if isinstance(t, datetime) else "number"
+    if isinstance(t, datetime):
+        return "offset-aware date" if t.tzinfo is not None else "naive date"
+    return "numeric"
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,9 @@ def build_cumulative_snapshots(
     categories |= {_time_category(ev.time) for ev in usable}
     categories |= {_time_category(t) for t, _ in arrivals}
     if len(categories) > 1:
-        raise ValueError("event times and breakpoints mix dates with plain numbers")
+        raise ValueError(
+            "event times and breakpoints mix " + " and ".join(sorted(categories)) + " times"
+        )
 
     snapshots = []
     for bp, label in zip(breakpoints, labels):

@@ -13,29 +13,34 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .graph_core import InteractionEvent, Timestamp
+from .graph_core import InteractionEvent, Timestamp, _time_category
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
 
 
 def parse_timestamp(text: str) -> Timestamp:
-    """Parse an integer, float, or ISO-8601 timestamp."""
+    """Parse an integer, finite float, or ISO-8601 timestamp."""
     raw = text.strip()
     try:
         return int(raw)
     except ValueError:
         pass
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite time {text!r}")
+        return value
     try:
         return datetime.fromisoformat(raw)
     except ValueError:
@@ -93,15 +98,21 @@ def parse_edge_events_text(
         raise ParseError(
             f"{source}: {malformed} of {len(data_rows)} rows malformed (> 10%)"
         )
-    categories = {isinstance(ev.time, datetime) for ev in events}
-    if len(categories) > 1:
-        raise ParseError(f"{source}: file mixes date and numeric times")
+    _check_time_kinds((ev.time for ev in events), source)
     return events, warnings
 
 
+def _check_time_kinds(times: Iterable[Timestamp], source: str) -> None:
+    """Numbers, naive dates and offset-aware dates cannot be ordered against
+    each other, so a file must stick to one kind."""
+    kinds = sorted({_time_category(t) for t in times})
+    if len(kinds) > 1:
+        raise ParseError(f"{source}: file mixes {' and '.join(kinds)} times")
+
+
 def parse_edge_events(path: str) -> tuple[list[InteractionEvent], list[str]]:
-    """Read and parse an edge-event CSV file (UTF-8)."""
-    with open(path, encoding="utf-8") as handle:
+    """Read and parse an edge-event CSV file (UTF-8, with or without a BOM)."""
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse_edge_events_text(text, source=path)
 
@@ -177,11 +188,12 @@ def parse_publications_text(
         raise ParseError(
             f"{source}: {malformed} of {len(data_lines)} records malformed (> 10%)"
         )
+    _check_time_kinds((r.date for r in records), source)
     return records, warnings
 
 
 def parse_publications(path: str) -> tuple[list[PublicationRecord], list[str]]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse_publications_text(text, source=path)
 

@@ -6,6 +6,11 @@ density and strength measures. Iteration is always over sorted actors and
 math.fsum is used for floating reductions, so results are bit-identical
 regardless of input ordering or thread count.
 
+Diameter, average distance, betweenness and closeness all read one
+all-sources pass per snapshot (_all_sources). It runs on a dense
+scipy.sparse kernel for short-diameter graphs and on the pure-Python
+reference otherwise.
+
 Two density variants are reported side by side: the weighted form
 2W/(N(N-1)) over the total interaction count W (the headline figure for
 collaboration logs, which may exceed 1) and the standard simple form
@@ -15,12 +20,12 @@ collaboration logs, which may exceed 1) and the standard simple form
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .errors import UndefinedMetricError
-from .graph_core import GraphSnapshot, giant_component
+from .graph_core import GraphSnapshot
 
 
 @dataclass(frozen=True)
@@ -53,19 +58,180 @@ def _indexed(s: GraphSnapshot) -> tuple[list[str], list[list[int]]]:
     return order, adj
 
 
-def _bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    """Hop distances from `source`; -1 marks unreachable."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dv + 1
-                queue.append(u)
-    return dist
+def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[int]]:
+    """BFS frontiers from `source`, one list per hop distance (level 0 is
+    [source]); marks every reached index in `seen`."""
+    seen[source] = True
+    levels = [[source]]
+    while True:
+        frontier = []
+        for v in levels[-1]:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    frontier.append(w)
+        if not frontier:
+            return levels
+        levels.append(frontier)
+
+
+def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
+    """Indices of the giant component and the deepest BFS level reached from
+    any component's first actor.
+
+    Components are discovered from the sorted actor list, so size ties go to
+    the component holding the smallest label, as in graph_core.giant_component.
+    """
+    seen = [False] * len(adj)
+    giant: list[int] = []
+    depth = 0
+    for start in range(len(adj)):
+        if not seen[start]:
+            levels = _levels(adj, start, seen)
+            depth = max(depth, len(levels) - 1)
+            if sum(map(len, levels)) > len(giant):
+                giant = list(chain.from_iterable(levels))
+    return giant, depth
+
+
+@dataclass(frozen=True)
+class _PathPass:
+    """One all-sources sweep over a snapshot, indexed like `order`.
+
+    `betweenness` holds the raw Brandes sums over both endpoints (halve them
+    for the undirected score). Per source, `reach` counts the actors it
+    reaches (itself included), `dist_sum` adds up their hop distances and
+    `ecc` is the largest of them. `kernel` names the implementation used.
+    """
+
+    order: list[str]
+    betweenness: list[float]
+    reach: list[int]
+    dist_sum: list[int]
+    ecc: list[int]
+    giant: list[int]
+    kernel: str
+
+
+def _reference_pass(adj: list[list[int]]) -> tuple[list[float], list[int], list[int], list[int]]:
+    """Pure-Python Brandes over every source, with per-source hop summaries.
+
+    Python integers keep path counts exact, and each dependency receives its
+    terms in reverse BFS order, so the scores are the reference bit pattern.
+    """
+    n = len(adj)
+    scores = [0.0] * n
+    reach = [1] * n
+    dist_sum = [0] * n
+    ecc = [0] * n
+    for src in range(n):
+        if not adj[src]:
+            continue
+        sigma = [0] * n
+        dist = [-1] * n
+        sigma[src] = 1
+        dist[src] = 0
+        order = [src]
+        for v in order:
+            dv1 = dist[v] + 1
+            sv = sigma[v]
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv1
+                    order.append(w)
+                if dist[w] == dv1:
+                    sigma[w] += sv
+        delta = [0.0] * n
+        for w in order[:0:-1]:
+            dw = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == dw:
+                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            scores[w] += delta[w]
+        reach[src] = len(order)
+        dist_sum[src] = sum(dist) + n - len(order)
+        ecc[src] = dist[order[-1]]
+    return scores, reach, dist_sum, ecc
+
+
+# float64 counts paths exactly only below 2**53.
+_SIGMA_EXACT = 2.0**53
+_DENSE_BATCH = 64
+# Dense work per source is about depth * (N + 2L) element operations against
+# 2L interpreted edge visits for Python; below this ratio the dense kernel wins.
+_DENSE_MAX_COST = 32
+# Below this many actors the Python pass takes milliseconds, less than
+# importing numpy and scipy.sparse.
+_DENSE_MIN_ACTORS = 64
+
+
+def _use_dense(n: int, nnz: int, depth: int) -> bool:
+    """Pick the dense kernel for graphs with many actors and short paths."""
+    return n >= _DENSE_MIN_ACTORS and nnz > 0 and depth * (n + nnz) <= _DENSE_MAX_COST * nnz
+
+
+def _dense_pass(adj: list[list[int]], batch: int = _DENSE_BATCH):
+    """Batched level-synchronous Brandes on scipy.sparse.
+
+    Each batch of sources is a dense N x b block. Forward levels multiply the
+    sparse adjacency by the frontier's path counts; backward levels push
+    (1 + delta) / sigma one level up. Returns the same tuple as
+    _reference_pass, or None when a path count reaches 2**53 and float64 can
+    no longer hold it exactly.
+    """
+    import numpy as np
+    from scipy import sparse
+
+    n = len(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in adj], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
+    a = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    scores = np.zeros(n)
+    reach = np.empty(n, dtype=np.int64)
+    dist_sum = np.empty(n, dtype=np.int64)
+    ecc = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, batch):
+        hi = min(lo + batch, n)
+        sources = (np.arange(lo, hi), np.arange(hi - lo))
+        dist = np.full((n, hi - lo), -1, dtype=np.int64)
+        dist[sources] = 0
+        sigma = np.zeros((n, hi - lo))
+        sigma[sources] = 1.0
+        frontier = sigma.copy()
+        depth = 0
+        while True:
+            paths = a @ frontier
+            new = (paths > 0.0) & (dist < 0)
+            if not new.any():
+                break
+            depth += 1
+            dist[new] = depth
+            frontier = np.where(new, paths, 0.0)
+            sigma += frontier
+        if sigma.max() >= _SIGMA_EXACT:
+            return None
+        reached = dist >= 0
+        reach[lo:hi] = reached.sum(axis=0)
+        dist_sum[lo:hi] = np.where(reached, dist, 0).sum(axis=0)
+        ecc[lo:hi] = dist.max(axis=0)
+        delta = np.zeros_like(sigma)
+        for level in range(depth, 0, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
+            delta += np.where(dist == level - 1, sigma * (a @ share), 0.0)
+        scores += np.where(dist > 0, delta, 0.0).sum(axis=1)
+    return scores.tolist(), reach.tolist(), dist_sum.tolist(), ecc.tolist()
+
+
+def _all_sources(s: GraphSnapshot) -> _PathPass:
+    """The one all-sources pass every path-based measure reads from."""
+    order, adj = _indexed(s)
+    giant, depth = _giant_and_depth(adj)
+    if _use_dense(len(adj), 2 * s.n_links, depth):
+        result = _dense_pass(adj)
+        if result is not None:
+            return _PathPass(order, *result, giant, "dense")
+    return _PathPass(order, *_reference_pass(adj), giant, "python")
 
 
 def density_weighted(s: GraphSnapshot) -> float:
@@ -138,20 +304,12 @@ def path_stats(s: GraphSnapshot) -> tuple[int, float]:
     """
     if s.n_links == 0:
         raise UndefinedMetricError("path statistics need at least one edge")
-    order, adj = _indexed(s)
-    giant = giant_component(s).actors
-    total = 0
-    reachable_ordered = 0
-    diameter = 0
-    for src, label in enumerate(order):
-        dist = _bfs_distances(adj, src)
-        for d in dist:
-            if d > 0:
-                total += d
-                reachable_ordered += 1
-        if label in giant:
-            diameter = max(diameter, max(dist))
-    return diameter, total / reachable_ordered
+    return _path_stats(_all_sources(s))
+
+
+def _path_stats(p: _PathPass) -> tuple[int, float]:
+    diameter = max(p.ecc[i] for i in p.giant)
+    return diameter, sum(p.dist_sum) / (sum(p.reach) - len(p.reach))
 
 
 def degree_histogram(s: GraphSnapshot) -> dict[int, int]:
@@ -215,42 +373,18 @@ def betweenness(s: GraphSnapshot, normalized: bool = False) -> dict[str, float]:
     normalized variant divides by (N-1)(N-2)/2, the star-center maximum.
     Isolated actors score 0.
     """
-    order, adj = _indexed(s)
-    n = len(order)
-    scores = [0.0] * n
-    for src in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0] * n
-        dist = [-1] * n
-        sigma[src] = 1
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != src:
-                scores[w] += delta[w]
+    return _betweenness(_all_sources(s), normalized)
+
+
+def _betweenness(p: _PathPass, normalized: bool) -> dict[str, float]:
+    n = len(p.order)
     scale = 2.0
     if normalized:
         denom = (n - 1) * (n - 2) / 2.0
         if denom <= 0:
-            return {v: 0.0 for v in order}
+            return {v: 0.0 for v in p.order}
         scale *= denom
-    return {order[i]: scores[i] / scale for i in range(n)}
+    return {v: score / scale for v, score in zip(p.order, p.betweenness)}
 
 
 def closeness(s: GraphSnapshot, harmonic: bool = False) -> dict[str, float]:
@@ -262,19 +396,24 @@ def closeness(s: GraphSnapshot, harmonic: bool = False) -> dict[str, float]:
     alternative sums reciprocal distances over reachable actors, divided by
     (N-1).
     """
+    if not harmonic:
+        return _closeness(_all_sources(s))
     order, adj = _indexed(s)
     n = len(order)
     out: dict[str, float] = {}
     for i, v in enumerate(order):
-        dist = _bfs_distances(adj, i)
-        reached = [d for d in dist if d > 0]
-        if not reached or n < 2:
-            out[v] = 0.0
-        elif harmonic:
-            out[v] = math.fsum(1.0 / d for d in reached) / (n - 1)
-        else:
-            others = len(reached)
-            out[v] = (others / (n - 1)) * (others / sum(reached))
+        levels = _levels(adj, i, [False] * n)
+        reciprocal = math.fsum(len(frontier) / d for d, frontier in enumerate(levels[1:], 1))
+        out[v] = reciprocal / (n - 1) if n > 1 else 0.0
+    return out
+
+
+def _closeness(p: _PathPass) -> dict[str, float]:
+    n = len(p.order)
+    out: dict[str, float] = {}
+    for v, reach, total in zip(p.order, p.reach, p.dist_sum):
+        others = reach - 1
+        out[v] = 0.0 if others == 0 else (others / (n - 1)) * (others / total)
     return out
 
 
@@ -320,20 +459,21 @@ def metrics_row(s: GraphSnapshot) -> MetricsRow:
         raise UndefinedMetricError("a metrics row needs at least two actors")
     dens_w = density_weighted(s)
     dens_s = density_simple(s)
+    paths = _all_sources(s)
     if s.n_links == 0:
         clustering = diameter = avg_dist = assort = neighbor_mean = None
     else:
         clustering = avg_clustering(s)
-        diameter, avg_dist = path_stats(s)
+        diameter, avg_dist = _path_stats(paths)
         assort = assortativity(s)
         neighbor_mean = avg_neighbor_degree_mean(s)
     strength_mean = 2.0 * s.sum_links / n
     if n >= 3:
         order = s.sorted_actors()
         cent_deg = centralization([float(s.degree(v)) for v in order], "degree", n)
-        btw = betweenness(s, normalized=True)
+        btw = _betweenness(paths, normalized=True)
         cent_btw = centralization([btw[v] for v in order], "betweenness", n)
-        close = closeness(s)
+        close = _closeness(paths)
         cent_close = centralization([close[v] for v in order], "closeness", n)
     else:
         cent_deg = cent_btw = cent_close = None

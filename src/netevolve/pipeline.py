@@ -2,10 +2,11 @@
 
 run_analysis ties the modules together: ingest -> cumulative snapshots ->
 per-period metrics/fits/verdicts -> proxies, correlations, and the
-static-attribute scan, bundled with input provenance. Per-period work can
-run on a thread pool (capped by the NETEVOLVE_THREADS environment variable);
-reduction order is fixed by period index so output bytes never depend on the
-worker count.
+static-attribute scan, bundled with input provenance. Periods run one after
+another: a per-period thread pool slowed the interpreter-bound workloads and
+barely helped the numpy-bound ones. The requested thread count (--threads,
+capped by the NETEVOLVE_THREADS environment variable) is still validated and
+echoed in the provenance, and output bytes never depend on it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from typing import Optional, Sequence
@@ -150,7 +150,7 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
     input_bytes is None the input is read from config.input_path.
     """
     try:
-        workers = _resolve_threads(config.threads)
+        _resolve_threads(config.threads)
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
 
@@ -162,7 +162,7 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
             raise PipelineError("ingest", str(exc)) from exc
 
     try:
-        text = input_bytes.decode("utf-8")
+        text = input_bytes.decode("utf-8-sig")
         snapshots, warnings = build_snapshots_for_config(config, text)
     except PipelineError:
         raise
@@ -170,13 +170,7 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
         raise PipelineError("ingest", str(exc)) from exc
 
     try:
-        if workers == 1 or len(snapshots) == 1:
-            per_period = [_per_period(s, config.thresholds) for s in snapshots]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_period = list(
-                    pool.map(lambda s: _per_period(s, config.thresholds), snapshots)
-                )
+        per_period = [_per_period(s, config.thresholds) for s in snapshots]
         rows = [r for r, _, _ in per_period]
         fits = [f for _, f, _ in per_period]
         verdicts = [v for _, _, v in per_period]

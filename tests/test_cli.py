@@ -3,6 +3,8 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 from netevolve.cli import main
 from netevolve.pipeline import AnalysisConfig, bundle_to_csv, bundle_to_json, run_analysis
 
@@ -244,3 +246,70 @@ class TestDeterminism:
     def test_invalid_env_cap_is_config_error(self, monkeypatch):
         monkeypatch.setenv("NETEVOLVE_THREADS", "many")
         assert main(["analyze", "--input", DISASTER]) == 2
+
+
+class TestIngestEdgeCases:
+    ROWS = "time,a,b\n" + "".join(f"{t},A{t % 4},B{t % 5}\n" for t in range(1, 21))
+
+    def _analyze(self, tmp_path, text, *extra, encoding="utf-8"):
+        source = tmp_path / "events.csv"
+        source.write_text(text, encoding=encoding)
+        out = tmp_path / "report.json"
+        args = ["analyze", "--input", str(source), "--format", "json", "--out", str(out)]
+        code = main([*args, *extra])
+        return code, (json.loads(out.read_text()) if code == 0 else None)
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        code, bundle = self._analyze(tmp_path, self.ROWS, encoding="utf-8-sig")
+        assert code == 0
+        _, plain = self._analyze(tmp_path, self.ROWS)
+        assert bundle["rows"] == plain["rows"]
+
+    def test_byte_order_mark_accepted_by_fit(self, tmp_path):
+        source = tmp_path / "events.csv"
+        source.write_text(self.ROWS, encoding="utf-8-sig")
+        code = main(["fit", "--input", str(source), "--out-prefix", str(tmp_path / "deg")])
+        assert code == 0
+        assert (tmp_path / "deg_all_points.csv").exists()
+
+    def test_byte_order_mark_in_publications(self, tmp_path):
+        source = tmp_path / "pubs.jsonl"
+        source.write_text(
+            '{"pub_id": "p1", "date": "2001-03-01", "authors": ["A", "B", "C"]}\n'
+            '{"pub_id": "p2", "date": "2002-03-01", "authors": ["B", "D"]}\n',
+            encoding="utf-8-sig",
+        )
+        out = tmp_path / "report.json"
+        args = ["analyze", "--input", str(source), "--kind", "publications", "--yearly"]
+        assert main([*args, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["ingest_warnings"] == []
+
+    def test_mixed_naive_and_aware_times_are_parse_error(self, tmp_path, capsys):
+        text = "time,a,b\n2009-02-07T10:00,A,B\n2009-02-07T11:00+01:00,B,C\n"
+        code, _ = self._analyze(tmp_path, text)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "ingest"
+        assert "naive date and offset-aware date" in err["error"]
+
+    def test_mixed_naive_and_aware_publication_dates_are_parse_error(self, tmp_path):
+        source = tmp_path / "pubs.jsonl"
+        source.write_text(
+            '{"pub_id": "p1", "date": "2001-03-01", "authors": ["A", "B"]}\n'
+            '{"pub_id": "p2", "date": "2002-03-01T00:00+02:00", "authors": ["B", "C"]}\n'
+        )
+        assert main(["analyze", "--input", str(source), "--kind", "publications"]) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_time_is_a_malformed_row(self, tmp_path, bad):
+        text = self.ROWS + f"{bad},A0,Z9\n"
+        code, bundle = self._analyze(tmp_path, text)
+        assert code == 0
+        warnings = bundle["provenance"]["ingest_warnings"]
+        assert len(warnings) == 1 and "non-finite time" in warnings[0]
+        assert bundle["rows"][0]["n_actors"] == 9
+
+    def test_non_finite_times_count_toward_the_budget(self, tmp_path):
+        text = self.ROWS + "nan,A0,Z9\ninf,A1,Z8\nnan,A2,Z7\n"
+        code, _ = self._analyze(tmp_path, text)
+        assert code == 3

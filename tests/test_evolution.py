@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from netevolve import (
     spearman,
     static_attributes,
 )
-from netevolve.evolution import ProxyRow
+from netevolve.evolution import ProxyRow, _normaltest_pvalue
 from oracles import pearson_brute, spearman_brute
 
 # Published ten-period series the static-attribute scan must discriminate:
@@ -136,6 +138,49 @@ class TestNormalityGate:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             normality_gate([1.0, 2.0])
+
+
+def _seeded_series(seed):
+    """Normal, skewed, heavy-tailed, flat, discrete and offset series. All are
+    well conditioned: with a spread a billionth of the mean, scipy's and this
+    package's moments both lose ~1e-7 to cancellation and cannot agree to 1e-10."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 200)
+    draw = [
+        lambda: rng.gauss(3.0, 2.0),
+        lambda: rng.expovariate(1.5),
+        lambda: rng.lognormvariate(0.0, 1.0),
+        lambda: rng.paretovariate(2.5),
+        lambda: rng.uniform(-1.0, 1.0),
+        lambda: float(rng.randint(0, 4)),
+        lambda: 1e3 + rng.gauss(0.0, 1.0),
+    ][seed % 7]
+    return [draw() for _ in range(n)]
+
+
+class TestNormaltestPvalue:
+    @pytest.mark.parametrize("seed", range(70))
+    def test_matches_scipy(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        sample = _seeded_series(seed)
+        expected = float(stats.normaltest(sample).pvalue)
+        assert _normaltest_pvalue(sample) == pytest.approx(expected, rel=1e-10, abs=0.0)
+        assert normality_gate(sample) == ("spearman" if expected < 0.05 else "pearson")
+
+    def test_constant_series_never_rejects(self):
+        assert math.isnan(_normaltest_pvalue([2.5] * 30))
+        assert normality_gate([2.5] * 30) == "pearson"
+
+    def test_needs_eight_points(self):
+        with pytest.raises(ValueError):
+            _normaltest_pvalue([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        code = "import sys, netevolve.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestProxySeries:
