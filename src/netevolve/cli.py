@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InsufficientDataError, ParseError, PipelineError, UndefinedMetricError
@@ -165,14 +166,17 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _config_from_args(args)
+    for label in config.labels or ():
+        if any(sep and sep in label for sep in (os.sep, os.altsep)):
+            raise ValueError(f"fit label {label!r} must not contain a path separator")
     data = _read_input(args.input)
     snapshots, _ = build_snapshots_for_config(config, data.decode("utf-8-sig"))
     for snapshot in snapshots:
         hist = degree_histogram(snapshot)
-        points_csv, line_csv = fit_plot_csv(hist)
+        fit = fit_powerlaw(hist)
+        points_csv, line_csv = fit_plot_csv(hist, fit)
         _write_output(f"{args.out_prefix}_{snapshot.label}_points.csv", points_csv)
         _write_output(f"{args.out_prefix}_{snapshot.label}_line.csv", line_csv)
-        fit = fit_powerlaw(hist)
         sys.stdout.write(
             f"{snapshot.label}: exponent={fit.exponent:.2f} "
             f"r_squared={fit.r_squared:.3f} points={fit.n_points}\n"

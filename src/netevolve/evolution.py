@@ -1,13 +1,14 @@
 """Co-evolution analyses across a snapshot sequence.
 
-Four attachment-logic proxies are tracked per period: the degree-distribution
-exponent (preferential attachment), the degree correlation over edges
-(homophily), mean actor strength (embedding), and mean neighbor degree
-(multi-connectivity). Their correlation with network centralization ranks
-which logic drives topology change; a static-attribute scan finds measures
-that barely move while the network grows; and the four-part small-world
-test (low density, high clustering, small diameter, scale-free fit) turns a
-metrics row into a verdict.
+Four attachment-logic proxies are tracked per period, read off that period's
+metrics row and power-law fit: the degree-distribution exponent (preferential
+attachment), the degree correlation over edges (homophily), mean actor
+strength (embedding), and mean neighbor degree (multi-connectivity). Their
+correlation with network centralization ranks which logic drives topology
+change; a static-attribute scan finds measures that barely move while the
+network grows; and the four-part small-world test (low density, high
+clustering, small diameter, scale-free fit) turns a metrics row into a
+verdict.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InsufficientDataError, UndefinedMetricError
-from .graph_core import GraphSnapshot
-from .metrics import (
-    MetricsRow,
-    assortativity,
-    avg_neighbor_degree_mean,
-    degree_histogram,
-)
-from .powerlaw import PowerLawFit, fit_powerlaw
+from .errors import UndefinedMetricError
+from .metrics import MetricsRow
+from .powerlaw import PowerLawFit
 
 PROXY_NAMES = ("embedding", "homophily", "multi_connectivity", "pref_attachment")
 CENTRALIZATION_KINDS = ("degree", "betweenness", "closeness")
@@ -215,26 +210,26 @@ def _normaltest_pvalue(x: Sequence[float]) -> float:
     return math.exp(-(z_skew * z_skew + z_kurt * z_kurt) / 2.0)
 
 
-def proxy_series(snapshots: Sequence[GraphSnapshot]) -> list[ProxyRow]:
-    """One ProxyRow per snapshot; proxies that cannot be computed on a
-    snapshot (degenerate histogram, zero variance, all-isolated actors)
-    come out as None."""
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    rows = []
-    for s in snapshots:
-        try:
-            pref: Optional[float] = fit_powerlaw(degree_histogram(s)).exponent
-        except InsufficientDataError:
-            pref = None
-        homophily = assortativity(s) if s.n_links > 0 else None
-        embedding = 2.0 * s.sum_links / s.n_actors if s.n_actors else None
-        try:
-            multi: Optional[float] = avg_neighbor_degree_mean(s)
-        except UndefinedMetricError:
-            multi = None
-        rows.append(ProxyRow(s.label, pref, homophily, embedding, multi))
-    return rows
+def proxy_series(
+    rows: Sequence[MetricsRow], fits: Sequence[Optional[PowerLawFit]]
+) -> list[ProxyRow]:
+    """One ProxyRow per period from its metrics row and power-law fit.
+
+    A proxy is None where its source is undefined: no fit (degenerate
+    histogram), zero degree variance, or no links at all.
+    """
+    if not rows:
+        raise ValueError("need at least one period")
+    return [
+        ProxyRow(
+            row.label,
+            None if fit is None else fit.exponent,
+            row.assortativity,
+            row.avg_strength,
+            row.avg_neighbor_degree,
+        )
+        for row, fit in zip(rows, fits, strict=True)
+    ]
 
 
 def correlate_attachment(

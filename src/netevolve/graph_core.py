@@ -14,9 +14,11 @@ point reduction) is independent of the order events arrived in.
 from __future__ import annotations
 
 import logging
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Timestamp = Union[datetime, int, float]
@@ -31,6 +33,8 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 def _time_category(t: Timestamp) -> str:
     if isinstance(t, datetime):
         return "offset-aware date" if t.tzinfo is not None else "naive date"
+    if isinstance(t, float) and not math.isfinite(t):
+        return "non-finite"
     return "numeric"
 
 
@@ -162,8 +166,11 @@ def build_cumulative_snapshots(
 
     Snapshot k contains every event with time <= breakpoints[k] (inclusive);
     duplicate pair occurrences accumulate into edge weight. Events may arrive
-    in any order. Self-loop events are dropped with a logged warning rather
-    than raising: raw interaction logs may contain noise.
+    in any order: they are sorted by time once and folded into the running
+    graph, each event exactly once. Self-loop events are dropped with a
+    logged warning rather than raising: raw interaction logs may contain
+    noise. A NaN or infinite time anywhere is a ValueError, as is a mix of
+    numbers, naive dates and offset-aware dates.
 
     `actor_arrivals` registers actors that appear without any interaction
     (e.g. single-author publications) so they are counted from their arrival
@@ -187,50 +194,85 @@ def build_cumulative_snapshots(
         usable.append(ev)
     arrivals = [(t, label.strip()) for t, label in actor_arrivals]
 
-    categories = {_time_category(t) for t in breakpoints}
-    categories |= {_time_category(ev.time) for ev in usable}
-    categories |= {_time_category(t) for t, _ in arrivals}
+    times = chain(breakpoints, (ev.time for ev in usable), (t for t, _ in arrivals))
+    categories = {_time_category(t) for t in times}
+    if "non-finite" in categories:
+        raise ValueError("event times and breakpoints must be finite (got NaN or infinity)")
     if len(categories) > 1:
         raise ValueError(
             "event times and breakpoints mix " + " and ".join(sorted(categories)) + " times"
         )
 
+    # latest first, so the next event due is popped off the end
+    usable.sort(key=attrgetter("time"), reverse=True)
+    arrivals.sort(key=itemgetter(0), reverse=True)
+    edges: dict[tuple[str, str], int] = {}
+    actors: set[str] = set()
     snapshots = []
     for bp, label in zip(breakpoints, labels):
-        edges: dict[tuple[str, str], int] = {}
-        actors: set[str] = set()
-        for ev in usable:
-            if ev.time <= bp:
-                key = ev.pair
-                edges[key] = edges.get(key, 0) + ev.weight
-                actors.add(ev.a)
-                actors.add(ev.b)
-        for t, actor in arrivals:
-            if t <= bp:
-                actors.add(actor)
-        snapshots.append(GraphSnapshot(label, frozenset(actors), edges))
+        while usable and usable[-1].time <= bp:
+            ev = usable.pop()
+            key = ev.pair
+            edges[key] = edges.get(key, 0) + ev.weight
+            actors.add(ev.a)
+            actors.add(ev.b)
+        while arrivals and arrivals[-1][0] <= bp:
+            actors.add(arrivals.pop()[1])
+        snapshots.append(GraphSnapshot(label, frozenset(actors), dict(edges)))
     return snapshots
+
+
+def _indexed(s: GraphSnapshot) -> tuple[list[str], list[list[int]]]:
+    """Sorted actor labels and integer adjacency lists (neighbors ascending)."""
+    order = s.sorted_actors()
+    index = {v: i for i, v in enumerate(order)}
+    adj = [[index[u] for u in s.neighbors(v)] for v in order]
+    return order, adj
+
+
+def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[int]]:
+    """BFS frontiers from `source`, one list per hop distance (level 0 is
+    [source]); marks every reached index in `seen`."""
+    seen[source] = True
+    levels = [[source]]
+    while True:
+        frontier = []
+        for v in levels[-1]:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    frontier.append(w)
+        if not frontier:
+            return levels
+        levels.append(frontier)
+
+
+def _component_levels(adj: list[list[int]]) -> list[list[list[int]]]:
+    """The BFS levels of every connected component, each swept from its
+    lowest index, in discovery order."""
+    seen = [False] * len(adj)
+    return [_levels(adj, start, seen) for start in range(len(adj)) if not seen[start]]
+
+
+def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
+    """Indices of the giant component and the deepest BFS level reached from
+    any component's first actor.
+
+    On a size tie the first component discovered wins: over the sorted actor
+    list, the one holding the smallest label.
+    """
+    components = _component_levels(adj)
+    largest = max(components, key=lambda levels: sum(map(len, levels)), default=[])
+    return list(chain.from_iterable(largest)), max(map(len, components), default=1) - 1
 
 
 def connected_components(s: GraphSnapshot) -> list[set[str]]:
     """All connected components, ordered by discovery from the sorted actor
     list; isolated actors form size-1 components."""
-    seen: set[str] = set()
-    components = []
-    for start in s.sorted_actors():
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in s.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        components.append(comp)
-    return components
+    order, adj = _indexed(s)
+    return [
+        {order[i] for i in chain.from_iterable(levels)} for levels in _component_levels(adj)
+    ]
 
 
 def giant_component(s: GraphSnapshot) -> GraphSnapshot:
@@ -242,10 +284,7 @@ def giant_component(s: GraphSnapshot) -> GraphSnapshot:
     """
     if not s.actors:
         return s
-    best: set[str] | None = None
-    for comp in connected_components(s):
-        if best is None or len(comp) > len(best):
-            best = comp
-    assert best is not None
+    order, adj = _indexed(s)
+    best = {order[i] for i in _giant_and_depth(adj)[0]}
     edges = {pair: w for pair, w in s.edges.items() if pair[0] in best}
     return GraphSnapshot(s.label, frozenset(best), edges)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional
 
 from .errors import UndefinedMetricError
-from .graph_core import GraphSnapshot
+from .graph_core import GraphSnapshot, _giant_and_depth, _indexed, _levels
 
 
 @dataclass(frozen=True)
@@ -48,50 +48,6 @@ class MetricsRow:
     centralization_degree: Optional[float] = None
     centralization_betweenness: Optional[float] = None
     centralization_closeness: Optional[float] = None
-
-
-def _indexed(s: GraphSnapshot) -> tuple[list[str], list[list[int]]]:
-    """Sorted actor labels and integer adjacency lists (neighbors ascending)."""
-    order = s.sorted_actors()
-    index = {v: i for i, v in enumerate(order)}
-    adj = [[index[u] for u in s.neighbors(v)] for v in order]
-    return order, adj
-
-
-def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[int]]:
-    """BFS frontiers from `source`, one list per hop distance (level 0 is
-    [source]); marks every reached index in `seen`."""
-    seen[source] = True
-    levels = [[source]]
-    while True:
-        frontier = []
-        for v in levels[-1]:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-        if not frontier:
-            return levels
-        levels.append(frontier)
-
-
-def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
-    """Indices of the giant component and the deepest BFS level reached from
-    any component's first actor.
-
-    Components are discovered from the sorted actor list, so size ties go to
-    the component holding the smallest label, as in graph_core.giant_component.
-    """
-    seen = [False] * len(adj)
-    giant: list[int] = []
-    depth = 0
-    for start in range(len(adj)):
-        if not seen[start]:
-            levels = _levels(adj, start, seen)
-            depth = max(depth, len(levels) - 1)
-            if sum(map(len, levels)) > len(giant):
-                giant = list(chain.from_iterable(levels))
-    return giant, depth
 
 
 @dataclass(frozen=True)
@@ -253,18 +209,19 @@ def density_simple(s: GraphSnapshot) -> float:
     return 2.0 * s.n_links / (n * (n - 1))
 
 
+def _closed_pairs(s: GraphSnapshot, v: str) -> tuple[int, int]:
+    """(connected pairs among the neighbors of `v`, degree of `v`)."""
+    nbrs = s.neighbors(v)
+    closed = sum(1 for a, b in combinations(nbrs, 2) if b in s.neighbors(a))
+    return closed, len(nbrs)
+
+
 def local_clustering(s: GraphSnapshot, v: str) -> float:
     """Fraction of neighbor pairs of `v` that are themselves connected;
     0.0 when deg(v) < 2. Raises KeyError for unknown actors."""
-    nbrs = list(s.neighbors(v))
-    k = len(nbrs)
+    closed, k = _closed_pairs(s, v)
     if k < 2:
         return 0.0
-    closed = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if s.has_edge(nbrs[i], nbrs[j]):
-                closed += 1
     return closed / (k * (k - 1) / 2)
 
 
@@ -282,13 +239,9 @@ def transitivity(s: GraphSnapshot) -> float:
     closed = 0
     triads = 0
     for v in s.sorted_actors():
-        nbrs = list(s.neighbors(v))
-        k = len(nbrs)
+        pairs, k = _closed_pairs(s, v)
+        closed += pairs
         triads += k * (k - 1) // 2
-        for i in range(k):
-            for j in range(i + 1, k):
-                if s.has_edge(nbrs[i], nbrs[j]):
-                    closed += 1
     if triads == 0:
         raise UndefinedMetricError("no connected triples")
     return closed / triads

@@ -17,7 +17,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from .errors import InsufficientDataError, PipelineError
@@ -91,13 +91,17 @@ def _resolve_threads(requested: Optional[int]) -> int:
 
 
 def _yearly_breakpoints(times: Sequence[Timestamp]) -> tuple[list[Timestamp], list[str]]:
+    """Year-end breakpoints for every calendar year the times span; years of
+    offset-aware times are UTC years."""
     if not times:
         raise ValueError("input contains no interactions to slice")
     if not all(isinstance(t, datetime) for t in times):
         raise ValueError("--yearly requires date-typed event times")
-    years = range(min(t.year for t in times), max(t.year for t in times) + 1)
-    breakpoints = [datetime(y, 12, 31, 23, 59, 59, 999999) for y in years]
-    return breakpoints, [str(y) for y in years]
+    tz = timezone.utc if times[0].tzinfo is not None else None
+    years = {(t if tz is None else t.astimezone(tz)).year for t in times}
+    span = range(min(years), max(years) + 1)
+    breakpoints = [datetime(y, 12, 31, 23, 59, 59, 999999, tzinfo=tz) for y in span]
+    return breakpoints, [str(y) for y in span]
 
 
 def _per_period(
@@ -180,7 +184,7 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
         raise PipelineError("metrics", str(exc)) from exc
 
     try:
-        proxies = proxy_series(snapshots)
+        proxies = proxy_series(rows, fits)
         correlations = correlate_attachment(proxies, rows)
         if len(rows) >= 2:
             static_checks = static_attributes(rows, config.rel_tolerance, fits)
@@ -287,11 +291,10 @@ def bundle_to_json(bundle: ReportBundle) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def fit_plot_csv(hist: dict[int, int]) -> tuple[str, str]:
-    """Log-log point scatter and fitted-line endpoints as two CSV texts,
-    ready for any external plotter."""
+def fit_plot_csv(hist: dict[int, int], fit: PowerLawFit) -> tuple[str, str]:
+    """Log-log point scatter of `hist` and the endpoints of its fitted line
+    as two CSV texts, ready for any external plotter."""
     points = loglog_points(hist)
-    fit = fit_powerlaw(hist)
     points_buffer = io.StringIO()
     writer = csv.writer(points_buffer, lineterminator="\n")
     writer.writerow(["log10_degree", "log10_count"])

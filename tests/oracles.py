@@ -12,6 +12,15 @@ from collections import deque
 
 import numpy as np
 
+from netevolve import (
+    InsufficientDataError,
+    UndefinedMetricError,
+    assortativity,
+    avg_neighbor_degree_mean,
+    degree_histogram,
+    fit_powerlaw,
+)
+
 
 def adjacency_sets(snapshot):
     """Fresh adjacency built from the edge map only."""
@@ -177,3 +186,39 @@ def loglog_fit_brute(hist):
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return -float(slope), float(intercept), r_squared
+
+
+def cumulative_snapshots_brute(events, breakpoints, arrivals=()):
+    """(actors, edges) per breakpoint, each filtered afresh from every event
+    and arrival: the O(P*E) rescan the one-pass build replaced."""
+    out = []
+    for bp in breakpoints:
+        actors = {actor.strip() for t, actor in arrivals if t <= bp}
+        edges = {}
+        for ev in events:
+            if ev.a != ev.b and ev.time <= bp:
+                key = tuple(sorted((ev.a, ev.b)))
+                edges[key] = edges.get(key, 0) + ev.weight
+                actors.update((ev.a, ev.b))
+        out.append((frozenset(actors), edges))
+    return out
+
+
+def proxies_by_recomputation(snapshots):
+    """(label, pref_attachment, homophily, embedding, multi_connectivity) per
+    snapshot, recomputed from the snapshot itself: the fit exponent of its
+    degree histogram, assortativity, 2W/N and the mean neighbor degree."""
+    out = []
+    for s in snapshots:
+        try:
+            pref = fit_powerlaw(degree_histogram(s)).exponent
+        except InsufficientDataError:
+            pref = None
+        homophily = assortativity(s) if s.n_links > 0 else None
+        embedding = 2.0 * s.sum_links / s.n_actors if s.n_actors else None
+        try:
+            multi = avg_neighbor_degree_mean(s)
+        except UndefinedMetricError:
+            multi = None
+        out.append((s.label, pref, homophily, embedding, multi))
+    return out

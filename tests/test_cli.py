@@ -1,24 +1,64 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import astuple
 from importlib import resources
 
 import pytest
 
+import netevolve.powerlaw
 from netevolve.cli import main
-from netevolve.pipeline import AnalysisConfig, bundle_to_csv, bundle_to_json, run_analysis
+from netevolve.pipeline import (
+    AnalysisConfig,
+    build_snapshots_for_config,
+    bundle_to_csv,
+    bundle_to_json,
+    run_analysis,
+)
+from oracles import proxies_by_recomputation
 
 DISASTER = str(resources.files("netevolve") / "data" / "disaster_events.csv")
 COAUTHORS = str(resources.files("netevolve") / "data" / "coauthorship_sample.jsonl")
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "netevolve", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
+
+
+def sample_configs():
+    """The README's analyze settings for the two bundled samples."""
+    import datetime
+
+    disaster = AnalysisConfig(
+        input_path=DISASTER,
+        breakpoints=[datetime.datetime.fromisoformat(b) for b in DISASTER_BREAKPOINTS.split(",")],
+        labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
+    )
+    coauthors = AnalysisConfig(input_path=COAUTHORS, kind="publications", yearly=True)
+    return [disaster, coauthors]
+
+
+def count_fits(monkeypatch):
+    """Route every module's fit_powerlaw through a counter; returns the
+    list of calls."""
+    original = netevolve.powerlaw.fit_powerlaw
+    calls = []
+
+    def counted(hist):
+        calls.append(hist)
+        return original(hist)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("netevolve") and getattr(module, "fit_powerlaw", None) is original:
+            monkeypatch.setattr(module, "fit_powerlaw", counted)
+    return calls
 
 
 class TestAnalyze:
@@ -64,6 +104,30 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         labels = [line.split(",")[0] for line in lines[1:]]
         assert labels == [str(year) for year in range(2001, 2011)]
+
+    def test_yearly_offset_aware_dates_use_utc_years(self, tmp_path):
+        source = tmp_path / "pubs.jsonl"
+        source.write_text(
+            '{"pub_id": "p1", "date": "2020-06-01T00:00+00:00", "authors": ["A", "B"]}\n'
+            '{"pub_id": "p2", "date": "2021-06-01T00:00+00:00", "authors": ["B", "C"]}\n'
+        )
+        out = tmp_path / "report.csv"
+        args = ["analyze", "--input", str(source), "--kind", "publications", "--yearly"]
+        assert main([*args, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2020", "2021"]
+
+    @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
+    def test_proxies_match_per_snapshot_recomputation(self, config):
+        snapshots, _ = build_snapshots_for_config(config, open(config.input_path, encoding="utf-8").read())
+        proxies = run_analysis(config).proxies
+        assert [astuple(p) for p in proxies] == proxies_by_recomputation(snapshots)
+
+    def test_fit_powerlaw_runs_once_per_period(self, monkeypatch):
+        calls = count_fits(monkeypatch)
+        bundle = run_analysis(sample_configs()[1])
+        assert len(bundle.rows) == 10
+        assert len(calls) == len(bundle.rows)
 
     def test_json_output_has_provenance_digest(self, tmp_path):
         out = tmp_path / "report.json"
@@ -147,6 +211,30 @@ class TestFit:
         xs = [float(row.split(",")[0]) for row in points[1:]]
         line_xs = [float(row.split(",")[0]) for row in line[1:]]
         assert line_xs == [min(xs), max(xs)]
+
+    def test_fits_each_histogram_once(self, tmp_path, monkeypatch):
+        calls = count_fits(monkeypatch)
+        args = ["fit", "--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS]
+        assert main([*args, "--out-prefix", str(tmp_path / "fit")]) == 0
+        assert len(calls) == 4
+
+    def test_label_with_path_separator_is_config_error(self, tmp_path, capsys):
+        source = tmp_path / "events.csv"
+        source.write_text("time,a,b\n1,A,B\n2,B,C\n3,C,D\n4,A,D\n5,A,C\n")
+        (tmp_path / "out" / "run_").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        code = main(
+            [
+                "fit",
+                "--input", str(source),
+                "--breakpoints", "2,4",
+                "--labels", "/../../escaped,ok",
+                "--out-prefix", str(tmp_path / "out" / "run"),
+            ]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["stage"] == "config"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestReport:
@@ -242,6 +330,25 @@ class TestDeterminism:
         capped.provenance["config"]["threads"] = None
         free.provenance["config"]["threads"] = None
         assert bundle_to_json(capped) == bundle_to_json(free)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS],
+            ["--input", COAUTHORS, "--kind", "publications", "--yearly"],
+        ],
+        ids=["disaster", "coauthorship"],
+    )
+    def test_bytes_identical_across_hash_seeds(self, args):
+        outputs = []
+        for seed in ("0", "1"):
+            result = run_cli(
+                "analyze", *args, "--format", "json",
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_invalid_env_cap_is_config_error(self, monkeypatch):
         monkeypatch.setenv("NETEVOLVE_THREADS", "many")

@@ -7,12 +7,16 @@ import pytest
 
 from conftest import complete, star
 from netevolve import (
+    InsufficientDataError,
     MetricsRow,
     PowerLawFit,
     SmallWorldThresholds,
     UndefinedMetricError,
     classify_small_world,
     correlate_attachment,
+    degree_histogram,
+    fit_powerlaw,
+    metrics_row,
     normality_gate,
     pearson,
     proxy_series,
@@ -183,9 +187,20 @@ class TestNormaltestPvalue:
         assert result.stdout.strip() == "[]"
 
 
+def proxies_of(snapshots):
+    """proxy_series over each snapshot's metrics row and power-law fit."""
+    fits = []
+    for s in snapshots:
+        try:
+            fits.append(fit_powerlaw(degree_histogram(s)))
+        except InsufficientDataError:
+            fits.append(None)
+    return proxy_series([metrics_row(s) for s in snapshots], fits)
+
+
 class TestProxySeries:
     def test_k4_sequence(self):
-        rows = proxy_series([complete(4, "a"), complete(4, "b")])
+        rows = proxies_of([complete(4, "a"), complete(4, "b")])
         for row in rows:
             assert row.homophily is None
             assert row.embedding == pytest.approx(3.0)
@@ -193,7 +208,7 @@ class TestProxySeries:
             assert row.pref_attachment is None  # single-degree histogram
 
     def test_star_hand_values(self):
-        (row,) = proxy_series([star(5)])
+        (row,) = proxies_of([star(5)])
         assert row.homophily == pytest.approx(-1.0, abs=1e-12)
         assert row.embedding == pytest.approx(2 * 5 / 6)
         assert row.multi_connectivity == pytest.approx((1.0 + 5 * 5.0) / 6)
@@ -205,14 +220,14 @@ class TestProxySeries:
         from oracles import loglog_fit_brute
 
         snapshots = [barabasi_albert(n, 2, seed=3) for n in (100, 500, 1000)]
-        rows = proxy_series(snapshots)
+        rows = proxies_of(snapshots)
         for row, snapshot in zip(rows, snapshots):
             expected, _, _ = loglog_fit_brute(degree_histogram(snapshot))
             assert row.pref_attachment == pytest.approx(expected, abs=1e-9)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            proxy_series([])
+            proxy_series([], [])
 
 
 class TestCorrelateAttachment:

@@ -2,8 +2,11 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_snapshot
+from oracles import cumulative_snapshots_brute
 from netevolve import (
     GraphSnapshot,
     InteractionEvent,
@@ -95,6 +98,25 @@ class TestBuildCumulativeSnapshots:
         with pytest.raises(ValueError):
             build_cumulative_snapshots(evs, [5], ["p"])
 
+    def test_naive_and_aware_dates_rejected(self):
+        from datetime import datetime, timezone
+
+        evs = events((datetime(2009, 1, 1), "A", "B"))
+        with pytest.raises(ValueError, match="mix naive date and offset-aware date"):
+            build_cumulative_snapshots(evs, [datetime(2010, 1, 1, tzinfo=timezone.utc)], ["p"])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN compares false with every time, so in a time-sorted fold it would
+        # silently hold back the events sorted after it
+        evs = events((3, "A", "B"), (bad, "C", "D"), (1, "E", "F"))
+        with pytest.raises(ValueError, match="must be finite"):
+            build_cumulative_snapshots(evs, [2], ["p"])
+        with pytest.raises(ValueError, match="must be finite"):
+            build_cumulative_snapshots(events((1, "A", "B")), [2], ["p"], actor_arrivals=[(bad, "Z")])
+        with pytest.raises(ValueError, match="must be finite"):
+            build_cumulative_snapshots(events((1, "A", "B")), [bad], ["p"])
+
     def test_breakpoint_is_inclusive(self):
         (s,) = build_cumulative_snapshots(events((5, "A", "B")), [5], ["p"])
         assert s.n_links == 1
@@ -105,6 +127,35 @@ class TestBuildCumulativeSnapshots:
         )
         assert s.actors == {"A", "B", "Z"}
         assert s.degree("Z") == 0
+
+
+_TIMES = st.one_of(st.integers(0, 12), st.sampled_from([0.5, 4.5, 12.5]))
+_ACTORS = st.sampled_from(["A", "B", "C", "D", " E", "F "])
+
+
+@st.composite
+def _histories(draw):
+    """Events in any order, with repeated pairs, self-loops, times on and
+    past the breakpoints, and arrivals of actors with or without links."""
+    event = st.builds(InteractionEvent, _TIMES, _ACTORS, _ACTORS, st.integers(1, 3))
+    evs = draw(st.lists(event, max_size=40))
+    arrivals = draw(st.lists(st.tuples(_TIMES, st.sampled_from(["A", "Z", " Y "])), max_size=6))
+    breakpoints = sorted(draw(st.sets(st.integers(0, 10), min_size=1, max_size=5)))
+    return evs, arrivals, breakpoints
+
+
+class TestBuildAgainstRescan:
+    @settings(max_examples=200, deadline=None)
+    @given(_histories(), st.randoms(use_true_random=False))
+    def test_matches_per_breakpoint_filter(self, history, rng):
+        evs, arrivals, breakpoints = history
+        labels = [f"p{i}" for i in range(len(breakpoints))]
+        expected = cumulative_snapshots_brute(evs, breakpoints, arrivals)
+        rng.shuffle(evs)
+        rng.shuffle(arrivals)
+        snaps = build_cumulative_snapshots(evs, breakpoints, labels, actor_arrivals=arrivals)
+        assert [s.label for s in snaps] == labels
+        assert [(s.actors, s.edges) for s in snaps] == expected
 
 
 class TestDisasterSample:

@@ -6,16 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete, path_graph, star
-from netevolve import GraphSnapshot, betweenness, closeness, path_stats
+from netevolve import GraphSnapshot, betweenness, closeness, giant_component, path_stats
 from netevolve.generators import barabasi_albert
-from netevolve.metrics import (
-    _all_sources,
-    _dense_pass,
-    _giant_and_depth,
-    _indexed,
-    _reference_pass,
-    _use_dense,
-)
+from netevolve.graph_core import _giant_and_depth, _indexed
+from netevolve.metrics import _all_sources, _dense_pass, _reference_pass, _use_dense
 
 
 def _adjacency(s):
@@ -61,6 +55,8 @@ class TestDenseKernel:
     def test_agrees_with_reference(self, s, batch):
         adj = _adjacency(s)
         _assert_agree(_dense_pass(adj, batch), _reference_pass(adj))
+        paths = _all_sources(s)
+        assert {paths.order[i] for i in paths.giant} == giant_component(s).actors
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_on_ba_graphs(self, seed):
