@@ -32,13 +32,12 @@ from .generators import GeneratorSpec, barabasi_albert, erdos_renyi, generate, w
 from .graph_core import (
     GraphSnapshot,
     InteractionEvent,
+    PublicationRecord,
     build_cumulative_snapshots,
     connected_components,
     giant_component,
 )
 from .ingest import (
-    PublicationRecord,
-    expand_publications,
     parse_edge_events,
     parse_edge_events_text,
     parse_publications,

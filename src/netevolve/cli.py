@@ -185,8 +185,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.bundle, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(args.bundle, encoding="utf-8") as handle:
+            text = _render_report(json.load(handle))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{args.bundle}: not a netevolve bundle ({exc!r})") from exc
+    _write_output(args.out, text)
+    return EXIT_OK
+
+
+def _render_report(payload: dict) -> str:
     lines = []
     header = ["label", "n_actors", "n_links", "sum_links", "clustering", "diameter", "small_world"]
     lines.append("\t".join(header))
@@ -212,8 +220,7 @@ def _cmd_report(args) -> int:
             f"static[{check['metric']}]: {str(check['static']).lower()} "
             f"(spread={check['spread']:.4g}, mean={check['mean']:.4g})"
         )
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 _HANDLERS = {

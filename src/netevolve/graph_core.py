@@ -17,8 +17,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Timestamp = Union[datetime, int, float]
@@ -64,6 +64,25 @@ class InteractionEvent:
     def pair(self) -> tuple[str, str]:
         """The endpoints as a canonically ordered pair."""
         return _pair(self.a, self.b)
+
+
+@dataclass(frozen=True)
+class PublicationRecord:
+    """One publication: an id, a date, and its author list.
+
+    Author names are trimmed, blank names dropped and repeats removed
+    case-sensitively, first occurrence kept. The authors form a clique: each
+    pair of them shares one unit of edge weight per joint publication.
+    """
+
+    pub_id: str
+    date: Timestamp
+    authors: tuple[str, ...]
+
+    def __post_init__(self):
+        names = dict.fromkeys(map(str.strip, self.authors))
+        names.pop("", None)
+        object.__setattr__(self, "authors", tuple(names))
 
 
 @dataclass(frozen=True)
@@ -160,21 +179,19 @@ def build_cumulative_snapshots(
     breakpoints: Sequence[Timestamp],
     labels: Sequence[str],
     *,
-    actor_arrivals: Iterable[tuple[Timestamp, str]] = (),
+    publications: Iterable[PublicationRecord] = (),
 ) -> list[GraphSnapshot]:
     """Build one cumulative snapshot per breakpoint.
 
-    Snapshot k contains every event with time <= breakpoints[k] (inclusive);
-    duplicate pair occurrences accumulate into edge weight. Events may arrive
-    in any order: they are sorted by time once and folded into the running
-    graph, each event exactly once. Self-loop events are dropped with a
-    logged warning rather than raising: raw interaction logs may contain
-    noise. A NaN or infinite time anywhere is a ValueError, as is a mix of
-    numbers, naive dates and offset-aware dates.
-
-    `actor_arrivals` registers actors that appear without any interaction
-    (e.g. single-author publications) so they are counted from their arrival
-    time onward.
+    Snapshot k contains every event and publication with time <=
+    breakpoints[k] (inclusive). An event links its two actors; a publication
+    adds its authors as actors and links every pair of them, so a single
+    author joins with no link. Repeated pairs accumulate into edge weight.
+    Input may arrive in any order: it is sorted by time once and folded into
+    the running graph, each event and publication exactly once. Self-loop
+    events are dropped with a logged warning rather than raising: raw
+    interaction logs may contain noise. A NaN or infinite time anywhere is a
+    ValueError, as is a mix of numbers, naive dates and offset-aware dates.
     """
     if not breakpoints:
         raise ValueError("at least one breakpoint is required")
@@ -186,16 +203,16 @@ def build_cumulative_snapshots(
         if not earlier < later:
             raise ValueError("breakpoints must be strictly increasing")
 
-    usable: list[InteractionEvent] = []
+    # (time, members, weight): every pair of members gains `weight`
+    groups: list[tuple[Timestamp, tuple[str, ...], int]] = []
     for ev in events:
         if ev.a == ev.b:
             logger.warning("dropping self-loop interaction on %r at %s", ev.a, ev.time)
             continue
-        usable.append(ev)
-    arrivals = [(t, label.strip()) for t, label in actor_arrivals]
+        groups.append((ev.time, (ev.a, ev.b), ev.weight))
+    groups.extend((pub.date, pub.authors, 1) for pub in publications)
 
-    times = chain(breakpoints, (ev.time for ev in usable), (t for t, _ in arrivals))
-    categories = {_time_category(t) for t in times}
+    categories = {_time_category(t) for t in chain(breakpoints, map(itemgetter(0), groups))}
     if "non-finite" in categories:
         raise ValueError("event times and breakpoints must be finite (got NaN or infinity)")
     if len(categories) > 1:
@@ -203,21 +220,17 @@ def build_cumulative_snapshots(
             "event times and breakpoints mix " + " and ".join(sorted(categories)) + " times"
         )
 
-    # latest first, so the next event due is popped off the end
-    usable.sort(key=attrgetter("time"), reverse=True)
-    arrivals.sort(key=itemgetter(0), reverse=True)
+    # latest first, so the next group due is popped off the end
+    groups.sort(key=itemgetter(0), reverse=True)
     edges: dict[tuple[str, str], int] = {}
     actors: set[str] = set()
     snapshots = []
     for bp, label in zip(breakpoints, labels):
-        while usable and usable[-1].time <= bp:
-            ev = usable.pop()
-            key = ev.pair
-            edges[key] = edges.get(key, 0) + ev.weight
-            actors.add(ev.a)
-            actors.add(ev.b)
-        while arrivals and arrivals[-1][0] <= bp:
-            actors.add(arrivals.pop()[1])
+        while groups and groups[-1][0] <= bp:
+            _, members, weight = groups.pop()
+            actors.update(members)
+            for key in combinations(sorted(members), 2):
+                edges[key] = edges.get(key, 0) + weight
         snapshots.append(GraphSnapshot(label, frozenset(actors), dict(edges)))
     return snapshots
 

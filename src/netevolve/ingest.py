@@ -14,13 +14,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParseError
-from .graph_core import InteractionEvent, Timestamp, _time_category
+from .graph_core import InteractionEvent, PublicationRecord, Timestamp, _time_category
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
@@ -136,22 +134,13 @@ def write_edge_events(events: Iterable[InteractionEvent], path: str) -> None:
         handle.write(write_edge_events_text(events))
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One publication: an id, a date, and its (deduplicated) author list."""
-
-    pub_id: str
-    date: Timestamp
-    authors: tuple[str, ...]
-
-
 def parse_publications_text(
     text: str, source: str = "<string>"
 ) -> tuple[list[PublicationRecord], list[str]]:
     """Parse publication JSON Lines content; returns (records, warnings).
 
-    Authors are trimmed and deduplicated case-sensitively, record order
-    preserved. Records with an empty author list or a duplicate pub_id are
+    Records keep their order; `PublicationRecord` trims and deduplicates the
+    authors. Records with an empty author list or a duplicate pub_id are
     skipped with a warning.
     """
     records: list[PublicationRecord] = []
@@ -175,15 +164,15 @@ def parse_publications_text(
             warnings.append(f"{source}:{lineno}: {exc}, record skipped")
             malformed += 1
             continue
-        authors = tuple(dict.fromkeys(str(a).strip() for a in raw_authors if str(a).strip()))
-        if not authors:
+        record = PublicationRecord(pub_id, date, tuple(map(str, raw_authors)))
+        if not record.authors:
             warnings.append(f"{source}:{lineno}: empty author list, record skipped")
             continue
         if pub_id in seen_ids:
             warnings.append(f"{source}:{lineno}: duplicate pub_id {pub_id!r}, record skipped")
             continue
         seen_ids.add(pub_id)
-        records.append(PublicationRecord(pub_id, date, authors))
+        records.append(record)
     if data_lines and malformed / len(data_lines) > _MAX_BAD_FRACTION:
         raise ParseError(
             f"{source}: {malformed} of {len(data_lines)} records malformed (> 10%)"
@@ -196,22 +185,3 @@ def parse_publications(path: str) -> tuple[list[PublicationRecord], list[str]]:
     with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse_publications_text(text, source=path)
-
-
-def expand_publications(
-    records: Sequence[PublicationRecord],
-) -> tuple[list[InteractionEvent], list[tuple[Timestamp, str]]]:
-    """Clique-expand publications into unit-weight pair events.
-
-    A publication with k >= 2 authors emits k(k-1)/2 events timestamped with
-    its date. Every author (including single authors, who emit no events) is
-    returned in the arrivals list so snapshots can register them as actors.
-    """
-    events: list[InteractionEvent] = []
-    arrivals: list[tuple[Timestamp, str]] = []
-    for record in records:
-        for author in record.authors:
-            arrivals.append((record.date, author))
-        for a, b in combinations(record.authors, 2):
-            events.append(InteractionEvent(record.date, a, b, 1))
-    return events, arrivals

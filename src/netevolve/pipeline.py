@@ -33,12 +33,7 @@ from .evolution import (
     static_attributes,
 )
 from .graph_core import GraphSnapshot, Timestamp, build_cumulative_snapshots
-from .ingest import (
-    expand_publications,
-    format_timestamp,
-    parse_edge_events_text,
-    parse_publications_text,
-)
+from .ingest import format_timestamp, parse_edge_events_text, parse_publications_text
 from .metrics import MetricsRow, degree_histogram, metrics_row
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
 
@@ -50,7 +45,9 @@ class AnalysisConfig:
     """Everything run_analysis needs besides the input bytes.
 
     Exactly one slicing mode applies: explicit breakpoints, --yearly, or the
-    default single period covering all events (labelled "all").
+    default single period covering all events (labelled "all"). Labels name
+    explicit breakpoints only, and a thread count must be at least 1; any
+    other combination is a ValueError.
     """
 
     input_path: str
@@ -61,6 +58,14 @@ class AnalysisConfig:
     rel_tolerance: float = 0.10
     thresholds: SmallWorldThresholds = field(default_factory=SmallWorldThresholds)
     threads: Optional[int] = None
+
+    def __post_init__(self):
+        if self.yearly and self.breakpoints is not None:
+            raise ValueError("--yearly and --breakpoints are two slicing modes; give one")
+        if self.labels is not None and self.breakpoints is None:
+            raise ValueError("--labels names the --breakpoints periods; give --breakpoints too")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -84,10 +89,8 @@ def _resolve_threads(requested: Optional[int]) -> int:
             cap = max(1, int(cap_text))
         except ValueError:
             raise ValueError(f"NETEVOLVE_THREADS must be an integer, got {cap_text!r}")
-    workers = requested if requested else (os.cpu_count() or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
+    workers = requested or os.cpu_count() or 1
+    return workers if cap is None else min(workers, cap)
 
 
 def _yearly_breakpoints(times: Sequence[Timestamp]) -> tuple[list[Timestamp], list[str]]:
@@ -121,13 +124,12 @@ def build_snapshots_for_config(
     """Parse input text per config.kind and slice it into snapshots."""
     if config.kind not in INPUT_KINDS:
         raise ValueError(f"unknown input kind {config.kind!r}")
+    events, records = [], []
     if config.kind == "events":
         events, warnings = parse_edge_events_text(text, source=config.input_path)
-        arrivals: list[tuple[Timestamp, str]] = []
     else:
         records, warnings = parse_publications_text(text, source=config.input_path)
-        events, arrivals = expand_publications(records)
-    times = [ev.time for ev in events] + [t for t, _ in arrivals]
+    times = [ev.time for ev in events] + [r.date for r in records]
     if config.breakpoints is not None:
         breakpoints = list(config.breakpoints)
         labels = (
@@ -141,9 +143,7 @@ def build_snapshots_for_config(
         if not times:
             raise ValueError("input contains no interactions to slice")
         breakpoints, labels = [max(times)], ["all"]
-    snapshots = build_cumulative_snapshots(
-        events, breakpoints, labels, actor_arrivals=arrivals
-    )
+    snapshots = build_cumulative_snapshots(events, breakpoints, labels, publications=records)
     return snapshots, warnings
 
 

@@ -188,18 +188,26 @@ def loglog_fit_brute(hist):
     return -float(slope), float(intercept), r_squared
 
 
-def cumulative_snapshots_brute(events, breakpoints, arrivals=()):
+def cumulative_snapshots_brute(events, breakpoints, publications=()):
     """(actors, edges) per breakpoint, each filtered afresh from every event
-    and arrival: the O(P*E) rescan the one-pass build replaced."""
+    and every publication: the O(P*E) rescan the one-pass build replaced.
+    Each publication is expanded here into one unit-weight event per pair of
+    its authors."""
+    timed = [(ev.time, ev.a, ev.b, ev.weight) for ev in events if ev.a != ev.b]
+    timed += [
+        (pub.date, a, b, 1)
+        for pub in publications
+        for a, b in itertools.combinations(pub.authors, 2)
+    ]
     out = []
     for bp in breakpoints:
-        actors = {actor.strip() for t, actor in arrivals if t <= bp}
+        actors = {author for pub in publications if pub.date <= bp for author in pub.authors}
         edges = {}
-        for ev in events:
-            if ev.a != ev.b and ev.time <= bp:
-                key = tuple(sorted((ev.a, ev.b)))
-                edges[key] = edges.get(key, 0) + ev.weight
-                actors.update((ev.a, ev.b))
+        for t, a, b, w in timed:
+            if t <= bp:
+                key = tuple(sorted((a, b)))
+                edges[key] = edges.get(key, 0) + w
+                actors.update((a, b))
         out.append((frozenset(actors), edges))
     return out
 

@@ -27,7 +27,6 @@ from netevolve import (
     degree_histogram,
     density_weighted,
     erdos_renyi,
-    expand_publications,
     fit_powerlaw,
     path_stats,
     pearson,
@@ -179,8 +178,7 @@ def test_criterion_7_clique_expansion_correctness():
         for i in range(rng.randint(1, 50)):
             team = tuple(rng.sample(pool, rng.randint(1, 8)))
             records.append(PublicationRecord(f"P{i}", rng.randint(0, 9), team))
-        events, arrivals = expand_publications(records)
-        (snapshot,) = build_cumulative_snapshots(events, [9], ["p"], actor_arrivals=arrivals)
+        (snapshot,) = build_cumulative_snapshots([], [9], ["p"], publications=records)
         expected: dict[tuple[str, str], int] = {}
         expected_actors = set()
         for record in records:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import astuple
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +255,73 @@ class TestReport:
         text = out.read_text()
         assert "ranked_drivers:" in text
         assert "static[clustering]" in text
+
+    @pytest.mark.parametrize(
+        "content", ["{}", "[1, 2]", "not json"], ids=["empty-object", "list", "not-json"]
+    )
+    def test_malformed_bundle_is_parse_error(self, tmp_path, capsys, content):
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(content)
+        assert main(["report", "--bundle", str(bundle_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "parse"
+        assert str(bundle_path) in err["error"]
+
+
+class TestIgnoredOptions:
+    """Options that would change nothing are refused, not silently dropped."""
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    @pytest.mark.parametrize(
+        "extra",
+        [["--yearly", "--breakpoints", "2003-12-31"], ["--labels", "X,Y"]],
+        ids=["yearly-and-breakpoints", "labels-without-breakpoints"],
+    )
+    def test_slicing_mix_is_config_error(self, tmp_path, capsys, command, extra):
+        out = ["--out-prefix" if command == "fit" else "--out", str(tmp_path / "out")]
+        args = [command, "--input", COAUTHORS, "--kind", "publications", *extra, *out]
+        assert main(args) == 2
+        assert json.loads(capsys.readouterr().err)["stage"] == "config"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_thread_count_below_one_is_config_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "r.csv"
+        assert main(["analyze", "--input", DISASTER, "--threads", threads, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["stage"] == "config"
+        assert not out.exists()
+
+    def test_library_config_rejects_the_same_mixes(self):
+        with pytest.raises(ValueError, match="slicing modes"):
+            AnalysisConfig(input_path=COAUTHORS, yearly=True, breakpoints=[1])
+        with pytest.raises(ValueError, match="--labels"):
+            AnalysisConfig(input_path=COAUTHORS, labels=["X"])
+        with pytest.raises(ValueError, match="--threads"):
+            AnalysisConfig(input_path=COAUTHORS, threads=-3)
+
+
+class TestReadme:
+    def test_library_use_block_runs(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        rows = [
+            f"{t},hub,v{t}" if t % 3 else f"{t},v{t - 1},v{t - 2}" for t in range(1, 31)
+        ]
+        (tmp_path / "interactions.csv").write_text("time,a,b\n" + "\n".join(rows) + "\n")
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"pub_id": "P1", "date": "2004-05-01", "authors": ["A", "B", "C"]}\n'
+            '{"pub_id": "P2", "date": "2005-02-01", "authors": ["C", " D"]}\n'
+            '{"pub_id": "P3", "date": "2005-12-31", "authors": ["E"]}\n'
+        )
+        monkeypatch.chdir(tmp_path)
+        namespace: dict = {}
+        exec(block, namespace)
+        assert [s.label for s in namespace["snapshots"]] == ["T1", "T2", "T3"]
+        assert [p.label for p in namespace["proxies"]] == ["T1", "T2", "T3"]
+        assert namespace["warnings"] == []
+        by_year = namespace["by_year"]
+        assert [(s.n_actors, s.n_links, s.sum_links) for s in by_year] == [(3, 3, 3), (5, 4, 4)]
 
 
 class TestExitCodes:

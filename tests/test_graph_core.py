@@ -10,6 +10,7 @@ from oracles import cumulative_snapshots_brute
 from netevolve import (
     GraphSnapshot,
     InteractionEvent,
+    PublicationRecord,
     build_cumulative_snapshots,
     giant_component,
     parse_edge_events,
@@ -112,8 +113,10 @@ class TestBuildCumulativeSnapshots:
         evs = events((3, "A", "B"), (bad, "C", "D"), (1, "E", "F"))
         with pytest.raises(ValueError, match="must be finite"):
             build_cumulative_snapshots(evs, [2], ["p"])
-        with pytest.raises(ValueError, match="must be finite"):
-            build_cumulative_snapshots(events((1, "A", "B")), [2], ["p"], actor_arrivals=[(bad, "Z")])
+        for authors in [("Z",), ("Y", "Z")]:
+            pubs = [PublicationRecord("P", bad, authors)]
+            with pytest.raises(ValueError, match="must be finite"):
+                build_cumulative_snapshots(events((1, "A", "B")), [2], ["p"], publications=pubs)
         with pytest.raises(ValueError, match="must be finite"):
             build_cumulative_snapshots(events((1, "A", "B")), [bad], ["p"])
 
@@ -122,9 +125,8 @@ class TestBuildCumulativeSnapshots:
         assert s.n_links == 1
 
     def test_actor_arrivals_register_isolated_actors(self):
-        (s,) = build_cumulative_snapshots(
-            events((1, "A", "B")), [5], ["p"], actor_arrivals=[(2, "Z"), (9, "Q")]
-        )
+        solo = [PublicationRecord("P1", 2, ("Z",)), PublicationRecord("P2", 9, ("Q",))]
+        (s,) = build_cumulative_snapshots(events((1, "A", "B")), [5], ["p"], publications=solo)
         assert s.actors == {"A", "B", "Z"}
         assert s.degree("Z") == 0
 
@@ -136,24 +138,27 @@ _ACTORS = st.sampled_from(["A", "B", "C", "D", " E", "F "])
 @st.composite
 def _histories(draw):
     """Events in any order, with repeated pairs, self-loops, times on and
-    past the breakpoints, and arrivals of actors with or without links."""
+    past the breakpoints, and publications of one or more authors, some
+    padded or repeated, who may or may not also appear in events."""
     event = st.builds(InteractionEvent, _TIMES, _ACTORS, _ACTORS, st.integers(1, 3))
     evs = draw(st.lists(event, max_size=40))
-    arrivals = draw(st.lists(st.tuples(_TIMES, st.sampled_from(["A", "Z", " Y "])), max_size=6))
+    authors = st.lists(st.sampled_from(["A", "Z", " Y ", "Y", "B "]), min_size=1, max_size=4)
+    publication = st.builds(PublicationRecord, st.just("P"), _TIMES, authors.map(tuple))
+    pubs = draw(st.lists(publication, max_size=8))
     breakpoints = sorted(draw(st.sets(st.integers(0, 10), min_size=1, max_size=5)))
-    return evs, arrivals, breakpoints
+    return evs, pubs, breakpoints
 
 
 class TestBuildAgainstRescan:
     @settings(max_examples=200, deadline=None)
     @given(_histories(), st.randoms(use_true_random=False))
     def test_matches_per_breakpoint_filter(self, history, rng):
-        evs, arrivals, breakpoints = history
+        evs, pubs, breakpoints = history
         labels = [f"p{i}" for i in range(len(breakpoints))]
-        expected = cumulative_snapshots_brute(evs, breakpoints, arrivals)
+        expected = cumulative_snapshots_brute(evs, breakpoints, pubs)
         rng.shuffle(evs)
-        rng.shuffle(arrivals)
-        snaps = build_cumulative_snapshots(evs, breakpoints, labels, actor_arrivals=arrivals)
+        rng.shuffle(pubs)
+        snaps = build_cumulative_snapshots(evs, breakpoints, labels, publications=pubs)
         assert [s.label for s in snaps] == labels
         assert [(s.actors, s.edges) for s in snaps] == expected
 

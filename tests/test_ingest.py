@@ -8,7 +8,6 @@ from netevolve import (
     ParseError,
     PublicationRecord,
     build_cumulative_snapshots,
-    expand_publications,
     metrics_row,
     parse_edge_events,
     parse_edge_events_text,
@@ -162,26 +161,23 @@ class TestParsePublications:
 
 class TestExpandPublications:
     def test_clique_expansion(self):
-        (events, arrivals) = expand_publications(
-            [PublicationRecord("P1", 1, ("A", "B", "C"))]
+        (snapshot,) = build_cumulative_snapshots(
+            [], [1], ["p"], publications=[PublicationRecord("P1", 1, ("A", "B", "C"))]
         )
-        assert sorted(ev.pair for ev in events) == [("A", "B"), ("A", "C"), ("B", "C")]
-        assert {a for _, a in arrivals} == {"A", "B", "C"}
+        assert sorted(snapshot.edges) == [("A", "B"), ("A", "C"), ("B", "C")]
+        assert snapshot.actors == {"A", "B", "C"}
 
     def test_repeat_collaboration_accumulates_weight(self):
         records = [
             PublicationRecord("P1", 1, ("A", "B")),
             PublicationRecord("P2", 2, ("A", "B")),
         ]
-        events, arrivals = expand_publications(records)
-        (snapshot,) = build_cumulative_snapshots(events, [5], ["p"], actor_arrivals=arrivals)
+        (snapshot,) = build_cumulative_snapshots([], [5], ["p"], publications=records)
         assert snapshot.edges == {("A", "B"): 2}
 
     def test_single_author_corpus_registers_isolated_actors(self):
         records = [PublicationRecord(f"P{i}", i, (f"solo{i}",)) for i in range(5)]
-        events, arrivals = expand_publications(records)
-        assert events == []
-        (snapshot,) = build_cumulative_snapshots(events, [10], ["p"], actor_arrivals=arrivals)
+        (snapshot,) = build_cumulative_snapshots([], [10], ["p"], publications=records)
         assert snapshot.n_actors == 5
         assert snapshot.n_links == 0
 
@@ -193,8 +189,7 @@ class TestExpandPublications:
         for i in range(rng.randint(1, 50)):
             team = rng.sample(pool, rng.randint(1, 8))
             records.append(PublicationRecord(f"P{i}", rng.randint(0, 9), tuple(team)))
-        events, arrivals = expand_publications(records)
-        (snapshot,) = build_cumulative_snapshots(events, [9], ["p"], actor_arrivals=arrivals)
+        (snapshot,) = build_cumulative_snapshots([], [9], ["p"], publications=records)
 
         expected_weights: dict[tuple[str, str], int] = {}
         expected_actors = set()
