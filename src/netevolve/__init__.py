@@ -28,7 +28,7 @@ from .evolution import (
     spearman,
     static_attributes,
 )
-from .generators import GeneratorSpec, barabasi_albert, erdos_renyi, generate, watts_strogatz
+from .generators import barabasi_albert, erdos_renyi, watts_strogatz
 from .graph_core import (
     GraphSnapshot,
     InteractionEvent,

@@ -13,17 +13,17 @@ import sys
 
 from .errors import InsufficientDataError, ParseError, PipelineError, UndefinedMetricError
 from .evolution import SmallWorldThresholds
-from .generators import GeneratorSpec, generate
+from .generators import barabasi_albert, erdos_renyi, watts_strogatz
 from .ingest import parse_timestamp, write_edge_events_text
 from .graph_core import InteractionEvent
 from .metrics import degree_histogram
 from .pipeline import (
+    INPUT_KINDS,
     AnalysisConfig,
-    ReportBundle,
-    build_snapshots_for_config,
     bundle_to_csv,
     bundle_to_json,
     fit_plot_csv,
+    load_snapshots,
     run_analysis,
 )
 from .powerlaw import fit_powerlaw
@@ -36,9 +36,7 @@ EXIT_ANALYSIS = 4
 
 def _add_slicing_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", default="-", help="input file, or - for stdin")
-    parser.add_argument(
-        "--kind", choices=("events", "publications"), default="events"
-    )
+    parser.add_argument("--kind", choices=INPUT_KINDS, default=AnalysisConfig.kind)
     parser.add_argument(
         "--breakpoints",
         help="comma-separated period breakpoints (ISO dates or numbers, inclusive)",
@@ -60,12 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_slicing_args(analyze)
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument("--out", default="-", help="output file, or - for stdout")
-    analyze.add_argument("--rel-tolerance", type=float, default=0.10)
-    analyze.add_argument("--threads", type=int, default=None)
-    analyze.add_argument("--sw-density-max", type=float, default=0.05)
-    analyze.add_argument("--sw-clustering-min", type=float, default=0.3)
-    analyze.add_argument("--sw-r2-min", type=float, default=0.6)
-    analyze.add_argument("--sw-exponent-min", type=float, default=1.0)
+    analyze.add_argument("--rel-tolerance", type=float, default=AnalysisConfig.rel_tolerance)
+    analyze.add_argument("--threads", type=int)
+    sw = SmallWorldThresholds
+    analyze.add_argument("--sw-density-max", type=float, default=sw.density_max)
+    analyze.add_argument("--sw-clustering-min", type=float, default=sw.clustering_min)
+    analyze.add_argument("--sw-r2-min", type=float, default=sw.r_squared_min)
+    analyze.add_argument("--sw-exponent-min", type=float, default=sw.exponent_min)
 
     gen = sub.add_parser("generate", help="emit a synthetic graph as edge-event CSV")
     gen.add_argument("--model", choices=("er", "ws", "ba"), required=True)
@@ -103,38 +102,34 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _parse_breakpoints(args) -> tuple:
-    breakpoints = None
-    labels = None
+def _config_from_args(args, **options) -> AnalysisConfig:
+    """The slicing options analyze and fit share, plus `options`, checked
+    by AnalysisConfig before any input is read."""
+    breakpoints = labels = None
     if args.breakpoints:
         breakpoints = [parse_timestamp(b) for b in args.breakpoints.split(",")]
     if args.labels:
         labels = [lab.strip() for lab in args.labels.split(",")]
-    return breakpoints, labels
-
-
-def _config_from_args(args) -> AnalysisConfig:
-    breakpoints, labels = _parse_breakpoints(args)
-    thresholds = SmallWorldThresholds(
-        density_max=getattr(args, "sw_density_max", 0.05),
-        clustering_min=getattr(args, "sw_clustering_min", 0.3),
-        r_squared_min=getattr(args, "sw_r2_min", 0.6),
-        exponent_min=getattr(args, "sw_exponent_min", 1.0),
-    )
     return AnalysisConfig(
         input_path=args.input,
         kind=args.kind,
         breakpoints=breakpoints,
         labels=labels,
         yearly=args.yearly,
-        rel_tolerance=getattr(args, "rel_tolerance", 0.10),
-        thresholds=thresholds,
-        threads=getattr(args, "threads", None),
+        **options,
     )
 
 
 def _cmd_analyze(args) -> int:
-    config = _config_from_args(args)
+    thresholds = SmallWorldThresholds(
+        density_max=args.sw_density_max,
+        clustering_min=args.sw_clustering_min,
+        r_squared_min=args.sw_r2_min,
+        exponent_min=args.sw_exponent_min,
+    )
+    config = _config_from_args(
+        args, rel_tolerance=args.rel_tolerance, thresholds=thresholds, threads=args.threads
+    )
     data = _read_input(args.input)
     bundle = run_analysis(config, input_bytes=data)
     text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
@@ -146,16 +141,15 @@ def _cmd_generate(args) -> int:
     if args.model == "er":
         if args.p is None:
             raise ValueError("--model er requires --p")
-        spec = GeneratorSpec("er", args.n, args.p, seed=args.seed)
+        snapshot = erdos_renyi(args.n, args.p, args.seed)
     elif args.model == "ws":
         if args.k is None:
             raise ValueError("--model ws requires --k")
-        spec = GeneratorSpec("ws", args.n, args.k, args.beta, seed=args.seed)
+        snapshot = watts_strogatz(args.n, args.k, args.beta, args.seed)
     else:
         if args.m is None:
             raise ValueError("--model ba requires -m")
-        spec = GeneratorSpec("ba", args.n, args.m, seed=args.seed)
-    snapshot = generate(spec)
+        snapshot = barabasi_albert(args.n, args.m, args.seed)
     events = [
         InteractionEvent(i, a, b, w)
         for i, ((a, b), w) in enumerate(sorted(snapshot.edges.items()))
@@ -169,8 +163,7 @@ def _cmd_fit(args) -> int:
     for label in config.labels or ():
         if any(sep and sep in label for sep in (os.sep, os.altsep)):
             raise ValueError(f"fit label {label!r} must not contain a path separator")
-    data = _read_input(args.input)
-    snapshots, _ = build_snapshots_for_config(config, data.decode("utf-8-sig"))
+    snapshots, _ = load_snapshots(config, _read_input(args.input))
     for snapshot in snapshots:
         hist = degree_histogram(snapshot)
         fit = fit_powerlaw(hist)

@@ -10,26 +10,9 @@ the same graph on every platform and run. Actor labels are zero-padded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .graph_core import GraphSnapshot
 from .rng import SplitMix64
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Which model to generate and with what parameters.
-
-    param1 is the edge probability (er), the even per-node neighbor count
-    (ws), or the edges added per arriving node (ba); param2 is the ws
-    rewiring probability and ignored otherwise.
-    """
-
-    model: str  # "er" | "ws" | "ba"
-    n: int
-    param1: float
-    param2: float = 0.0
-    seed: int = 0
 
 
 def _label(i: int) -> str:
@@ -153,19 +136,3 @@ def barabasi_albert(n: int, m: int, seed: int, label: str | None = None) -> Grap
         weighted.extend([new] * m)
     return _snapshot(label or f"ba-n{n}-s{seed}", n, pairs)
 
-
-def generate(spec: GeneratorSpec) -> GraphSnapshot:
-    """Dispatch a GeneratorSpec to the matching model."""
-    if spec.model == "er":
-        return erdos_renyi(spec.n, spec.param1, spec.seed)
-    if spec.model == "ws":
-        k = int(spec.param1)
-        if k != spec.param1:
-            raise ValueError("ws neighbor count must be an integer")
-        return watts_strogatz(spec.n, k, spec.param2, spec.seed)
-    if spec.model == "ba":
-        m = int(spec.param1)
-        if m != spec.param1:
-            raise ValueError("ba edges-per-arrival must be an integer")
-        return barabasi_albert(spec.n, m, spec.seed)
-    raise ValueError(f"unknown model {spec.model!r}")

@@ -174,6 +174,33 @@ class GraphSnapshot:
         return list(self._adj)
 
 
+def _check_times(times: Iterable[Timestamp], what: str) -> None:
+    """Only finite times of one kind can be ordered against each other."""
+    categories = {_time_category(t) for t in times}
+    if "non-finite" in categories:
+        raise ValueError(f"{what} must be finite (got NaN or infinity)")
+    if len(categories) > 1:
+        raise ValueError(f"{what} mix " + " and ".join(sorted(categories)) + " times")
+
+
+def check_breakpoints(breakpoints: Sequence[Timestamp], labels: Sequence[str] | None) -> None:
+    """Raise ValueError unless there is at least one breakpoint, the
+    breakpoints are finite, of one time kind and strictly increasing, and
+    the labels, unless None, name them one to one, each label once: a label
+    names its period's output, so a repeat would overwrite another period.
+    """
+    if not breakpoints:
+        raise ValueError("at least one breakpoint is required")
+    if labels is not None and len(labels) != len(breakpoints):
+        raise ValueError(f"got {len(labels)} labels for {len(breakpoints)} breakpoints")
+    if labels is not None and len(set(labels)) != len(labels):
+        raise ValueError(f"period labels must be distinct, got {list(labels)!r}")
+    _check_times(breakpoints, "breakpoints")
+    for earlier, later in zip(breakpoints, breakpoints[1:]):
+        if not earlier < later:
+            raise ValueError("breakpoints must be strictly increasing")
+
+
 def build_cumulative_snapshots(
     events: Iterable[InteractionEvent],
     breakpoints: Sequence[Timestamp],
@@ -190,18 +217,11 @@ def build_cumulative_snapshots(
     Input may arrive in any order: it is sorted by time once and folded into
     the running graph, each event and publication exactly once. Self-loop
     events are dropped with a logged warning rather than raising: raw
-    interaction logs may contain noise. A NaN or infinite time anywhere is a
-    ValueError, as is a mix of numbers, naive dates and offset-aware dates.
+    interaction logs may contain noise. Breakpoints and labels must pass
+    `check_breakpoints`. A NaN or infinite time anywhere is a ValueError, as
+    is a mix of numbers, naive dates and offset-aware dates.
     """
-    if not breakpoints:
-        raise ValueError("at least one breakpoint is required")
-    if len(labels) != len(breakpoints):
-        raise ValueError(
-            f"got {len(labels)} labels for {len(breakpoints)} breakpoints"
-        )
-    for earlier, later in zip(breakpoints, breakpoints[1:]):
-        if not earlier < later:
-            raise ValueError("breakpoints must be strictly increasing")
+    check_breakpoints(breakpoints, labels)
 
     # (time, members, weight): every pair of members gains `weight`
     groups: list[tuple[Timestamp, tuple[str, ...], int]] = []
@@ -212,13 +232,7 @@ def build_cumulative_snapshots(
         groups.append((ev.time, (ev.a, ev.b), ev.weight))
     groups.extend((pub.date, pub.authors, 1) for pub in publications)
 
-    categories = {_time_category(t) for t in chain(breakpoints, map(itemgetter(0), groups))}
-    if "non-finite" in categories:
-        raise ValueError("event times and breakpoints must be finite (got NaN or infinity)")
-    if len(categories) > 1:
-        raise ValueError(
-            "event times and breakpoints mix " + " and ".join(sorted(categories)) + " times"
-        )
+    _check_times(chain(breakpoints, map(itemgetter(0), groups)), "event times and breakpoints")
 
     # latest first, so the next group due is popped off the end
     groups.sort(key=itemgetter(0), reverse=True)

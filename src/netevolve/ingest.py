@@ -48,19 +48,20 @@ def parse_timestamp(text: str) -> Timestamp:
 def parse_edge_events_text(
     text: str, source: str = "<string>"
 ) -> tuple[list[InteractionEvent], list[str]]:
-    """Parse edge-event CSV content; returns (events, warnings)."""
-    rows = [row for row in csv.reader(io.StringIO(text))]
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    """Parse edge-event CSV content; returns (events, warnings). Warnings
+    cite physical line numbers, blank lines included."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         return [], []
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if header[:3] != ["time", "a", "b"]:
-        raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0]!r}")
+        raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0][1]!r}")
     events: list[InteractionEvent] = []
     warnings: list[str] = []
     malformed = 0
     data_rows = rows[1:]
-    for lineno, row in enumerate(data_rows, start=2):
+    for lineno, row in data_rows:
         if len(row) < 3:
             warnings.append(f"{source}:{lineno}: too few fields, row skipped")
             malformed += 1

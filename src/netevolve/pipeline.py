@@ -32,7 +32,7 @@ from .evolution import (
     proxy_series,
     static_attributes,
 )
-from .graph_core import GraphSnapshot, Timestamp, build_cumulative_snapshots
+from .graph_core import GraphSnapshot, Timestamp, build_cumulative_snapshots, check_breakpoints
 from .ingest import format_timestamp, parse_edge_events_text, parse_publications_text
 from .metrics import MetricsRow, degree_histogram, metrics_row
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
@@ -42,12 +42,15 @@ INPUT_KINDS = ("events", "publications")
 
 @dataclass
 class AnalysisConfig:
-    """Everything run_analysis needs besides the input bytes.
+    """Everything run_analysis needs besides the input bytes, checked on
+    construction so that no fault in it waits for the input to be read.
 
     Exactly one slicing mode applies: explicit breakpoints, --yearly, or the
     default single period covering all events (labelled "all"). Labels name
-    explicit breakpoints only, and a thread count must be at least 1; any
-    other combination is a ValueError.
+    explicit breakpoints only, and the breakpoints and labels must pass
+    `check_breakpoints`. The kind must be one of INPUT_KINDS, a thread count
+    must be at least 1, and NETEVOLVE_THREADS, when set, an integer; any
+    other value is a ValueError.
     """
 
     input_path: str
@@ -60,12 +63,22 @@ class AnalysisConfig:
     threads: Optional[int] = None
 
     def __post_init__(self):
+        if self.kind not in INPUT_KINDS:
+            raise ValueError(f"unknown input kind {self.kind!r}")
         if self.yearly and self.breakpoints is not None:
             raise ValueError("--yearly and --breakpoints are two slicing modes; give one")
         if self.labels is not None and self.breakpoints is None:
             raise ValueError("--labels names the --breakpoints periods; give --breakpoints too")
+        if self.breakpoints is not None:
+            check_breakpoints(self.breakpoints, self.labels)
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {self.threads}")
+        cap = os.environ.get("NETEVOLVE_THREADS")
+        if cap:
+            try:
+                int(cap)
+            except ValueError:
+                raise ValueError(f"NETEVOLVE_THREADS must be an integer, got {cap!r}") from None
 
 
 @dataclass
@@ -79,18 +92,6 @@ class ReportBundle:
     static_checks: list[StaticCheck]
     verdicts: list[SmallWorldVerdict]
     provenance: dict
-
-
-def _resolve_threads(requested: Optional[int]) -> int:
-    cap_text = os.environ.get("NETEVOLVE_THREADS")
-    cap = None
-    if cap_text:
-        try:
-            cap = max(1, int(cap_text))
-        except ValueError:
-            raise ValueError(f"NETEVOLVE_THREADS must be an integer, got {cap_text!r}")
-    workers = requested or os.cpu_count() or 1
-    return workers if cap is None else min(workers, cap)
 
 
 def _yearly_breakpoints(times: Sequence[Timestamp]) -> tuple[list[Timestamp], list[str]]:
@@ -118,32 +119,30 @@ def _per_period(
     return row, fit, classify_small_world(row, fit, thresholds)
 
 
-def build_snapshots_for_config(
-    config: AnalysisConfig, text: str
-) -> tuple[list[GraphSnapshot], list[str]]:
-    """Parse input text per config.kind and slice it into snapshots."""
-    if config.kind not in INPUT_KINDS:
-        raise ValueError(f"unknown input kind {config.kind!r}")
-    events, records = [], []
-    if config.kind == "events":
-        events, warnings = parse_edge_events_text(text, source=config.input_path)
-    else:
-        records, warnings = parse_publications_text(text, source=config.input_path)
-    times = [ev.time for ev in events] + [r.date for r in records]
-    if config.breakpoints is not None:
-        breakpoints = list(config.breakpoints)
-        labels = (
-            list(config.labels)
-            if config.labels is not None
-            else [f"T{i + 1}" for i in range(len(breakpoints))]
-        )
-    elif config.yearly:
-        breakpoints, labels = _yearly_breakpoints(times)
-    else:
-        if not times:
-            raise ValueError("input contains no interactions to slice")
-        breakpoints, labels = [max(times)], ["all"]
-    snapshots = build_cumulative_snapshots(events, breakpoints, labels, publications=records)
+def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnapshot], list[str]]:
+    """Decode input bytes (UTF-8, with or without a byte-order mark), parse
+    them per config.kind and slice them into snapshots; returns (snapshots,
+    ingest warnings). Any failure is a PipelineError at stage "ingest"."""
+    try:
+        text = data.decode("utf-8-sig")
+        events, records = [], []
+        if config.kind == "events":
+            events, warnings = parse_edge_events_text(text, source=config.input_path)
+        else:
+            records, warnings = parse_publications_text(text, source=config.input_path)
+        times = [ev.time for ev in events] + [r.date for r in records]
+        if config.breakpoints is not None:
+            breakpoints = list(config.breakpoints)
+            labels = list(config.labels or (f"T{i + 1}" for i in range(len(breakpoints))))
+        elif config.yearly:
+            breakpoints, labels = _yearly_breakpoints(times)
+        else:
+            if not times:
+                raise ValueError("input contains no interactions to slice")
+            breakpoints, labels = [max(times)], ["all"]
+        snapshots = build_cumulative_snapshots(events, breakpoints, labels, publications=records)
+    except Exception as exc:
+        raise PipelineError("ingest", str(exc)) from exc
     return snapshots, warnings
 
 
@@ -153,11 +152,6 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
     Any stage failure is wrapped in PipelineError naming the stage. When
     input_bytes is None the input is read from config.input_path.
     """
-    try:
-        _resolve_threads(config.threads)
-    except ValueError as exc:
-        raise PipelineError("config", str(exc)) from exc
-
     if input_bytes is None:
         try:
             with open(config.input_path, "rb") as handle:
@@ -165,21 +159,13 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
         except OSError as exc:
             raise PipelineError("ingest", str(exc)) from exc
 
-    try:
-        text = input_bytes.decode("utf-8-sig")
-        snapshots, warnings = build_snapshots_for_config(config, text)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("ingest", str(exc)) from exc
+    snapshots, warnings = load_snapshots(config, input_bytes)
 
     try:
         per_period = [_per_period(s, config.thresholds) for s in snapshots]
         rows = [r for r, _, _ in per_period]
         fits = [f for _, f, _ in per_period]
         verdicts = [v for _, _, v in per_period]
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError("metrics", str(exc)) from exc
 

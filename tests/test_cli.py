@@ -12,9 +12,9 @@ import netevolve.powerlaw
 from netevolve.cli import main
 from netevolve.pipeline import (
     AnalysisConfig,
-    build_snapshots_for_config,
     bundle_to_csv,
     bundle_to_json,
+    load_snapshots,
     run_analysis,
 )
 from oracles import proxies_by_recomputation
@@ -120,7 +120,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
     def test_proxies_match_per_snapshot_recomputation(self, config):
-        snapshots, _ = build_snapshots_for_config(config, open(config.input_path, encoding="utf-8").read())
+        snapshots, _ = load_snapshots(config, Path(config.input_path).read_bytes())
         proxies = run_analysis(config).proxies
         assert [astuple(p) for p in proxies] == proxies_by_recomputation(snapshots)
 
@@ -150,7 +150,7 @@ class TestAnalyze:
     def test_digest_tracks_input_bytes(self, tmp_path):
         import datetime
 
-        original = open(DISASTER, "rb").read()
+        original = Path(DISASTER).read_bytes()
         variant = tmp_path / "variant.csv"
         variant.write_bytes(original[:-2] + b"2\n")  # alter one byte
         digests = []
@@ -299,6 +299,25 @@ class TestIgnoredOptions:
         with pytest.raises(ValueError, match="--threads"):
             AnalysisConfig(input_path=COAUTHORS, threads=-3)
 
+    def test_library_config_checks_every_value(self, monkeypatch):
+        import datetime
+
+        with pytest.raises(ValueError, match="unknown input kind"):
+            AnalysisConfig(input_path=COAUTHORS, kind="edges")
+        with pytest.raises(ValueError, match="got 1 labels for 2 breakpoints"):
+            AnalysisConfig(input_path=DISASTER, breakpoints=[1, 2], labels=["X"])
+        with pytest.raises(ValueError, match="distinct"):
+            AnalysisConfig(input_path=DISASTER, breakpoints=[1, 2], labels=["X", "X"])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AnalysisConfig(input_path=DISASTER, breakpoints=[2, 1])
+        with pytest.raises(ValueError, match="mix naive date and numeric"):
+            AnalysisConfig(input_path=DISASTER, breakpoints=[5, datetime.datetime(2009, 2, 8)])
+        with pytest.raises(ValueError, match="at least one breakpoint"):
+            AnalysisConfig(input_path=DISASTER, breakpoints=[])
+        monkeypatch.setenv("NETEVOLVE_THREADS", "many")
+        with pytest.raises(ValueError, match="NETEVOLVE_THREADS"):
+            AnalysisConfig(input_path=DISASTER)
+
 
 class TestReadme:
     def test_library_use_block_runs(self, tmp_path, monkeypatch):
@@ -325,6 +344,8 @@ class TestReadme:
 
 
 class TestExitCodes:
+    TWO_PERIODS = "2009-02-07T13:05,2009-02-08T00:00"
+
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["analyze", "--input", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -352,6 +373,33 @@ class TestExitCodes:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == "metrics"
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    @pytest.mark.parametrize(
+        "source, extra, code, stage",
+        [
+            ("latin-1", [], 3, "ingest"),
+            (DISASTER, ["--breakpoints", TWO_PERIODS, "--labels", "A"], 2, "config"),
+            (DISASTER, ["--breakpoints", "2009-02-08T00:00,2009-02-07T13:05"], 2, "config"),
+            (DISASTER, ["--breakpoints", "5,2009-02-08T00:00"], 2, "config"),
+            (DISASTER, ["--breakpoints", TWO_PERIODS, "--labels", "A,A"], 2, "config"),
+        ],
+        ids=["not-utf-8", "too-few-labels", "out-of-order", "mixed-kinds", "repeated-label"],
+    )
+    def test_analyze_and_fit_report_faults_alike(
+        self, tmp_path, capsys, command, source, extra, code, stage
+    ):
+        """A configuration fault exits 2 at stage config before the input is
+        read, an undecodable input exits 3 at stage ingest, and neither
+        command writes a file."""
+        if source == "latin-1":
+            source = tmp_path / "latin1.csv"
+            source.write_bytes("time,a,b\n1,A,Bj\xf6rk\n".encode("latin-1"))
+        before = sorted(tmp_path.rglob("*"))
+        out = ["--out-prefix" if command == "fit" else "--out", str(tmp_path / "out")]
+        assert main([command, "--input", str(source), *extra, *out]) == code
+        assert json.loads(capsys.readouterr().err)["stage"] == stage
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_unknown_subcommand_exits_two(self):
         result = run_cli("frobnicate")

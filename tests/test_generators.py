@@ -3,13 +3,11 @@ import math
 import pytest
 
 from netevolve import (
-    GeneratorSpec,
     avg_clustering,
     barabasi_albert,
     erdos_renyi,
     fit_powerlaw,
     degree_histogram,
-    generate,
     path_stats,
     watts_strogatz,
 )
@@ -143,24 +141,3 @@ class TestBarabasiAlbert:
             barabasi_albert(10, 0, seed=1)
         with pytest.raises(ValueError):
             barabasi_albert(10, 10, seed=1)
-
-
-class TestGenerateDispatch:
-    def test_er(self):
-        assert generate(GeneratorSpec("er", 30, 0.1, seed=3)) == erdos_renyi(30, 0.1, seed=3)
-
-    def test_ws(self):
-        assert generate(GeneratorSpec("ws", 30, 4, 0.2, seed=3)) == watts_strogatz(
-            30, 4, 0.2, seed=3
-        )
-
-    def test_ba(self):
-        assert generate(GeneratorSpec("ba", 30, 2, seed=3)) == barabasi_albert(30, 2, seed=3)
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec("configuration", 30, 2, seed=3))
-
-    def test_non_integer_ws_k_rejected(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec("ws", 30, 4.5, 0.2, seed=3))

@@ -85,6 +85,16 @@ class TestBuildCumulativeSnapshots:
         with pytest.raises(ValueError):
             build_cumulative_snapshots([], [2, 2], ["a", "b"])
 
+    def test_mixed_kind_breakpoints_rejected(self):
+        from datetime import datetime
+
+        with pytest.raises(ValueError, match="breakpoints mix naive date and numeric"):
+            build_cumulative_snapshots([], [5, datetime(2009, 1, 1)], ["a", "b"])
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            build_cumulative_snapshots([], [1, 2], ["a", "a"])
+
     def test_self_loop_event_warns_but_not_fatal(self, caplog):
         evs = events((1, "A", "B"), (2, "C", "C"))
         with caplog.at_level(logging.WARNING, logger="netevolve.graph_core"):

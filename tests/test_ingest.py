@@ -70,6 +70,11 @@ class TestParseEdgeEvents:
         assert len(events) == 2
         assert warnings == []
 
+    def test_warnings_cite_physical_line_numbers(self):
+        good = "".join(f"{t},A,B{t}\n" for t in range(2, 12))
+        _, warnings = parse_edge_events_text("time,a,b\n\n1,A,B\n\nx,A,B\n" + good, "f.csv")
+        assert warnings == ["f.csv:5: unparseable time 'x', row skipped"]
+
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_edge_events_text("from,to,when\n1,A,B\n")
