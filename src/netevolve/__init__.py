@@ -34,7 +34,6 @@ from .graph_core import (
     InteractionEvent,
     PublicationRecord,
     build_cumulative_snapshots,
-    connected_components,
     giant_component,
 )
 from .ingest import (
@@ -43,7 +42,6 @@ from .ingest import (
     parse_publications,
     parse_publications_text,
     parse_timestamp,
-    write_edge_events,
     write_edge_events_text,
 )
 from .metrics import (

@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument("--out", default="-", help="output file, or - for stdout")
     analyze.add_argument("--rel-tolerance", type=float, default=AnalysisConfig.rel_tolerance)
-    analyze.add_argument("--threads", type=int)
     sw = SmallWorldThresholds
     analyze.add_argument("--sw-density-max", type=float, default=sw.density_max)
     analyze.add_argument("--sw-clustering-min", type=float, default=sw.clustering_min)
@@ -106,9 +105,9 @@ def _config_from_args(args, **options) -> AnalysisConfig:
     """The slicing options analyze and fit share, plus `options`, checked
     by AnalysisConfig before any input is read."""
     breakpoints = labels = None
-    if args.breakpoints:
+    if args.breakpoints is not None:
         breakpoints = [parse_timestamp(b) for b in args.breakpoints.split(",")]
-    if args.labels:
+    if args.labels is not None:
         labels = [lab.strip() for lab in args.labels.split(",")]
     return AnalysisConfig(
         input_path=args.input,
@@ -127,9 +126,7 @@ def _cmd_analyze(args) -> int:
         r_squared_min=args.sw_r2_min,
         exponent_min=args.sw_exponent_min,
     )
-    config = _config_from_args(
-        args, rel_tolerance=args.rel_tolerance, thresholds=thresholds, threads=args.threads
-    )
+    config = _config_from_args(args, rel_tolerance=args.rel_tolerance, thresholds=thresholds)
     data = _read_input(args.input)
     bundle = run_analysis(config, input_bytes=data)
     text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)

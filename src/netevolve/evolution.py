@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import UndefinedMetricError
-from .metrics import MetricsRow
+from .metrics import CENTRALIZATION_KINDS, MetricsRow
 from .powerlaw import PowerLawFit
 
 PROXY_NAMES = ("embedding", "homophily", "multi_connectivity", "pref_attachment")
-CENTRALIZATION_KINDS = ("degree", "betweenness", "closeness")
 
 # Series shorter than this always correlate with Spearman: parametric
 # normality testing is meaningless at the period counts involved.

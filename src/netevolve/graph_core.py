@@ -60,11 +60,6 @@ class InteractionEvent:
         if self.weight < 1:
             raise ValueError(f"event weight must be >= 1, got {self.weight}")
 
-    @property
-    def pair(self) -> tuple[str, str]:
-        """The endpoints as a canonically ordered pair."""
-        return _pair(self.a, self.b)
-
 
 @dataclass(frozen=True)
 class PublicationRecord:
@@ -167,9 +162,6 @@ class GraphSnapshot:
         """Sum of incident edge weights."""
         return sum(self._adj[v].values())
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return _pair(a, b) in self.edges
-
     def sorted_actors(self) -> list[str]:
         return list(self._adj)
 
@@ -186,13 +178,16 @@ def _check_times(times: Iterable[Timestamp], what: str) -> None:
 def check_breakpoints(breakpoints: Sequence[Timestamp], labels: Sequence[str] | None) -> None:
     """Raise ValueError unless there is at least one breakpoint, the
     breakpoints are finite, of one time kind and strictly increasing, and
-    the labels, unless None, name them one to one, each label once: a label
-    names its period's output, so a repeat would overwrite another period.
+    the labels, unless None, name them one to one, each label once and none
+    blank: a label names its period's output, so a repeat would overwrite
+    another period.
     """
     if not breakpoints:
         raise ValueError("at least one breakpoint is required")
     if labels is not None and len(labels) != len(breakpoints):
         raise ValueError(f"got {len(labels)} labels for {len(breakpoints)} breakpoints")
+    if labels is not None and not all(label.strip() for label in labels):
+        raise ValueError(f"period labels must not be blank, got {list(labels)!r}")
     if labels is not None and len(set(labels)) != len(labels):
         raise ValueError(f"period labels must be distinct, got {list(labels)!r}")
     _check_times(breakpoints, "breakpoints")
@@ -274,13 +269,6 @@ def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[in
         levels.append(frontier)
 
 
-def _component_levels(adj: list[list[int]]) -> list[list[list[int]]]:
-    """The BFS levels of every connected component, each swept from its
-    lowest index, in discovery order."""
-    seen = [False] * len(adj)
-    return [_levels(adj, start, seen) for start in range(len(adj)) if not seen[start]]
-
-
 def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
     """Indices of the giant component and the deepest BFS level reached from
     any component's first actor.
@@ -288,18 +276,10 @@ def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
     On a size tie the first component discovered wins: over the sorted actor
     list, the one holding the smallest label.
     """
-    components = _component_levels(adj)
+    seen = [False] * len(adj)
+    components = [_levels(adj, start, seen) for start in range(len(adj)) if not seen[start]]
     largest = max(components, key=lambda levels: sum(map(len, levels)), default=[])
     return list(chain.from_iterable(largest)), max(map(len, components), default=1) - 1
-
-
-def connected_components(s: GraphSnapshot) -> list[set[str]]:
-    """All connected components, ordered by discovery from the sorted actor
-    list; isolated actors form size-1 components."""
-    order, adj = _indexed(s)
-    return [
-        {order[i] for i in chain.from_iterable(levels)} for levels in _component_levels(adj)
-    ]
 
 
 def giant_component(s: GraphSnapshot) -> GraphSnapshot:

@@ -48,10 +48,14 @@ def parse_timestamp(text: str) -> Timestamp:
 def parse_edge_events_text(
     text: str, source: str = "<string>"
 ) -> tuple[list[InteractionEvent], list[str]]:
-    """Parse edge-event CSV content; returns (events, warnings). Warnings
-    cite physical line numbers, blank lines included."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    """Parse edge-event CSV content; returns (events, warnings). Lines may
+    end in LF, CRLF or CR. Warnings cite physical line numbers, blank lines
+    included."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
     if not rows:
         return [], []
     header = [cell.strip().lower() for cell in rows[0][1]]
@@ -124,15 +128,14 @@ def write_edge_events_text(events: Iterable[InteractionEvent]) -> str:
     """Serialize events to edge-event CSV (LF line endings)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
+    # with an LF terminator the writer leaves a bare CR unquoted, and a
+    # reader would end the record there
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(EDGE_EVENT_FIELDS)
     for ev in events:
-        writer.writerow([format_timestamp(ev.time), ev.a, ev.b, ev.weight])
+        row = [format_timestamp(ev.time), ev.a, ev.b, ev.weight]
+        (quote_all if "\r" in ev.a + ev.b else writer).writerow(row)
     return buffer.getvalue()
-
-
-def write_edge_events(events: Iterable[InteractionEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(write_edge_events_text(events))
 
 
 def parse_publications_text(
@@ -140,17 +143,19 @@ def parse_publications_text(
 ) -> tuple[list[PublicationRecord], list[str]]:
     """Parse publication JSON Lines content; returns (records, warnings).
 
-    Records keep their order; `PublicationRecord` trims and deduplicates the
-    authors. Records with an empty author list or a duplicate pub_id are
-    skipped with a warning.
+    Records end in LF or CRLF and keep their order; `PublicationRecord`
+    trims and deduplicates the authors. Records with an empty author list
+    or a duplicate pub_id are skipped with a warning.
     """
     records: list[PublicationRecord] = []
     warnings: list[str] = []
     seen_ids: set[str] = set()
     malformed = 0
+    # records end at LF only: str.splitlines would also break at characters
+    # such as U+2028 and U+0085, which JSON strings may hold raw
     data_lines = [
         (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
+        for lineno, line in enumerate(text.split("\n"), start=1)
         if line.strip()
     ]
     for lineno, line in data_lines:

@@ -4,7 +4,7 @@ Everything here is a pure function of an immutable snapshot. Shortest paths
 are unweighted hop counts throughout; edge weights only enter the weighted
 density and strength measures. Iteration is always over sorted actors and
 math.fsum is used for floating reductions, so results are bit-identical
-regardless of input ordering or thread count.
+regardless of input ordering.
 
 Diameter, average distance, betweenness and closeness all read one
 all-sources pass per snapshot (_all_sources). It runs on a dense
@@ -370,7 +370,7 @@ def _closeness(p: _PathPass) -> dict[str, float]:
     return out
 
 
-_CENTRALIZATION_KINDS = ("degree", "betweenness", "closeness")
+CENTRALIZATION_KINDS = ("degree", "betweenness", "closeness")
 
 
 def centralization(values: list[float], kind: str, n: int) -> float:
@@ -382,7 +382,7 @@ def centralization(values: list[float], kind: str, n: int) -> float:
     (star maxima n-1 and (n-1)(n-2)/(2n-3) respectively). 1.0 on stars,
     0.0 on regular graphs.
     """
-    if kind not in _CENTRALIZATION_KINDS:
+    if kind not in CENTRALIZATION_KINDS:
         raise ValueError(f"unknown centralization kind {kind!r}")
     if n < 3:
         raise UndefinedMetricError("centralization needs at least three actors")

@@ -2,11 +2,7 @@
 
 run_analysis ties the modules together: ingest -> cumulative snapshots ->
 per-period metrics/fits/verdicts -> proxies, correlations, and the
-static-attribute scan, bundled with input provenance. Periods run one after
-another: a per-period thread pool slowed the interpreter-bound workloads and
-barely helped the numpy-bound ones. The requested thread count (--threads,
-capped by the NETEVOLVE_THREADS environment variable) is still validated and
-echoed in the provenance, and output bytes never depend on it.
+static-attribute scan, bundled with input provenance.
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -48,9 +43,8 @@ class AnalysisConfig:
     Exactly one slicing mode applies: explicit breakpoints, --yearly, or the
     default single period covering all events (labelled "all"). Labels name
     explicit breakpoints only, and the breakpoints and labels must pass
-    `check_breakpoints`. The kind must be one of INPUT_KINDS, a thread count
-    must be at least 1, and NETEVOLVE_THREADS, when set, an integer; any
-    other value is a ValueError.
+    `check_breakpoints`. The kind must be one of INPUT_KINDS; any other
+    value is a ValueError.
     """
 
     input_path: str
@@ -60,7 +54,6 @@ class AnalysisConfig:
     yearly: bool = False
     rel_tolerance: float = 0.10
     thresholds: SmallWorldThresholds = field(default_factory=SmallWorldThresholds)
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
@@ -71,14 +64,6 @@ class AnalysisConfig:
             raise ValueError("--labels names the --breakpoints periods; give --breakpoints too")
         if self.breakpoints is not None:
             check_breakpoints(self.breakpoints, self.labels)
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {self.threads}")
-        cap = os.environ.get("NETEVOLVE_THREADS")
-        if cap:
-            try:
-                int(cap)
-            except ValueError:
-                raise ValueError(f"NETEVOLVE_THREADS must be an integer, got {cap!r}") from None
 
 
 @dataclass
@@ -193,7 +178,8 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
             "yearly": config.yearly,
             "rel_tolerance": config.rel_tolerance,
             "thresholds": asdict(config.thresholds),
-            "threads": config.threads,
+            # always null: perfbench/gate.py holds bundles to the seed's provenance keys
+            "threads": None,
         },
         "ingest_warnings": warnings,
     }

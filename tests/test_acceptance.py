@@ -251,21 +251,17 @@ def test_criterion_9_determinism():
         )
     ]
 
-    def bundle(threads):
+    def bundle():
         config = AnalysisConfig(
             input_path=DISASTER,
             breakpoints=breakpoints,
             labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
-            threads=threads,
         )
-        result = run_analysis(config)
-        result.provenance["config"]["threads"] = None  # normalize the echo
-        return result
+        return run_analysis(config)
 
-    first, second = bundle(1), bundle(1)
-    threaded = bundle(4)
+    first, second = bundle(), bundle()
     ok = (
-        bundle_to_csv(first) == bundle_to_csv(second) == bundle_to_csv(threaded)
-        and bundle_to_json(first) == bundle_to_json(second) == bundle_to_json(threaded)
+        bundle_to_csv(first) == bundle_to_csv(second)
+        and bundle_to_json(first) == bundle_to_json(second)
     )
     report("9 determinism", ok)

@@ -274,8 +274,20 @@ class TestIgnoredOptions:
     @pytest.mark.parametrize("command", ["analyze", "fit"])
     @pytest.mark.parametrize(
         "extra",
-        [["--yearly", "--breakpoints", "2003-12-31"], ["--labels", "X,Y"]],
-        ids=["yearly-and-breakpoints", "labels-without-breakpoints"],
+        [
+            ["--yearly", "--breakpoints", "2003-12-31"],
+            ["--labels", "X,Y"],
+            ["--breakpoints", "", "--labels", ""],
+            ["--labels", ""],
+            ["--breakpoints", "2003-12-31,2005-12-31", "--labels", "A, "],
+        ],
+        ids=[
+            "yearly-and-breakpoints",
+            "labels-without-breakpoints",
+            "empty-breakpoints-and-labels",
+            "empty-labels",
+            "blank-label",
+        ],
     )
     def test_slicing_mix_is_config_error(self, tmp_path, capsys, command, extra):
         out = ["--out-prefix" if command == "fit" else "--out", str(tmp_path / "out")]
@@ -284,22 +296,22 @@ class TestIgnoredOptions:
         assert json.loads(capsys.readouterr().err)["stage"] == "config"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("threads", ["-3", "0"])
-    def test_thread_count_below_one_is_config_error(self, tmp_path, capsys, threads):
-        out = tmp_path / "r.csv"
-        assert main(["analyze", "--input", DISASTER, "--threads", threads, "--out", str(out)]) == 2
-        assert json.loads(capsys.readouterr().err)["stage"] == "config"
-        assert not out.exists()
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--input", DISASTER, "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", DISASTER, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["config"]["threads"] is None
 
     def test_library_config_rejects_the_same_mixes(self):
         with pytest.raises(ValueError, match="slicing modes"):
             AnalysisConfig(input_path=COAUTHORS, yearly=True, breakpoints=[1])
         with pytest.raises(ValueError, match="--labels"):
             AnalysisConfig(input_path=COAUTHORS, labels=["X"])
-        with pytest.raises(ValueError, match="--threads"):
-            AnalysisConfig(input_path=COAUTHORS, threads=-3)
 
-    def test_library_config_checks_every_value(self, monkeypatch):
+    def test_library_config_checks_every_value(self):
         import datetime
 
         with pytest.raises(ValueError, match="unknown input kind"):
@@ -308,15 +320,14 @@ class TestIgnoredOptions:
             AnalysisConfig(input_path=DISASTER, breakpoints=[1, 2], labels=["X"])
         with pytest.raises(ValueError, match="distinct"):
             AnalysisConfig(input_path=DISASTER, breakpoints=[1, 2], labels=["X", "X"])
+        with pytest.raises(ValueError, match="blank"):
+            AnalysisConfig(input_path=DISASTER, breakpoints=[1, 2], labels=["X", " "])
         with pytest.raises(ValueError, match="strictly increasing"):
             AnalysisConfig(input_path=DISASTER, breakpoints=[2, 1])
         with pytest.raises(ValueError, match="mix naive date and numeric"):
             AnalysisConfig(input_path=DISASTER, breakpoints=[5, datetime.datetime(2009, 2, 8)])
         with pytest.raises(ValueError, match="at least one breakpoint"):
             AnalysisConfig(input_path=DISASTER, breakpoints=[])
-        monkeypatch.setenv("NETEVOLVE_THREADS", "many")
-        with pytest.raises(ValueError, match="NETEVOLVE_THREADS"):
-            AnalysisConfig(input_path=DISASTER)
 
 
 class TestReadme:
@@ -412,7 +423,7 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def _bundle(self, threads=None):
+    def _bundle(self):
         import datetime
 
         config = AnalysisConfig(
@@ -421,7 +432,6 @@ class TestDeterminism:
                 datetime.datetime.fromisoformat(b) for b in DISASTER_BREAKPOINTS.split(",")
             ],
             labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
-            threads=threads,
         )
         return run_analysis(config)
 
@@ -429,23 +439,6 @@ class TestDeterminism:
         a, b = self._bundle(), self._bundle()
         assert bundle_to_csv(a) == bundle_to_csv(b)
         assert bundle_to_json(a) == bundle_to_json(b)
-
-    def test_thread_count_does_not_change_output(self):
-        serial = self._bundle(threads=1)
-        threaded = self._bundle(threads=4)
-        # provenance echoes the configured thread count; outputs must match
-        serial.provenance["config"]["threads"] = None
-        threaded.provenance["config"]["threads"] = None
-        assert bundle_to_json(serial) == bundle_to_json(threaded)
-
-    def test_env_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("NETEVOLVE_THREADS", "1")
-        capped = self._bundle(threads=8)
-        monkeypatch.delenv("NETEVOLVE_THREADS")
-        free = self._bundle(threads=8)
-        capped.provenance["config"]["threads"] = None
-        free.provenance["config"]["threads"] = None
-        assert bundle_to_json(capped) == bundle_to_json(free)
 
     @pytest.mark.parametrize(
         "args",
@@ -465,10 +458,6 @@ class TestDeterminism:
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
-
-    def test_invalid_env_cap_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("NETEVOLVE_THREADS", "many")
-        assert main(["analyze", "--input", DISASTER]) == 2
 
 
 class TestIngestEdgeCases:
@@ -506,6 +495,13 @@ class TestIngestEdgeCases:
         args = ["analyze", "--input", str(source), "--kind", "publications", "--yearly"]
         assert main([*args, "--format", "json", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["provenance"]["ingest_warnings"] == []
+
+    def test_csv_reader_error_is_parse_error(self, tmp_path, capsys):
+        code, _ = self._analyze(tmp_path, self.ROWS + "21,A1," + "B" * 200_000 + "\n")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "ingest"
+        assert "field larger than field limit" in err["error"]
 
     def test_mixed_naive_and_aware_times_are_parse_error(self, tmp_path, capsys):
         text = "time,a,b\n2009-02-07T10:00,A,B\n2009-02-07T11:00+01:00,B,C\n"

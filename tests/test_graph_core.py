@@ -28,9 +28,6 @@ class TestInteractionEvent:
         ev = InteractionEvent(1, "  A ", "B\t")
         assert (ev.a, ev.b) == ("A", "B")
 
-    def test_pair_is_unordered(self):
-        assert InteractionEvent(1, "B", "A").pair == InteractionEvent(1, "A", "B").pair
-
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             InteractionEvent(1, "A", "B", weight=0)

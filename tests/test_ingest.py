@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netevolve import (
     ParseError,
@@ -75,6 +78,22 @@ class TestParseEdgeEvents:
         _, warnings = parse_edge_events_text("time,a,b\n\n1,A,B\n\nx,A,B\n" + good, "f.csv")
         assert warnings == ["f.csv:5: unparseable time 'x', row skipped"]
 
+    def test_line_endings_parse_alike(self):
+        lf = "time,a,b\n1,A,B\n\nbad,B,C\n2,B,C\n3,C,D\n4,D,E\n5,E,F\n6,F,G\n7,G,H\n8,H,I\n9,I,J\n"
+        parsed = parse_edge_events_text(lf)
+        assert parsed[1] == ["<string>:4: unparseable time 'bad', row skipped"]
+        assert parse_edge_events_text(lf.replace("\n", "\r\n")) == parsed
+        assert parse_edge_events_text(lf.replace("\n", "\r")) == parsed
+
+    def test_stray_carriage_return_ends_the_record(self):
+        rows = "".join(f"{t},A{t},B{t}\n" for t in range(20))
+        events, warnings = parse_edge_events_text("time,a,b\n" + rows + "20,A\rX,B\n")
+        assert len(events) == 20
+        assert warnings == [
+            "<string>:22: too few fields, row skipped",
+            "<string>:23: too few fields, row skipped",
+        ]
+
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_edge_events_text("from,to,when\n1,A,B\n")
@@ -119,6 +138,35 @@ class TestRoundTrip:
         assert text == "time,a,b,weight\n1,A,B,2\n"
         assert "\r" not in text
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_written_events_parse_back_unchanged(self, data):
+        # whole seconds: ISO 8601 text has no fractional offsets, and
+        # fromisoformat reads "+00:00:00.000001" as UTC
+        offsets = st.integers(-86399, 86399).map(lambda sec: timedelta(seconds=sec))
+        times = data.draw(
+            st.sampled_from(
+                [
+                    st.integers(-(10**12), 10**12),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.datetimes(),
+                    st.datetimes(timezones=st.builds(timezone, offsets)),
+                ]
+            )
+        )
+        labels = st.text(st.sampled_from('aZ é,"\n\r\u2028'), min_size=1, max_size=6)
+        labels = labels.filter(str.strip)
+        events = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            a, b = data.draw(labels), data.draw(labels)
+            assume(a.strip() != b.strip())
+            events.append(InteractionEvent(data.draw(times), a, b, data.draw(st.integers(1, 9))))
+        assert parse_edge_events_text(write_edge_events_text(events)) == (events, [])
+
+    def test_label_with_carriage_return_is_quoted(self):
+        text = write_edge_events_text([InteractionEvent(1, "A\rB", "C")])
+        assert text == 'time,a,b,weight\n"1","A\rB","C","1"\n'
+
 
 class TestParsePublications:
     def test_basic_record(self):
@@ -151,6 +199,26 @@ class TestParsePublications:
         )
         assert len(records) == 1
         assert any("duplicate pub_id" in w for w in warnings)
+
+    @pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+    def test_records_split_at_line_feeds_only(self, separator):
+        authors = [(f"Ana{separator}s", f"B{i}") for i in range(10)]
+        lines = [
+            json.dumps({"pub_id": f"P{i}", "date": "2005", "authors": a}, ensure_ascii=False)
+            for i, a in enumerate(authors)
+        ]
+        records, warnings = parse_publications_text("\n".join(lines) + "\n")
+        assert warnings == []
+        assert [r.authors for r in records] == authors
+
+    def test_crlf_records_keep_their_line_numbers(self):
+        text = '{"pub_id": "P1", "date": "2005-03-01", "authors": ["A", "B"]}\r\n\r\nnot json\r\n'
+        text += "".join(
+            f'{{"pub_id": "Q{i}", "date": "2005-03-02", "authors": ["A"]}}\r\n' for i in range(9)
+        )
+        records, warnings = parse_publications_text(text)
+        assert len(records) == 10
+        assert len(warnings) == 1 and warnings[0].startswith("<string>:3: Expecting value")
 
     def test_malformed_json_budget(self):
         good = "\n".join(
