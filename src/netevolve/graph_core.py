@@ -56,9 +56,9 @@ class InteractionEvent:
         object.__setattr__(self, "a", self.a.strip())
         object.__setattr__(self, "b", self.b.strip())
         if not self.a or not self.b:
-            raise ValueError("actor labels must be non-empty")
+            raise ValueError("empty actor label")
         if self.weight < 1:
-            raise ValueError(f"event weight must be >= 1, got {self.weight}")
+            raise ValueError(f"weight {self.weight} < 1")
 
 
 @dataclass(frozen=True)

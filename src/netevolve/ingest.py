@@ -2,10 +2,12 @@
 
 Edge events use a `time,a,b,weight` CSV (weight optional, default 1).
 Publications are one JSON object per line: {"pub_id", "date", "authors"}.
-Malformed rows are skipped with a warning; a file where more than 10% of the
-data rows are malformed raises ParseError. Self-loop rows and empty author
-lists are treated as domain noise: they warn and skip but do not count
-toward the 10% budget.
+Both formats go through one record loop with one rule: a malformed row is
+skipped with the warning `source:line: reason, row|record skipped`, and a
+file where more than 10% of the data rows are malformed raises ParseError.
+Self-loops, empty author lists and repeated pub_ids are domain noise: they
+warn and skip the same way but do not count toward the 10% budget. The kept
+records must not mix kinds of time.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ import io
 import json
 import math
 from datetime import datetime
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import ParseError
-from .graph_core import InteractionEvent, PublicationRecord, Timestamp, _time_category
+from .graph_core import InteractionEvent, PublicationRecord, Timestamp, _check_times
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
+_TEXT_TYPES = frozenset({str, int, float})
 
 
 def parse_timestamp(text: str) -> Timestamp:
@@ -45,6 +49,49 @@ def parse_timestamp(text: str) -> Timestamp:
         raise ValueError(f"unparseable time {text!r}") from None
 
 
+class _Noise(ValueError):
+    """A well-formed row with nothing to analyse: skipped, but not malformed."""
+
+
+def _parse_records(lines, decode, source, noun, time_of):
+    """Decode each (line number, raw) pair; returns (records, warnings).
+
+    A ValueError from `decode` skips the row with a warning and marks it
+    malformed unless it is `_Noise`. More than 10% malformed rows, or kept
+    records whose times mix kinds, raise ParseError.
+    """
+    records, warnings = [], []
+    malformed = 0
+    for lineno, raw in lines:
+        try:
+            records.append(decode(raw))
+        except ValueError as exc:
+            warnings.append(f"{source}:{lineno}: {exc}, {noun} skipped")
+            malformed += not isinstance(exc, _Noise)
+    if lines and malformed / len(lines) > _MAX_BAD_FRACTION:
+        raise ParseError(f"{source}: {malformed} of {len(lines)} {noun}s malformed (> 10%)")
+    try:
+        _check_times(map(time_of, records), "times")
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from None
+    return records, warnings
+
+
+def _decode_event(row: list[str]) -> InteractionEvent:
+    if len(row) < 3:
+        raise ValueError("too few fields")
+    time = parse_timestamp(row[0])
+    try:
+        weight = int(row[3]) if len(row) >= 4 and row[3].strip() else 1
+    except ValueError:
+        InteractionEvent(time, row[1], row[2])  # an empty label is the earlier fault
+        raise ValueError(f"bad weight {row[3]!r}") from None
+    event = InteractionEvent(time, row[1], row[2], weight)
+    if event.a == event.b:
+        raise _Noise(f"self-loop on {event.a!r}")
+    return event
+
+
 def parse_edge_events_text(
     text: str, source: str = "<string>"
 ) -> tuple[list[InteractionEvent], list[str]]:
@@ -61,56 +108,7 @@ def parse_edge_events_text(
     header = [cell.strip().lower() for cell in rows[0][1]]
     if header[:3] != ["time", "a", "b"]:
         raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0][1]!r}")
-    events: list[InteractionEvent] = []
-    warnings: list[str] = []
-    malformed = 0
-    data_rows = rows[1:]
-    for lineno, row in data_rows:
-        if len(row) < 3:
-            warnings.append(f"{source}:{lineno}: too few fields, row skipped")
-            malformed += 1
-            continue
-        try:
-            time = parse_timestamp(row[0])
-        except ValueError as exc:
-            warnings.append(f"{source}:{lineno}: {exc}, row skipped")
-            malformed += 1
-            continue
-        a, b = row[1].strip(), row[2].strip()
-        if not a or not b:
-            warnings.append(f"{source}:{lineno}: empty actor label, row skipped")
-            malformed += 1
-            continue
-        weight = 1
-        if len(row) >= 4 and row[3].strip():
-            try:
-                weight = int(row[3])
-            except ValueError:
-                warnings.append(f"{source}:{lineno}: bad weight {row[3]!r}, row skipped")
-                malformed += 1
-                continue
-            if weight < 1:
-                warnings.append(f"{source}:{lineno}: weight {weight} < 1, row skipped")
-                malformed += 1
-                continue
-        if a == b:
-            warnings.append(f"{source}:{lineno}: self-loop on {a!r}, row skipped")
-            continue
-        events.append(InteractionEvent(time, a, b, weight))
-    if data_rows and malformed / len(data_rows) > _MAX_BAD_FRACTION:
-        raise ParseError(
-            f"{source}: {malformed} of {len(data_rows)} rows malformed (> 10%)"
-        )
-    _check_time_kinds((ev.time for ev in events), source)
-    return events, warnings
-
-
-def _check_time_kinds(times: Iterable[Timestamp], source: str) -> None:
-    """Numbers, naive dates and offset-aware dates cannot be ordered against
-    each other, so a file must stick to one kind."""
-    kinds = sorted({_time_category(t) for t in times})
-    if len(kinds) > 1:
-        raise ParseError(f"{source}: file mixes {' and '.join(kinds)} times")
+    return _parse_records(rows[1:], _decode_event, source, "row", attrgetter("time"))
 
 
 def parse_edge_events(path: str) -> tuple[list[InteractionEvent], list[str]]:
@@ -138,6 +136,14 @@ def write_edge_events_text(events: Iterable[InteractionEvent]) -> str:
     return buffer.getvalue()
 
 
+def _json_texts(values: list, field: str) -> tuple[str, ...]:
+    """JSON strings and numbers as text; a null, boolean, array or object fails."""
+    for value in values:
+        if type(value) not in _TEXT_TYPES:
+            raise ValueError(f"{field} {json.dumps(value)} is not a string or number")
+    return tuple(map(str, values))
+
+
 def parse_publications_text(
     text: str, source: str = "<string>"
 ) -> tuple[list[PublicationRecord], list[str]]:
@@ -147,44 +153,30 @@ def parse_publications_text(
     trims and deduplicates the authors. Records with an empty author list
     or a duplicate pub_id are skipped with a warning.
     """
-    records: list[PublicationRecord] = []
-    warnings: list[str] = []
     seen_ids: set[str] = set()
-    malformed = 0
-    # records end at LF only: str.splitlines would also break at characters
-    # such as U+2028 and U+0085, which JSON strings may hold raw
-    data_lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
-    for lineno, line in data_lines:
+
+    def decode(line: str) -> PublicationRecord:
         try:
             obj = json.loads(line)
-            pub_id = str(obj["pub_id"]).strip()
+            pub_id = _json_texts([obj["pub_id"]], "pub_id")[0].strip()
             date = parse_timestamp(str(obj["date"]))
-            raw_authors = obj["authors"]
-            if not isinstance(raw_authors, list):
-                raise ValueError("authors must be a list")
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            warnings.append(f"{source}:{lineno}: {exc}, record skipped")
-            malformed += 1
-            continue
-        record = PublicationRecord(pub_id, date, tuple(map(str, raw_authors)))
+            authors = obj["authors"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(exc) from None
+        if not isinstance(authors, list):
+            raise ValueError("authors must be a list")
+        record = PublicationRecord(pub_id, date, _json_texts(authors, "author"))
         if not record.authors:
-            warnings.append(f"{source}:{lineno}: empty author list, record skipped")
-            continue
+            raise _Noise("empty author list")
         if pub_id in seen_ids:
-            warnings.append(f"{source}:{lineno}: duplicate pub_id {pub_id!r}, record skipped")
-            continue
+            raise _Noise(f"duplicate pub_id {pub_id!r}")
         seen_ids.add(pub_id)
-        records.append(record)
-    if data_lines and malformed / len(data_lines) > _MAX_BAD_FRACTION:
-        raise ParseError(
-            f"{source}: {malformed} of {len(data_lines)} records malformed (> 10%)"
-        )
-    _check_time_kinds((r.date for r in records), source)
-    return records, warnings
+        return record
+
+    # records end at LF only: str.splitlines would also break at characters
+    # such as U+2028 and U+0085, which JSON strings may hold raw
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    return _parse_records(lines, decode, source, "record", attrgetter("date"))
 
 
 def parse_publications(path: str) -> tuple[list[PublicationRecord], list[str]]:

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -43,8 +44,9 @@ class AnalysisConfig:
     Exactly one slicing mode applies: explicit breakpoints, --yearly, or the
     default single period covering all events (labelled "all"). Labels name
     explicit breakpoints only, and the breakpoints and labels must pass
-    `check_breakpoints`. The kind must be one of INPUT_KINDS; any other
-    value is a ValueError.
+    `check_breakpoints`. The kind must be one of INPUT_KINDS, rel_tolerance
+    must lie in (0, 1] and every small-world threshold must be finite; any
+    other value is a ValueError.
     """
 
     input_path: str
@@ -64,6 +66,11 @@ class AnalysisConfig:
             raise ValueError("--labels names the --breakpoints periods; give --breakpoints too")
         if self.breakpoints is not None:
             check_breakpoints(self.breakpoints, self.labels)
+        if not 0.0 < self.rel_tolerance <= 1.0:
+            raise ValueError(f"rel_tolerance must be in (0, 1], got {self.rel_tolerance}")
+        for name, value in asdict(self.thresholds).items():
+            if not math.isfinite(value):
+                raise ValueError(f"small-world threshold {name} must be finite, got {value}")
 
 
 @dataclass

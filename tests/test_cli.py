@@ -17,11 +17,13 @@ from netevolve.pipeline import (
     load_snapshots,
     run_analysis,
 )
+from netevolve.evolution import SmallWorldThresholds
 from oracles import proxies_by_recomputation
 
 DISASTER = str(resources.files("netevolve") / "data" / "disaster_events.csv")
 COAUTHORS = str(resources.files("netevolve") / "data" / "coauthorship_sample.jsonl")
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, env=None):
@@ -117,6 +119,26 @@ class TestAnalyze:
         assert main([*args, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2020", "2021"]
+
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (
+                ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS,
+                 "--labels", "T1,T1-T2,T1-T3,T1-T4"],
+                "disaster_report.csv",
+            ),
+            (
+                ["--input", COAUTHORS, "--kind", "publications", "--yearly"],
+                "coauthorship_yearly_report.csv",
+            ),
+        ],
+        ids=["disaster", "coauthorship"],
+    )
+    def test_readme_samples_match_committed_tables(self, tmp_path, args, golden):
+        out = tmp_path / "report.csv"
+        assert main(["analyze", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
     def test_proxies_match_per_snapshot_recomputation(self, config):
@@ -411,6 +433,53 @@ class TestExitCodes:
         assert main([command, "--input", str(source), *extra, *out]) == code
         assert json.loads(capsys.readouterr().err)["stage"] == stage
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--rel-tolerance", "0"],
+            ["--rel-tolerance", "-1"],
+            ["--rel-tolerance", "1.5"],
+            ["--rel-tolerance", "nan"],
+            ["--breakpoints", TWO_PERIODS, "--rel-tolerance", "0"],
+            ["--sw-density-max", "nan"],
+            ["--sw-clustering-min", "inf"],
+            ["--sw-r2-min=-inf"],
+            ["--sw-exponent-min", "nan"],
+        ],
+        ids=[
+            "tolerance-zero", "tolerance-negative", "tolerance-above-one", "tolerance-nan",
+            "tolerance-zero-two-periods", "density-nan", "clustering-inf", "r2-minus-inf",
+            "exponent-nan",
+        ],
+    )
+    def test_bad_analysis_value_is_config_error(self, tmp_path, capsys, extra):
+        out = tmp_path / "report.csv"
+        assert main(["analyze", "--input", DISASTER, *extra, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["stage"] == "config"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"rel_tolerance": 0.0}, r"rel_tolerance must be in \(0, 1\], got 0.0"),
+            ({"rel_tolerance": float("nan")}, "rel_tolerance must be in"),
+            ({"rel_tolerance": 1.01}, "rel_tolerance must be in"),
+            (
+                {"thresholds": SmallWorldThresholds(density_max=float("nan"))},
+                "small-world threshold density_max must be finite, got nan",
+            ),
+            (
+                {"thresholds": SmallWorldThresholds(diameter_log_factor=float("inf"))},
+                "diameter_log_factor must be finite",
+            ),
+        ],
+        ids=["tolerance-zero", "tolerance-nan", "tolerance-above-one", "density-nan", "diameter-inf"],
+    )
+    def test_library_config_checks_analysis_values(self, options, match):
+        with pytest.raises(ValueError, match=match):
+            AnalysisConfig(input_path=DISASTER, **options)
+        AnalysisConfig(input_path=DISASTER, rel_tolerance=1.0)
 
     def test_unknown_subcommand_exits_two(self):
         result = run_cli("frobnicate")

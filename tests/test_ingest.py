@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -230,6 +231,138 @@ class TestParsePublications:
         assert len(warnings) == 1
         with pytest.raises(ParseError):
             parse_publications_text("not json\nalso not\n" + good.splitlines()[0])
+
+
+def _good_row(kind: str, i: int) -> str:
+    if kind == "csv":
+        return f"{i},A,B{i}"
+    return json.dumps({"pub_id": f"G{i}", "date": "2005-01-01", "authors": ["A", f"B{i}"]})
+
+
+def _parse(kind: str, rows: list[str]):
+    """Parse `rows` as the data of a file named f.<kind>."""
+    if kind == "csv":
+        return parse_edge_events_text("time,a,b,weight\n" + "\n".join(rows) + "\n", "f.csv")
+    return parse_publications_text("\n".join(rows) + "\n", "f.jsonl")
+
+
+def _pub(**fields) -> str:
+    return json.dumps({"pub_id": "P", "date": "2005-01-01", "authors": ["A", "B"], **fields})
+
+
+# every warning either format writes, with its exact reason and whether the
+# row counts toward the 10% budget; a row with several faults is warned about
+# for the first of them
+WARNING_TABLE = [
+    ("csv", "5,A1", "too few fields", True),
+    ("csv", "x,A,B", "unparseable time 'x'", True),
+    ("csv", "nan,A,B", "non-finite time 'nan'", True),
+    ("csv", "x, ,B,0", "unparseable time 'x'", True),
+    ("csv", "1, ,B", "empty actor label", True),
+    ("csv", "1, ,B,zz", "empty actor label", True),
+    ("csv", "1,A,B,zz", "bad weight 'zz'", True),
+    ("csv", "1,A,B,2.5", "bad weight '2.5'", True),
+    ("csv", "1,A,B,0", "weight 0 < 1", True),
+    ("csv", "1,A,A,0", "weight 0 < 1", True),
+    ("csv", "1,A,A,zz", "bad weight 'zz'", True),
+    ("csv", "1,A, A ", "self-loop on 'A'", False),
+    ("jsonl", "not json", "Expecting value: line 1 column 1 (char 0)", True),
+    ("jsonl", '{"date": "2005-01-01", "authors": ["A"]}', "'pub_id'", True),
+    ("jsonl", '{"pub_id": "P", "authors": ["A"]}', "'date'", True),
+    ("jsonl", '{"pub_id": "P", "date": "2005-01-01"}', "'authors'", True),
+    ("jsonl", "[1]", "list indices must be integers or slices, not str", True),
+    ("jsonl", "7", "'int' object is not subscriptable", True),
+    ("jsonl", _pub(date="yesterday"), "unparseable time 'yesterday'", True),
+    ("jsonl", _pub(date="nan"), "non-finite time 'nan'", True),
+    ("jsonl", _pub(date="nan", authors=[]), "non-finite time 'nan'", True),
+    ("jsonl", _pub(authors="A,B"), "authors must be a list", True),
+    ("jsonl", _pub(authors=[]), "empty author list", False),
+    ("jsonl", _pub(authors=[" ", ""]), "empty author list", False),
+    ("jsonl", _pub(pub_id=" G0 "), "duplicate pub_id 'G0'", False),
+    ("jsonl", _pub(pub_id="G0", authors=[]), "empty author list", False),
+]
+
+
+class TestWarningContract:
+    """One rule for both formats: a malformed row counts toward the 10%
+    budget, a noise row does not, and each warns `source:line: reason,
+    row|record skipped`."""
+
+    @pytest.mark.parametrize("kind, raw, reason, malformed", WARNING_TABLE)
+    def test_warning_text(self, kind, raw, reason, malformed):
+        good = [_good_row(kind, i) for i in range(9)]
+        records, warnings = _parse(kind, good + [raw])
+        line = 11 if kind == "csv" else 10
+        noun = "row" if kind == "csv" else "record"
+        assert warnings == [f"f.{kind}:{line}: {reason}, {noun} skipped"]
+        assert len(records) == 9
+        # one more malformed row breaks the budget only if this one counted
+        bad = "x,A,B" if kind == "csv" else "not json"
+        if malformed:
+            with pytest.raises(ParseError, match=re.escape(f"2 of 11 {noun}s malformed")):
+                _parse(kind, good + [raw, bad])
+        else:
+            assert len(_parse(kind, good + [raw, bad])[1]) == 2
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_budget_boundary(self, kind):
+        noun = "row" if kind == "csv" else "record"
+        bad = "x,A,B" if kind == "csv" else "not json"
+        records, warnings = _parse(kind, [_good_row(kind, i) for i in range(18)] + [bad] * 2)
+        assert (len(records), len(warnings)) == (18, 2)
+        with pytest.raises(ParseError) as info:
+            _parse(kind, [_good_row(kind, i) for i in range(17)] + [bad] * 3)
+        assert str(info.value) == f"f.{kind}: 3 of 20 {noun}s malformed (> 10%)"
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_noise_never_counts(self, kind):
+        noise = "1,A,A" if kind == "csv" else _pub(authors=[])
+        records, warnings = _parse(kind, [_good_row(kind, 0)] + [noise] * 30)
+        assert len(records) == 1
+        assert len(warnings) == 30
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            ("csv", ["1,A,B", "2009-02-07,B,C"]),
+            ("jsonl", [_pub(pub_id="P1", date="5"), _pub(pub_id="P2")]),
+        ],
+    )
+    def test_mixed_time_kinds_name_the_file(self, kind, rows):
+        with pytest.raises(ParseError) as info:
+            _parse(kind, rows)
+        assert str(info.value) == f"f.{kind}: times mix naive date and numeric times"
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"authors": ["A", None]}, "author null is not a string or number"),
+            ({"authors": ["A", {"x": 1}]}, 'author {"x": 1} is not a string or number'),
+            ({"authors": ["A", ["B"]]}, 'author ["B"] is not a string or number'),
+            ({"authors": ["A", True]}, "author true is not a string or number"),
+            ({"pub_id": None}, "pub_id null is not a string or number"),
+            ({"pub_id": False}, "pub_id false is not a string or number"),
+            ({"pub_id": ["P"]}, 'pub_id ["P"] is not a string or number'),
+        ],
+    )
+    def test_jsonl_names_must_be_strings_or_numbers(self, fields, reason):
+        good = [_good_row("jsonl", i) for i in range(9)]
+        records, warnings = _parse("jsonl", good + [_pub(**fields)])
+        assert warnings == [f"f.jsonl:10: {reason}, record skipped"]
+        assert len(records) == 9
+        with pytest.raises(ParseError, match="2 of 11 records malformed"):
+            _parse("jsonl", good + [_pub(**fields), "not json"])
+
+    def test_null_pub_id_does_not_shadow_a_real_one(self):
+        rows = [_pub(pub_id=None), _pub(pub_id="None")] + [_good_row("jsonl", i) for i in range(9)]
+        records, warnings = _parse("jsonl", rows)
+        assert warnings == ["f.jsonl:1: pub_id null is not a string or number, record skipped"]
+        assert [r.pub_id for r in records[:2]] == ["None", "G0"]
+
+    def test_jsonl_numbers_stay_text(self):
+        records, warnings = _parse("jsonl", [_pub(pub_id=12, authors=[1, 2.5, "Z"])])
+        assert warnings == []
+        assert records == [PublicationRecord("12", datetime(2005, 1, 1), ("1", "2.5", "Z"))]
 
 
 class TestExpandPublications:
