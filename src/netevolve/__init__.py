@@ -37,9 +37,7 @@ from .graph_core import (
     giant_component,
 )
 from .ingest import (
-    parse_edge_events,
     parse_edge_events_text,
-    parse_publications,
     parse_publications_text,
     parse_timestamp,
     write_edge_events_text,
@@ -66,6 +64,7 @@ from .pipeline import (
     ReportBundle,
     bundle_to_csv,
     bundle_to_json,
+    load_snapshots,
     run_analysis,
 )
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points

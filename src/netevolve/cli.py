@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out-prefix", required=True)
 
     report = sub.add_parser("report", help="render a saved JSON bundle")
-    report.add_argument("--bundle", required=True, help="bundle JSON from analyze")
+    report.add_argument("--bundle", required=True, help="bundle JSON from analyze, or - for stdin")
     report.add_argument("--out", default="-")
 
     return parser
@@ -127,8 +127,7 @@ def _cmd_analyze(args) -> int:
         exponent_min=args.sw_exponent_min,
     )
     config = _config_from_args(args, rel_tolerance=args.rel_tolerance, thresholds=thresholds)
-    data = _read_input(args.input)
-    bundle = run_analysis(config, input_bytes=data)
+    bundle = run_analysis(config, _read_input(args.input))
     text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
     _write_output(args.out, text)
     return EXIT_OK
@@ -175,9 +174,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    data = _read_input(args.bundle)
     try:
-        with open(args.bundle, encoding="utf-8") as handle:
-            text = _render_report(json.load(handle))
+        text = _render_report(json.loads(data.decode("utf-8")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.bundle}: not a netevolve bundle ({exc!r})") from exc
     _write_output(args.out, text)
@@ -225,31 +224,30 @@ def _emit_error(stage: str, message: str) -> None:
     sys.stderr.write(json.dumps({"stage": stage, "error": message}) + "\n")
 
 
+# (fault type, stage when no pipeline stage names one, exit code), first
+# match wins. A PipelineError keeps its stage and is looked up by its cause,
+# exiting 4 when no row matches; any other exception propagates.
+_FAULTS = (
+    (ParseError, "parse", EXIT_PARSE),
+    (UnicodeDecodeError, "parse", EXIT_PARSE),
+    (OSError, "io", EXIT_PARSE),
+    (UndefinedMetricError, "analysis", EXIT_ANALYSIS),
+    (InsufficientDataError, "analysis", EXIT_ANALYSIS),
+    (ValueError, "config", EXIT_CONFIG),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except PipelineError as exc:
-        cause = exc.__cause__
-        _emit_error(exc.stage, str(cause) if cause else str(exc))
-        if isinstance(cause, (ParseError, OSError, UnicodeDecodeError)):
-            return EXIT_PARSE
-        if isinstance(cause, ValueError):
-            return EXIT_CONFIG
-        return EXIT_ANALYSIS
-    except ParseError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
-    except OSError as exc:
-        _emit_error("io", str(exc))
-        return EXIT_PARSE
-    except (UndefinedMetricError, InsufficientDataError) as exc:
-        _emit_error("analysis", str(exc))
-        return EXIT_ANALYSIS
-    except ValueError as exc:
-        _emit_error("config", str(exc))
-        return EXIT_CONFIG
+    except (PipelineError, *(kind for kind, _, _ in _FAULTS)) as exc:
+        in_stage = isinstance(exc, PipelineError)
+        fault = (exc.__cause__ or exc) if in_stage else exc
+        rows = (row for row in _FAULTS if isinstance(fault, row[0]))
+        _, stage, code = next(rows, (None, None, EXIT_ANALYSIS))
+        _emit_error(exc.stage if in_stage else stage, str(fault))
+        return code
 
 
 def entrypoint() -> None:

@@ -1,4 +1,5 @@
-"""File ingestion: edge-event CSV and publication JSON Lines.
+"""Parsing of decoded edge-event CSV and publication JSON Lines text;
+`pipeline.load_snapshots` decodes an input file's bytes and calls these.
 
 Edge events use a `time,a,b,weight` CSV (weight optional, default 1).
 Publications are one JSON object per line: {"pub_id", "date", "authors"}.
@@ -81,12 +82,12 @@ def _decode_event(row: list[str]) -> InteractionEvent:
     if len(row) < 3:
         raise ValueError("too few fields")
     time = parse_timestamp(row[0])
-    try:
-        weight = int(row[3]) if len(row) >= 4 and row[3].strip() else 1
-    except ValueError:
+    weight = row[3].strip() if len(row) >= 4 else ""
+    # int() would also take "1_000", "+2" and non-ASCII digits
+    if weight and not (weight.isascii() and weight.removeprefix("-").isdigit()):
         InteractionEvent(time, row[1], row[2])  # an empty label is the earlier fault
-        raise ValueError(f"bad weight {row[3]!r}") from None
-    event = InteractionEvent(time, row[1], row[2], weight)
+        raise ValueError(f"bad weight {row[3]!r}")
+    event = InteractionEvent(time, row[1], row[2], int(weight) if weight else 1)
     if event.a == event.b:
         raise _Noise(f"self-loop on {event.a!r}")
     return event
@@ -111,13 +112,6 @@ def parse_edge_events_text(
     return _parse_records(rows[1:], _decode_event, source, "row", attrgetter("time"))
 
 
-def parse_edge_events(path: str) -> tuple[list[InteractionEvent], list[str]]:
-    """Read and parse an edge-event CSV file (UTF-8, with or without a BOM)."""
-    with open(path, encoding="utf-8-sig") as handle:
-        text = handle.read()
-    return parse_edge_events_text(text, source=path)
-
-
 def format_timestamp(t: Timestamp) -> str:
     return t.isoformat() if isinstance(t, datetime) else repr(t)
 
@@ -137,10 +131,14 @@ def write_edge_events_text(events: Iterable[InteractionEvent]) -> str:
 
 
 def _json_texts(values: list, field: str) -> tuple[str, ...]:
-    """JSON strings and numbers as text; a null, boolean, array or object fails."""
+    """JSON strings and finite numbers as text; a null, boolean, array,
+    object, NaN or infinity (a token or an overflowing number) fails."""
     for value in values:
-        if type(value) not in _TEXT_TYPES:
+        kind = type(value)
+        if kind not in _TEXT_TYPES:
             raise ValueError(f"{field} {json.dumps(value)} is not a string or number")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{field} {json.dumps(value)} is not finite")
     return tuple(map(str, values))
 
 
@@ -159,6 +157,8 @@ def parse_publications_text(
         try:
             obj = json.loads(line)
             pub_id = _json_texts([obj["pub_id"]], "pub_id")[0].strip()
+            if not pub_id:
+                raise ValueError("blank pub_id")
             date = parse_timestamp(str(obj["date"]))
             authors = obj["authors"]
         except (KeyError, TypeError) as exc:
@@ -178,8 +178,3 @@ def parse_publications_text(
     lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
     return _parse_records(lines, decode, source, "record", attrgetter("date"))
 
-
-def parse_publications(path: str) -> tuple[list[PublicationRecord], list[str]]:
-    with open(path, encoding="utf-8-sig") as handle:
-        text = handle.read()
-    return parse_publications_text(text, source=path)

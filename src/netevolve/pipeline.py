@@ -112,9 +112,10 @@ def _per_period(
 
 
 def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnapshot], list[str]]:
-    """Decode input bytes (UTF-8, with or without a byte-order mark), parse
-    them per config.kind and slice them into snapshots; returns (snapshots,
-    ingest warnings). Any failure is a PipelineError at stage "ingest"."""
+    """The one route from an input file's bytes to snapshots: decode them
+    (UTF-8, with or without a byte-order mark), parse them per config.kind
+    and slice them. Returns (snapshots, ingest warnings); any failure is a
+    PipelineError at stage "ingest"."""
     try:
         text = data.decode("utf-8-sig")
         events, records = [], []
@@ -138,20 +139,11 @@ def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnaps
     return snapshots, warnings
 
 
-def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) -> ReportBundle:
-    """Run the full pipeline; deterministic for fixed inputs and config.
-
-    Any stage failure is wrapped in PipelineError naming the stage. When
-    input_bytes is None the input is read from config.input_path.
-    """
-    if input_bytes is None:
-        try:
-            with open(config.input_path, "rb") as handle:
-                input_bytes = handle.read()
-        except OSError as exc:
-            raise PipelineError("ingest", str(exc)) from exc
-
-    snapshots, warnings = load_snapshots(config, input_bytes)
+def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
+    """Run the full pipeline on the input's bytes, which config.input_path
+    only names; deterministic for fixed bytes and config. Any stage failure
+    is wrapped in PipelineError naming the stage."""
+    snapshots, warnings = load_snapshots(config, data)
 
     try:
         per_period = [_per_period(s, config.thresholds) for s in snapshots]
@@ -172,7 +164,7 @@ def run_analysis(config: AnalysisConfig, input_bytes: Optional[bytes] = None) ->
         raise PipelineError("evolution", str(exc)) from exc
 
     provenance = {
-        "input_digest": hashlib.sha256(input_bytes).hexdigest(),
+        "input_digest": hashlib.sha256(data).hexdigest(),
         "input_path": config.input_path,
         "kind": config.kind,
         "config": {

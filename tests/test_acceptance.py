@@ -250,6 +250,7 @@ def test_criterion_9_determinism():
             "2009-02-07T16:00", "2009-02-08T00:00",
         )
     ]
+    data = (resources.files("netevolve") / "data" / "disaster_events.csv").read_bytes()
 
     def bundle():
         config = AnalysisConfig(
@@ -257,7 +258,7 @@ def test_criterion_9_determinism():
             breakpoints=breakpoints,
             labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
         )
-        return run_analysis(config)
+        return run_analysis(config, data)
 
     first, second = bundle(), bundle()
     ok = (

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -142,13 +143,15 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
     def test_proxies_match_per_snapshot_recomputation(self, config):
-        snapshots, _ = load_snapshots(config, Path(config.input_path).read_bytes())
-        proxies = run_analysis(config).proxies
+        data = Path(config.input_path).read_bytes()
+        snapshots, _ = load_snapshots(config, data)
+        proxies = run_analysis(config, data).proxies
         assert [astuple(p) for p in proxies] == proxies_by_recomputation(snapshots)
 
     def test_fit_powerlaw_runs_once_per_period(self, monkeypatch):
         calls = count_fits(monkeypatch)
-        bundle = run_analysis(sample_configs()[1])
+        config = sample_configs()[1]
+        bundle = run_analysis(config, Path(config.input_path).read_bytes())
         assert len(bundle.rows) == 10
         assert len(calls) == len(bundle.rows)
 
@@ -180,7 +183,7 @@ class TestAnalyze:
             config = AnalysisConfig(
                 input_path=path, breakpoints=[datetime.datetime(2009, 2, 8)]
             )
-            bundle = run_analysis(config)
+            bundle = run_analysis(config, Path(path).read_bytes())
             digests.append(bundle.provenance["input_digest"])
         assert digests[0] != digests[1]
 
@@ -289,6 +292,17 @@ class TestReport:
         assert err["stage"] == "parse"
         assert str(bundle_path) in err["error"]
 
+    def test_reads_bundle_from_stdin(self, tmp_path, monkeypatch, capsys):
+        bundle_path = tmp_path / "bundle.json"
+        args = ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS, "--format", "json"]
+        assert main(["analyze", *args, "--out", str(bundle_path)]) == 0
+        assert main(["report", "--bundle", str(bundle_path)]) == 0
+        from_file = capsys.readouterr().out
+        stdin = io.TextIOWrapper(io.BytesIO(bundle_path.read_bytes()))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["report", "--bundle", "-"]) == 0
+        assert capsys.readouterr() == (from_file, "")
+
 
 class TestIgnoredOptions:
     """Options that would change nothing are refused, not silently dropped."""
@@ -376,8 +390,106 @@ class TestReadme:
         assert [(s.n_actors, s.n_links, s.sum_links) for s in by_year] == [(3, 3, 3), (5, 4, 4)]
 
 
+FAULT_INPUTS = {
+    "latin1.csv": "time,a,b\n1,A,Bj\xf6rk\n".encode("latin-1"),
+    "bad.csv": b"time,a,b\nbad,A,B\nworse,B,C\n",
+    "mixed.csv": b"time,a,b\n1,A,B\n2009-02-07,B,C\n",
+    "pair.csv": b"time,a,b\n1,A,B\n",
+    "solo.jsonl": b'{"pub_id": "P1", "date": "2005-01-01", "authors": ["A"]}\n',
+    "object.json": b"{}",
+    "list.json": b"[1, 2]",
+    "text.json": b"not json",
+    "latin1.json": '{"rows": "\xf6"}'.encode("latin-1"),
+}
+
+FAULT_CONTRACT = [
+    pytest.param("analyze", ["--input", "missing.csv"], 3, "io", id="analyze-missing"),
+    pytest.param("analyze", ["--input", "latin1.csv"], 3, "ingest", id="analyze-not-utf-8"),
+    pytest.param("analyze", ["--input", "bad.csv"], 3, "ingest", id="analyze-bad-rows"),
+    pytest.param("analyze", ["--input", "mixed.csv"], 3, "ingest", id="analyze-mixed-times"),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--breakpoints", "5,2009-01-01"], 2, "config",
+        id="analyze-mixed-breakpoints",
+    ),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--breakpoints", "1,2", "--labels", "A"], 2, "config",
+        id="analyze-label-count",
+    ),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--breakpoints", ""], 2, "config",
+        id="analyze-empty-breakpoints",
+    ),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--rel-tolerance", "0"], 2, "config",
+        id="analyze-tolerance-zero",
+    ),
+    pytest.param(
+        "analyze", ["--input", "pair.csv", "--yearly"], 2, "ingest", id="analyze-yearly-numeric"
+    ),
+    pytest.param(
+        "analyze", ["--input", "solo.jsonl", "--kind", "publications"], 4, "metrics",
+        id="analyze-single-author",
+    ),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--out", "missing/report.csv"], 3, "io",
+        id="analyze-unwritable-out",
+    ),
+    pytest.param("fit", ["--input", "pair.csv"], 4, "analysis", id="fit-one-point"),
+    pytest.param(
+        "fit",
+        ["--input", DISASTER, "--breakpoints", "2009-02-08T00:00", "--labels", "a/b"],
+        2,
+        "config",
+        id="fit-label-separator",
+    ),
+    pytest.param("fit", ["--input", "missing.csv"], 3, "io", id="fit-missing"),
+    pytest.param("fit", ["--input", "latin1.csv"], 3, "ingest", id="fit-not-utf-8"),
+    pytest.param("report", ["--bundle", "object.json"], 3, "parse", id="report-empty-object"),
+    pytest.param("report", ["--bundle", "list.json"], 3, "parse", id="report-list"),
+    pytest.param("report", ["--bundle", "text.json"], 3, "parse", id="report-not-json"),
+    pytest.param("report", ["--bundle", "latin1.json"], 3, "parse", id="report-not-utf-8"),
+    pytest.param("report", ["--bundle", "missing.json"], 3, "io", id="report-missing"),
+    pytest.param("generate", ["--model", "er", "-n", "5"], 2, "config", id="generate-er-no-p"),
+    pytest.param(
+        "generate", ["--model", "ws", "-n", "3", "--k", "4"], 2, "config", id="generate-ws-k-too-big"
+    ),
+]
+
+
 class TestExitCodes:
     TWO_PERIODS = "2009-02-07T13:05,2009-02-08T00:00"
+
+    @pytest.mark.parametrize("command, args, code, stage", FAULT_CONTRACT)
+    def test_fault_contract(self, tmp_path, monkeypatch, capsys, command, args, code, stage):
+        """Each fault exits with its documented code and stage, and writes
+        nothing: no output file and nothing on stdout."""
+        for name, data in FAULT_INPUTS.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        out = ["--out-prefix" if command == "fit" else "--out", "out"]
+        assert main([command, *out, *args]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["stage"] == stage
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unlisted_faults(self, monkeypatch, capsys):
+        """A stage failure whose cause has no fault row exits 4 at that stage;
+        an exception with no row raised outside a stage propagates."""
+
+        def fail(error):
+            def raiser(*args):
+                raise error
+
+            return raiser
+
+        monkeypatch.setattr("netevolve.pipeline.metrics_row", fail(RuntimeError("boom")))
+        assert main(["analyze", "--input", DISASTER]) == 4
+        assert json.loads(capsys.readouterr().err) == {"stage": "metrics", "error": "boom"}
+        monkeypatch.setattr("netevolve.cli.erdos_renyi", fail(TypeError("stray")))
+        with pytest.raises(TypeError, match="stray"):
+            main(["generate", "--model", "er", "-n", "5", "--p", "0.5"])
 
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["analyze", "--input", "/nonexistent/x.csv"]) == 3
@@ -502,7 +614,7 @@ class TestDeterminism:
             ],
             labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
         )
-        return run_analysis(config)
+        return run_analysis(config, Path(DISASTER).read_bytes())
 
     def test_repeat_runs_byte_identical(self):
         a, b = self._bundle(), self._bundle()

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from conftest import random_snapshot
 from oracles import cumulative_snapshots_brute
 from netevolve import (
+    AnalysisConfig,
     GraphSnapshot,
     InteractionEvent,
     PublicationRecord,
     build_cumulative_snapshots,
     giant_component,
-    parse_edge_events,
+    load_snapshots,
 )
 
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
@@ -183,16 +184,18 @@ class TestDisasterSample:
     def disaster_snapshots(self):
         import importlib.resources as resources
 
-        path = str(resources.files("netevolve") / "data" / "disaster_events.csv")
-        evs, warnings = parse_edge_events(path)
-        assert not warnings
-        breakpoints = [
-            __import__("datetime").datetime.fromisoformat(b)
-            for b in DISASTER_BREAKPOINTS.split(",")
-        ]
-        return build_cumulative_snapshots(
-            evs, breakpoints, ["T1", "T1-T2", "T1-T3", "T1-T4"]
+        path = resources.files("netevolve") / "data" / "disaster_events.csv"
+        config = AnalysisConfig(
+            input_path=str(path),
+            breakpoints=[
+                __import__("datetime").datetime.fromisoformat(b)
+                for b in DISASTER_BREAKPOINTS.split(",")
+            ],
+            labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
         )
+        snapshots, warnings = load_snapshots(config, path.read_bytes())
+        assert not warnings
+        return snapshots
 
 
 class TestSnapshotInvariants:

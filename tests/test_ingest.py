@@ -13,7 +13,6 @@ from netevolve import (
     PublicationRecord,
     build_cumulative_snapshots,
     metrics_row,
-    parse_edge_events,
     parse_edge_events_text,
     parse_publications_text,
     parse_timestamp,
@@ -38,6 +37,11 @@ class TestParseTimestamp:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_timestamp("yesterday-ish")
+
+    def test_zulu_suffix_is_utc(self):
+        value = parse_timestamp("2005-03-01T10:00:00Z")
+        assert value == datetime(2005, 3, 1, 10, tzinfo=timezone.utc)
+        assert value.utcoffset() == timedelta(0)
 
 
 class TestParseEdgeEvents:
@@ -102,10 +106,6 @@ class TestParseEdgeEvents:
     def test_mixed_time_kinds_rejected(self):
         with pytest.raises(ParseError):
             parse_edge_events_text("time,a,b\n1,A,B\n2009-02-07,B,C\n")
-
-    def test_unreadable_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
-            parse_edge_events(str(tmp_path / "missing.csv"))
 
     def test_shuffled_file_builds_identical_snapshots(self):
         rows = [f"{t},x{i % 5},y{(i * 3) % 7}" for i, t in enumerate(range(30))]
@@ -265,6 +265,10 @@ WARNING_TABLE = [
     ("csv", "1,A,B,0", "weight 0 < 1", True),
     ("csv", "1,A,A,0", "weight 0 < 1", True),
     ("csv", "1,A,A,zz", "bad weight 'zz'", True),
+    ("csv", "1,A,B,1_000", "bad weight '1_000'", True),
+    ("csv", "2,A,C,\u0663", "bad weight '\u0663'", True),
+    ("csv", "4,A,E,+2", "bad weight '+2'", True),
+    ("csv", "1,A,B,-3", "weight -3 < 1", True),
     ("csv", "1,A, A ", "self-loop on 'A'", False),
     ("jsonl", "not json", "Expecting value: line 1 column 1 (char 0)", True),
     ("jsonl", '{"date": "2005-01-01", "authors": ["A"]}', "'pub_id'", True),
@@ -276,6 +280,25 @@ WARNING_TABLE = [
     ("jsonl", _pub(date="nan"), "non-finite time 'nan'", True),
     ("jsonl", _pub(date="nan", authors=[]), "non-finite time 'nan'", True),
     ("jsonl", _pub(authors="A,B"), "authors must be a list", True),
+    ("jsonl", _pub(authors=[float("nan"), "A"]), "author NaN is not finite", True),
+    ("jsonl", _pub(authors=["A", float("inf")]), "author Infinity is not finite", True),
+    ("jsonl", _pub(authors=["A", float("-inf")]), "author -Infinity is not finite", True),
+    ("jsonl", _pub(pub_id=float("nan")), "pub_id NaN is not finite", True),
+    (
+        "jsonl",
+        '{"pub_id": 1.5e400, "date": "2005-01-01", "authors": ["A"]}',
+        "pub_id Infinity is not finite",
+        True,
+    ),
+    (
+        "jsonl",
+        '{"pub_id": "P", "date": "2005-01-01", "authors": ["A", -1e999]}',
+        "author -Infinity is not finite",
+        True,
+    ),
+    ("jsonl", _pub(pub_id=""), "blank pub_id", True),
+    ("jsonl", _pub(pub_id=" "), "blank pub_id", True),
+    ("jsonl", _pub(pub_id="", authors=[float("nan"), float("inf"), "A"]), "blank pub_id", True),
     ("jsonl", _pub(authors=[]), "empty author list", False),
     ("jsonl", _pub(authors=[" ", ""]), "empty author list", False),
     ("jsonl", _pub(pub_id=" G0 "), "duplicate pub_id 'G0'", False),
