@@ -160,9 +160,9 @@ def _cmd_fit(args) -> int:
         if any(sep and sep in label for sep in (os.sep, os.altsep)):
             raise ValueError(f"fit label {label!r} must not contain a path separator")
     snapshots, _ = load_snapshots(config, _read_input(args.input))
-    for snapshot in snapshots:
-        hist = degree_histogram(snapshot)
-        fit = fit_powerlaw(hist)
+    hists = [degree_histogram(snapshot) for snapshot in snapshots]
+    fits = [fit_powerlaw(hist) for hist in hists]  # all before any output, so a fault leaves none
+    for snapshot, hist, fit in zip(snapshots, hists, fits):
         points_csv, line_csv = fit_plot_csv(hist, fit)
         _write_output(f"{args.out_prefix}_{snapshot.label}_points.csv", points_csv)
         _write_output(f"{args.out_prefix}_{snapshot.label}_line.csv", line_csv)
@@ -177,6 +177,9 @@ def _cmd_report(args) -> int:
     data = _read_input(args.bundle)
     try:
         text = _render_report(json.loads(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        # its repr would echo the whole input
+        raise ParseError(f"{args.bundle}: not UTF-8 at byte {exc.start} ({exc.reason})") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.bundle}: not a netevolve bundle ({exc!r})") from exc
     _write_output(args.out, text)

@@ -269,9 +269,8 @@ def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[in
         levels.append(frontier)
 
 
-def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
-    """Indices of the giant component and the deepest BFS level reached from
-    any component's first actor.
+def _giant(adj: list[list[int]]) -> list[int]:
+    """Indices of the largest connected component.
 
     On a size tie the first component discovered wins: over the sorted actor
     list, the one holding the smallest label.
@@ -279,7 +278,7 @@ def _giant_and_depth(adj: list[list[int]]) -> tuple[list[int], int]:
     seen = [False] * len(adj)
     components = [_levels(adj, start, seen) for start in range(len(adj)) if not seen[start]]
     largest = max(components, key=lambda levels: sum(map(len, levels)), default=[])
-    return list(chain.from_iterable(largest)), max(map(len, components), default=1) - 1
+    return list(chain.from_iterable(largest))
 
 
 def giant_component(s: GraphSnapshot) -> GraphSnapshot:
@@ -292,6 +291,6 @@ def giant_component(s: GraphSnapshot) -> GraphSnapshot:
     if not s.actors:
         return s
     order, adj = _indexed(s)
-    best = {order[i] for i in _giant_and_depth(adj)[0]}
+    best = {order[i] for i in _giant(adj)}
     edges = {pair: w for pair, w in s.edges.items() if pair[0] in best}
     return GraphSnapshot(s.label, frozenset(best), edges)

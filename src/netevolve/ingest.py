@@ -18,6 +18,7 @@ import io
 import json
 import math
 from datetime import datetime
+from functools import cache, partial
 from operator import attrgetter
 from typing import Iterable
 
@@ -30,20 +31,22 @@ _TEXT_TYPES = frozenset({str, int, float})
 
 
 def parse_timestamp(text: str) -> Timestamp:
-    """Parse an integer, finite float, or ISO-8601 timestamp."""
+    """Parse an ASCII integer or finite float (no `_`, no `+`), or an ISO-8601 timestamp."""
     raw = text.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        value = float(raw)
-    except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite time {text!r}")
-        return value
+    # int() and float() alone would also take "1_000", "+5" and non-ASCII digits
+    if raw.isascii() and "_" not in raw and not raw.startswith("+"):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+        try:
+            value = float(raw)
+        except ValueError:
+            pass
+        else:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite time {text!r}")
+            return value
     try:
         return datetime.fromisoformat(raw)
     except ValueError:
@@ -78,10 +81,10 @@ def _parse_records(lines, decode, source, noun, time_of):
     return records, warnings
 
 
-def _decode_event(row: list[str]) -> InteractionEvent:
+def _decode_event(row: list[str], parse_time) -> InteractionEvent:
     if len(row) < 3:
         raise ValueError("too few fields")
-    time = parse_timestamp(row[0])
+    time = parse_time(row[0])
     weight = row[3].strip() if len(row) >= 4 else ""
     # int() would also take "1_000", "+2" and non-ASCII digits
     if weight and not (weight.isascii() and weight.removeprefix("-").isdigit()):
@@ -109,7 +112,8 @@ def parse_edge_events_text(
     header = [cell.strip().lower() for cell in rows[0][1]]
     if header[:3] != ["time", "a", "b"]:
         raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0][1]!r}")
-    return _parse_records(rows[1:], _decode_event, source, "row", attrgetter("time"))
+    decode = partial(_decode_event, parse_time=cache(parse_timestamp))  # once per distinct time
+    return _parse_records(rows[1:], decode, source, "row", attrgetter("time"))
 
 
 def format_timestamp(t: Timestamp) -> str:
@@ -152,6 +156,7 @@ def parse_publications_text(
     or a duplicate pub_id are skipped with a warning.
     """
     seen_ids: set[str] = set()
+    parse_time = cache(parse_timestamp)  # once per distinct date
 
     def decode(line: str) -> PublicationRecord:
         try:
@@ -159,7 +164,7 @@ def parse_publications_text(
             pub_id = _json_texts([obj["pub_id"]], "pub_id")[0].strip()
             if not pub_id:
                 raise ValueError("blank pub_id")
-            date = parse_timestamp(str(obj["date"]))
+            date = parse_time(str(obj["date"]))
             authors = obj["authors"]
         except (KeyError, TypeError) as exc:
             raise ValueError(exc) from None

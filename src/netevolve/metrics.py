@@ -7,9 +7,9 @@ math.fsum is used for floating reductions, so results are bit-identical
 regardless of input ordering.
 
 Diameter, average distance, betweenness and closeness all read one
-all-sources pass per snapshot (_all_sources). It runs on a dense
-scipy.sparse kernel for short-diameter graphs and on the pure-Python
-reference otherwise.
+all-sources pass per snapshot (_all_sources). It runs on a batched numpy
+kernel for graphs with 64 actors or more and at least one link, and on the
+pure-Python reference otherwise.
 
 Two density variants are reported side by side: the weighted form
 2W/(N(N-1)) over the total interaction count W (the headline figure for
@@ -20,12 +20,13 @@ collaboration logs, which may exceed 1) and the standard simple form
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional
 
 from .errors import UndefinedMetricError
-from .graph_core import GraphSnapshot, _giant_and_depth, _indexed, _levels
+from .graph_core import GraphSnapshot, _giant, _indexed, _levels
 
 
 @dataclass(frozen=True)
@@ -112,81 +113,100 @@ def _reference_pass(adj: list[list[int]]) -> tuple[list[float], list[int], list[
 
 # float64 counts paths exactly only below 2**53.
 _SIGMA_EXACT = 2.0**53
-_DENSE_BATCH = 64
-# Dense work per source is about depth * (N + 2L) element operations against
-# 2L interpreted edge visits for Python; below this ratio the dense kernel wins.
-_DENSE_MAX_COST = 32
-# Below this many actors the Python pass takes milliseconds, less than
-# importing numpy and scipy.sparse.
-_DENSE_MIN_ACTORS = 64
+# Below this many actors the Python pass takes less time than importing numpy.
+_NUMPY_MIN_ACTORS = 64
 
 
-def _use_dense(n: int, nnz: int, depth: int) -> bool:
-    """Pick the dense kernel for graphs with many actors and short paths."""
-    return n >= _DENSE_MIN_ACTORS and nnz > 0 and depth * (n + nnz) <= _DENSE_MAX_COST * nnz
+def _frontier_pass(adj: list[list[int]], batch: int = 64, pushes=operator.le):
+    """Batched Brandes in numpy that touches only each level's frontier.
 
-
-def _dense_pass(adj: list[list[int]], batch: int = _DENSE_BATCH):
-    """Batched level-synchronous Brandes on scipy.sparse.
-
-    Each batch of sources is a dense N x b block. Forward levels multiply the
-    sparse adjacency by the frontier's path counts; backward levels push
-    (1 + delta) / sigma one level up. Returns the same tuple as
-    _reference_pass, or None when a path count reaches 2**53 and float64 can
-    no longer hold it exactly.
+    A block of sources is one flat array of (source, actor) slots. Each
+    forward level steps along the frontier's edges (push) or along the
+    unvisited slots' edges (pull): `pushes(frontier_deg, unvisited_deg)`
+    decides, and by default the smaller degree sum wins (Beamer, Asanovic &
+    Patterson 2012). The level's shortest-path DAG edges are kept; path
+    counts forward and dependencies backward take one bincount per level.
+    Returns the same tuple as _reference_pass, or None when a path count
+    reaches 2**53 and float64 can no longer hold it exactly.
     """
     import numpy as np
-    from scipy import sparse
 
     n = len(adj)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(nbrs) for nbrs in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
-    a = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    starts = np.cumsum(deg) - deg
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
+
+    def expand(slots, actors):
+        """Each edge out of `slots`: its row in `slots` and the slot it reaches."""
+        counts = deg[actors]
+        rows = np.repeat(np.arange(len(slots)), counts)
+        first = np.repeat(starts[actors] - np.cumsum(counts) + counts, counts)
+        return rows, np.repeat(slots - actors, counts) + indices[np.arange(len(rows)) + first]
+
     scores = np.zeros(n)
-    reach = np.empty(n, dtype=np.int64)
-    dist_sum = np.empty(n, dtype=np.int64)
-    ecc = np.empty(n, dtype=np.int64)
+    stats = np.zeros((3, n), dtype=np.int64)  # per source: reach, distance sum, eccentricity
     for lo in range(0, n, batch):
-        hi = min(lo + batch, n)
-        sources = (np.arange(lo, hi), np.arange(hi - lo))
-        dist = np.full((n, hi - lo), -1, dtype=np.int64)
-        dist[sources] = 0
-        sigma = np.zeros((n, hi - lo))
-        sigma[sources] = 1.0
-        frontier = sigma.copy()
-        depth = 0
-        while True:
-            paths = a @ frontier
-            new = (paths > 0.0) & (dist < 0)
-            if not new.any():
+        b = min(batch, n - lo)
+        # slot j*n + v holds actor v as seen from source lo + j
+        frontier, actors = np.arange(b) * (n + 1) + lo, np.arange(lo, lo + b)
+        dist = np.full(b * n, -1, dtype=np.int32)
+        row = np.empty(b * n, dtype=np.int64)  # a visited slot's row in its level
+        dist[frontier], row[frontier] = 0, np.arange(b)
+        # per level: its actors, their path counts, and the tail and head rows of
+        # the DAG edges into it
+        levels = [(actors, np.ones(b), None, None)]
+        unvisited = None
+        frontier_deg = int(deg[actors].sum())
+        unvisited_deg = b * len(indices) - frontier_deg
+        # a new slot is an unvisited one with an edge to the frontier
+        while frontier_deg and unvisited_deg:
+            depth = len(levels)
+            if pushes(frontier_deg, unvisited_deg):
+                tails, heads = expand(frontier, actors)
+                edges = np.flatnonzero(dist[heads] < 0)
+                tails, heads = tails[edges], heads[edges]
+            else:
+                live = np.flatnonzero(dist < 0) if unvisited is None else unvisited
+                unvisited = live[dist[live] < 0]
+                heads, tails = expand(unvisited, unvisited % n)
+                edges = np.flatnonzero(dist[tails] == depth - 1)
+                tails, heads = row[tails[edges]], unvisited[heads[edges]]
+            # one edge per head slot keeps its own index, whichever write wins
+            order = np.arange(len(heads))
+            row[heads] = order
+            frontier = np.sort(heads[row[heads] == order])
+            if not len(frontier):
                 break
-            depth += 1
-            dist[new] = depth
-            frontier = np.where(new, paths, 0.0)
-            sigma += frontier
-        if sigma.max() >= _SIGMA_EXACT:
-            return None
-        reached = dist >= 0
-        reach[lo:hi] = reached.sum(axis=0)
-        dist_sum[lo:hi] = np.where(reached, dist, 0).sum(axis=0)
-        ecc[lo:hi] = dist.max(axis=0)
-        delta = np.zeros_like(sigma)
-        for level in range(depth, 0, -1):
-            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
-            delta += np.where(dist == level - 1, sigma * (a @ share), 0.0)
-        scores += np.where(dist > 0, delta, 0.0).sum(axis=1)
-    return scores.tolist(), reach.tolist(), dist_sum.tolist(), ecc.tolist()
+            row[frontier] = np.arange(len(frontier))
+            heads = row[heads]
+            sigma = np.bincount(heads, weights=levels[-1][1][tails], minlength=len(frontier))
+            if sigma.max() >= _SIGMA_EXACT:
+                return None
+            dist[frontier] = depth
+            actors = frontier % n
+            levels.append((actors, sigma, tails, heads))
+            frontier_deg = int(deg[actors].sum())
+            unvisited_deg -= frontier_deg
+        hops = dist.reshape(b, n)  # -1 where unreached
+        stats[:, lo : lo + b] = (hops >= 0).sum(1), np.maximum(hops, 0).sum(1), hops.max(1)
+        delta = np.zeros(len(levels[-1][0]))
+        for depth in range(len(levels) - 1, 0, -1):
+            actors, sigma, tails, heads = levels[depth]
+            scores += np.bincount(actors, weights=delta, minlength=n)
+            up_sigma = levels[depth - 1][1]
+            terms = up_sigma[tails] / sigma[heads] * (1.0 + delta[heads])
+            delta = np.bincount(tails, weights=terms, minlength=len(up_sigma))
+    return scores.tolist(), *stats.tolist()
 
 
 def _all_sources(s: GraphSnapshot) -> _PathPass:
     """The one all-sources pass every path-based measure reads from."""
     order, adj = _indexed(s)
-    giant, depth = _giant_and_depth(adj)
-    if _use_dense(len(adj), 2 * s.n_links, depth):
-        result = _dense_pass(adj)
+    giant = _giant(adj)
+    if len(adj) >= _NUMPY_MIN_ACTORS and s.n_links:
+        result = _frontier_pass(adj)
         if result is not None:
-            return _PathPass(order, *result, giant, "dense")
+            return _PathPass(order, *result, giant, "numpy")
     return _PathPass(order, *_reference_pass(adj), giant, "python")
 
 

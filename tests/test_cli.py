@@ -292,6 +292,17 @@ class TestReport:
         assert err["stage"] == "parse"
         assert str(bundle_path) in err["error"]
 
+    def test_bad_bytes_error_names_the_offset(self, tmp_path, capsys):
+        bundle_path = tmp_path / "big.json"
+        bundle_path.write_bytes(b'{"rows": "' + b"x" * 100_000 + b'\xff"}')
+        assert main(["report", "--bundle", str(bundle_path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err) < 300
+        assert json.loads(err) == {
+            "stage": "parse",
+            "error": f"{bundle_path}: not UTF-8 at byte 100010 (invalid start byte)",
+        }
+
     def test_reads_bundle_from_stdin(self, tmp_path, monkeypatch, capsys):
         bundle_path = tmp_path / "bundle.json"
         args = ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS, "--format", "json"]
@@ -395,6 +406,7 @@ FAULT_INPUTS = {
     "bad.csv": b"time,a,b\nbad,A,B\nworse,B,C\n",
     "mixed.csv": b"time,a,b\n1,A,B\n2009-02-07,B,C\n",
     "pair.csv": b"time,a,b\n1,A,B\n",
+    "triangle.csv": b"time,a,b\n1,A,B\n2,B,C\n3,C,A\n",
     "solo.jsonl": b'{"pub_id": "P1", "date": "2005-01-01", "authors": ["A"]}\n',
     "object.json": b"{}",
     "list.json": b"[1, 2]",
@@ -435,6 +447,10 @@ FAULT_CONTRACT = [
         id="analyze-unwritable-out",
     ),
     pytest.param("fit", ["--input", "pair.csv"], 4, "analysis", id="fit-one-point"),
+    pytest.param(
+        "fit", ["--input", "triangle.csv", "--breakpoints", "2,3"], 4, "analysis",
+        id="fit-later-period-one-point",
+    ),
     pytest.param(
         "fit",
         ["--input", DISASTER, "--breakpoints", "2009-02-08T00:00", "--labels", "a/b"],

@@ -38,6 +38,36 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("yesterday-ish")
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("-3", -3), ("007", 7), (".5", 0.5), ("1.", 1.0), ("1e3", 1000.0), ("-2.5E-1", -0.25)],
+    )
+    def test_ascii_numerals(self, text, value):
+        parsed = parse_timestamp(text)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("text", ["1_000", "+5", "\u0663", "1_0.5", "0x10", "1e", "-", "."])
+    def test_lax_numerals_are_unparseable(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"unparseable time {text!r}")):
+            parse_timestamp(text)
+
+    def test_each_distinct_time_is_parsed_once_per_file(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_timestamp(text)
+
+        monkeypatch.setattr("netevolve.ingest.parse_timestamp", counted)
+        rows = "".join(f"{i % 3},A,B{i}\n" for i in range(30))
+        events, _ = parse_edge_events_text("time,a,b\n" + rows)
+        assert [e.time for e in events] == [i % 3 for i in range(30)]
+        assert sorted(calls) == ["0", "1", "2"]
+        lines = [json.dumps({"pub_id": f"P{i}", "date": f"200{i % 2}", "authors": ["A"]}) for i in range(6)]
+        records, _ = parse_publications_text("\n".join(lines))
+        assert [r.date for r in records] == [2000, 2001] * 3
+        assert sorted(calls[3:]) == ["2000", "2001"]
+
     def test_zulu_suffix_is_utc(self):
         value = parse_timestamp("2005-03-01T10:00:00Z")
         assert value == datetime(2005, 3, 1, 10, tzinfo=timezone.utc)
@@ -270,6 +300,11 @@ WARNING_TABLE = [
     ("csv", "4,A,E,+2", "bad weight '+2'", True),
     ("csv", "1,A,B,-3", "weight -3 < 1", True),
     ("csv", "1,A, A ", "self-loop on 'A'", False),
+    ("csv", "1_000,A,B", "unparseable time '1_000'", True),
+    ("csv", "+5,A,B", "unparseable time '+5'", True),
+    ("csv", "\u0663,A,B", "unparseable time '\u0663'", True),
+    ("csv", "1_0.5,A,B", "unparseable time '1_0.5'", True),
+    ("csv", "1e999,A,B", "non-finite time '1e999'", True),
     ("jsonl", "not json", "Expecting value: line 1 column 1 (char 0)", True),
     ("jsonl", '{"date": "2005-01-01", "authors": ["A"]}', "'pub_id'", True),
     ("jsonl", '{"pub_id": "P", "authors": ["A"]}', "'date'", True),
@@ -279,6 +314,7 @@ WARNING_TABLE = [
     ("jsonl", _pub(date="yesterday"), "unparseable time 'yesterday'", True),
     ("jsonl", _pub(date="nan"), "non-finite time 'nan'", True),
     ("jsonl", _pub(date="nan", authors=[]), "non-finite time 'nan'", True),
+    ("jsonl", _pub(date="+2005"), "unparseable time '+2005'", True),
     ("jsonl", _pub(authors="A,B"), "authors must be a list", True),
     ("jsonl", _pub(authors=[float("nan"), "A"]), "author NaN is not finite", True),
     ("jsonl", _pub(authors=["A", float("inf")]), "author Infinity is not finite", True),

@@ -122,6 +122,7 @@ def test_python_pass_matches_networkx(s):
     ids=["ba", "ws", "er"],
 )
 def test_dense_pass_matches_networkx(make):
+    """`dense` is the batched numpy kernel, as in tests/test_path_pass.py."""
     s = make()
-    assert _all_sources(s).kernel == "dense"
+    assert _all_sources(s).kernel == "numpy"
     _check_against_networkx(s)

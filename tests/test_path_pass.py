@@ -1,23 +1,34 @@
-"""The one all-sources pass: dense kernel against the pure-Python reference,
-the sigma precision guard, and the per-snapshot kernel choice."""
+"""The one all-sources pass: the numpy kernel against the pure-Python
+reference, its push and pull steps, the sigma precision guard, and the
+per-snapshot kernel choice.
+
+In test names, `dense` is the batched numpy kernel: it keeps each block of
+64 sources as a dense b*N array of (source, actor) slots.
+"""
+
+import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete, path_graph, star
-from netevolve import GraphSnapshot, betweenness, closeness, giant_component, path_stats
+from netevolve import GraphSnapshot, betweenness, closeness, giant_component, metrics, path_stats
 from netevolve.generators import barabasi_albert
-from netevolve.graph_core import _giant_and_depth, _indexed
-from netevolve.metrics import _all_sources, _dense_pass, _reference_pass, _use_dense
+from netevolve.graph_core import InteractionEvent, _indexed
+from netevolve.ingest import write_edge_events_text
+from netevolve.metrics import _all_sources, _frontier_pass, _reference_pass
 
 
 def _adjacency(s):
     return _indexed(s)[1]
 
 
-def _assert_agree(dense, reference):
-    scores, *integers = dense
+def _assert_agree(fast, reference):
+    scores, *integers = fast
     ref_scores, *ref_integers = reference
     assert integers == ref_integers
     assert len(scores) == len(ref_scores)
@@ -49,23 +60,52 @@ def graphs(draw):
     return GraphSnapshot.from_edge_list(kind, edges, extra_actors=isolated)
 
 
+def _steps(s):
+    """Run the numpy kernel on `s` in one block with its own step rule; True
+    for each push, False for each pull."""
+    rule = inspect.signature(_frontier_pass).parameters["pushes"].default
+    steps = []
+    _frontier_pass(_adjacency(s), len(s.actors), lambda f, u: steps.append(rule(f, u)) or steps[-1])
+    return steps
+
+
 class TestDenseKernel:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.sampled_from([1, 3, 7, 64]))
     def test_agrees_with_reference(self, s, batch):
         adj = _adjacency(s)
-        _assert_agree(_dense_pass(adj, batch), _reference_pass(adj))
+        _assert_agree(_frontier_pass(adj, batch), _reference_pass(adj))
         paths = _all_sources(s)
         assert {paths.order[i] for i in paths.giant} == giant_component(s).actors
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_on_ba_graphs(self, seed):
         adj = _adjacency(barabasi_albert(150, 2, seed))
-        _assert_agree(_dense_pass(adj), _reference_pass(adj))
+        _assert_agree(_frontier_pass(adj), _reference_pass(adj))
 
     def test_isolated_actors_only(self):
         adj = [[] for _ in range(5)]
-        assert _dense_pass(adj) == _reference_pass(adj)
+        assert _frontier_pass(adj) == _reference_pass(adj)
+
+    @pytest.mark.parametrize("pushes", [True, False], ids=["push-only", "pull-only"])
+    @settings(max_examples=60, deadline=None)
+    @given(s=graphs(), batch=st.sampled_from([1, 3, 64]))
+    def test_each_step_direction_alone_agrees(self, pushes, s, batch):
+        adj = _adjacency(s)
+        result = _frontier_pass(adj, batch, lambda frontier_deg, unvisited_deg: pushes)
+        _assert_agree(result, _reference_pass(adj))
+
+    def test_a_path_pushes_until_its_ends(self):
+        # the frontier of a path has at most two slots per source, so only
+        # the last levels, where fewer unvisited edges remain, pull
+        steps = _steps(path_graph(200))
+        assert steps.count(False) * 20 < steps.count(True)
+
+    @pytest.mark.parametrize("s", [star(99), barabasi_albert(200, 3, 1)], ids=["star", "ba"])
+    def test_hubs_make_the_last_level_pull(self, s):
+        steps = _steps(s)
+        assert steps[0] is True
+        assert steps[-1] is False
 
 
 def _layered(layers=23, width=6):
@@ -83,16 +123,14 @@ def _layered(layers=23, width=6):
 class TestSigmaGuard:
     def test_layered_graph_is_sent_to_dense_kernel(self):
         s = _layered()
-        adj = _adjacency(s)
-        _, depth = _giant_and_depth(adj)
-        assert depth == 22
+        assert path_stats(s)[0] == 22
         assert 6**21 > 2**53
-        assert _use_dense(len(adj), 2 * s.n_links, depth)
+        assert s.n_actors >= metrics._NUMPY_MIN_ACTORS and s.n_links > 0
 
     def test_overflowing_path_counts_fall_back_to_reference(self):
         s = _layered()
         adj = _adjacency(s)
-        assert _dense_pass(adj) is None
+        assert _frontier_pass(adj) is None
         paths = _all_sources(s)
         assert paths.kernel == "python"
         assert (paths.betweenness, paths.reach, paths.dist_sum, paths.ecc) == _reference_pass(adj)
@@ -100,18 +138,24 @@ class TestSigmaGuard:
 
     def test_counts_below_the_limit_stay_dense(self):
         s = _layered(layers=21)  # at most 6**19 < 2**53 paths
-        assert _all_sources(s).kernel == "dense"
+        assert _all_sources(s).kernel == "numpy"
 
 
 class TestKernelChoice:
-    def test_path_goes_to_python(self):
-        assert _all_sources(path_graph(200)).kernel == "python"
+    def test_long_path_goes_to_numpy(self):
+        assert _all_sources(path_graph(200)).kernel == "numpy"
 
     def test_ba_graph_goes_dense(self):
-        assert _all_sources(barabasi_albert(200, 3, 1)).kernel == "dense"
+        assert _all_sources(barabasi_albert(200, 3, 1)).kernel == "numpy"
 
     def test_small_graphs_stay_in_python(self):
         assert _all_sources(barabasi_albert(40, 3, 1)).kernel == "python"
+        assert _all_sources(path_graph(63)).kernel == "python"
+        assert _all_sources(path_graph(64)).kernel == "numpy"
+
+    def test_linkless_graphs_stay_in_python(self):
+        s = GraphSnapshot.from_edge_list("empty", [], extra_actors=[f"z{i}" for i in range(100)])
+        assert _all_sources(s).kernel == "python"
 
     def test_public_views_match_reference_on_dense_graphs(self):
         s = barabasi_albert(120, 3, 5)
@@ -123,3 +167,26 @@ class TestKernelChoice:
         for i, v in enumerate(order):
             assert btw[v] == pytest.approx(scores[i] / 2.0, rel=1e-12)
             assert close[v] == (reach[i] - 1) / (n - 1) * ((reach[i] - 1) / dist_sum[i])
+
+
+def test_analyze_runs_without_scipy(tmp_path):
+    """`analyze` on a graph that takes the numpy kernel never imports scipy:
+    with `sys.modules["scipy"] = None`, any attempt would raise ImportError."""
+    s = barabasi_albert(200, 3, 2)
+    events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(sorted(s.edges.items()))]
+    data = tmp_path / "ba.csv"
+    data.write_text(write_edge_events_text(events))
+    argv = ["analyze", "--input", str(data), "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from netevolve import cli\n"
+        f"status = cli.main({argv!r})\n"
+        "print(status, 'numpy' in sys.modules, [m for m in sys.modules if m.startswith('scipy.')])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "0 True []\n"
+    assert (tmp_path / "out.csv").read_text().count("\n") == 2
