@@ -5,16 +5,20 @@ interactions between the same pair accumulate weight instead of creating
 parallel edges, so the distinct-pair count (`n_links`) and the total
 interaction count (`sum_links`) stay separately queryable.
 
-Snapshots are immutable after construction and safe to share across threads;
-every consumer takes read-only references. Adjacency is stored with sorted
-neighbor order so that all downstream iteration (and therefore every floating
-point reduction) is independent of the order events arrived in.
+A snapshot is one integer core: its actor labels in sorted order, so an
+actor's id is its rank in label order, plus CSR arrays of the ids' sorted
+neighbors and the matching edge weights. Snapshots are immutable after
+construction and safe to share across threads. Because ids follow label
+order, every downstream iteration (and therefore every floating point
+reduction) is independent of the order events arrived in.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, combinations
@@ -24,10 +28,6 @@ from typing import Iterable, Mapping, Sequence, Union
 Timestamp = Union[datetime, int, float]
 
 logger = logging.getLogger(__name__)
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def _time_category(t: Timestamp) -> str:
@@ -70,6 +70,8 @@ class PublicationRecord:
     pair of them shares one unit of edge weight per joint publication.
     """
 
+    # no per-record __dict__: a corpus holds one record per publication
+    __slots__ = ("pub_id", "date", "authors")
     pub_id: str
     date: Timestamp
     authors: tuple[str, ...]
@@ -80,39 +82,57 @@ class PublicationRecord:
         object.__setattr__(self, "authors", tuple(names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphSnapshot:
     """Immutable weighted undirected simple graph at one breakpoint.
 
-    `edges` maps canonically ordered actor pairs to accumulated positive
-    weights; every endpoint must be present in `actors` (which may also
-    contain isolated actors).
+    `GraphSnapshot(label, actors, edges)` checks its input: `edges` maps
+    actor pairs, in either order, to positive weights, and every endpoint
+    must be in `actors` (which may also hold isolated actors). The graph is
+    kept as integer CSR: actor i is `_names[i]`, the labels sorted, and its
+    neighbors, ascending, and their edge weights sit at positions
+    `_indptr[i]` to `_indptr[i + 1]` of `_indices` and `_weights`.
     """
 
     label: str
-    actors: frozenset[str]
-    edges: dict[tuple[str, str], int]
-    _adj: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+    _names: tuple[str, ...]
+    _indptr: array = field(repr=False)
+    _indices: array = field(repr=False)
+    _weights: list[int] = field(repr=False)
+    sum_links: int  # total interaction count (sum of edge weights)
 
-    def __post_init__(self):
-        normalized: dict[tuple[str, str], int] = {}
-        for (a, b), w in self.edges.items():
+    def __init__(self, label: str, actors: Iterable[str], edges: Mapping[tuple[str, str], int]):
+        names = sorted(set(actors))
+        ids = {v: i for i, v in enumerate(names)}
+        n = len(names)
+        links: dict[int, int] = {}
+        for (a, b), w in edges.items():
             if a == b:
                 raise ValueError(f"self-loop on actor {a!r}")
-            if a not in self.actors or b not in self.actors:
+            if a not in ids or b not in ids:
                 raise ValueError(f"edge endpoint not registered as actor: ({a!r}, {b!r})")
             if w < 1:
                 raise ValueError(f"edge weight must be >= 1, got {w} for ({a!r}, {b!r})")
-            key = _pair(a, b)
-            if key in normalized:
-                raise ValueError(f"duplicate edge {key!r}")
-            normalized[key] = w
-        adj: dict[str, dict[str, int]] = {v: {} for v in sorted(self.actors)}
-        for (a, b), w in sorted(normalized.items()):
-            adj[a][b] = w
-            adj[b][a] = w
-        object.__setattr__(self, "edges", normalized)
-        object.__setattr__(self, "_adj", adj)
+            i, j = sorted((ids[a], ids[b]))
+            if i * n + j in links:
+                raise ValueError(f"duplicate edge {(names[i], names[j])!r}")
+            links[i * n + j] = w
+        self._store(label, names, range(n), links)
+
+    def _store(self, label: str, names: Sequence[str], ids: Sequence[int], links: dict):
+        """Keep the graph on the actors `ids` (ascending) of the sorted label
+        table `names`, whose links map the pair code i * len(names) + j
+        (i < j) to a weight. The fold calls this on a bare instance."""
+        n, rank = len(names), dict(zip(ids, range(len(ids))))
+        half = [(rank[code // n], rank[code % n], w) for code, w in links.items()]
+        arcs = sorted(half + [(j, i, w) for i, j, w in half])  # both directions, row by row
+        indptr = [bisect_left(arcs, (i,)) for i in range(len(ids) + 1)]
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_names", tuple(names[i] for i in ids))
+        object.__setattr__(self, "_indptr", array("q", indptr))
+        object.__setattr__(self, "_indices", array("q", [j for _, j, _ in arcs]))
+        object.__setattr__(self, "_weights", [w for _, _, w in arcs])
+        object.__setattr__(self, "sum_links", sum(links.values()))
 
     @classmethod
     def from_edge_list(
@@ -129,41 +149,58 @@ class GraphSnapshot:
             a, b = a.strip(), b.strip()
             actors.add(a)
             actors.add(b)
-            key = _pair(a, b)
+            key = (a, b) if a <= b else (b, a)
             edges[key] = edges.get(key, 0) + w
-        return cls(label, frozenset(actors), edges)
+        return cls(label, actors, edges)
 
     @property
     def n_actors(self) -> int:
-        return len(self.actors)
+        return len(self._names)
 
     @property
     def n_links(self) -> int:
         """Number of distinct connected pairs."""
-        return len(self.edges)
+        return len(self._indices) // 2
 
     @property
-    def sum_links(self) -> int:
-        """Total interaction count (sum of edge weights)."""
-        return sum(self.edges.values())
+    def actors(self) -> frozenset[str]:
+        return frozenset(self._names)
 
-    def neighbors(self, v: str) -> Mapping[str, int]:
-        """Neighbor -> edge weight for `v`, in sorted neighbor order.
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """(a, b) -> edge weight with a < b, in sorted pair order."""
+        names, indices = self._names, self._indices
+        return {
+            (names[i], names[indices[k]]): self._weights[k]
+            for i in range(len(names))
+            for k in range(self._indptr[i], self._indptr[i + 1])
+            if indices[k] > i
+        }
 
-        Raises KeyError for unknown actors. Treat the result as read-only.
-        """
-        return self._adj[v]
+    def _index(self, v: str) -> int:
+        """The id of actor `v`; KeyError for unknown actors."""
+        i = bisect_left(self._names, v)
+        if self._names[i : i + 1] != (v,):
+            raise KeyError(v)
+        return i
+
+    def _rows(self) -> list[array]:
+        """Each actor's neighbor ids, ascending, in id order."""
+        indptr, indices = self._indptr, self._indices
+        return [indices[indptr[i] : indptr[i + 1]] for i in range(len(self._names))]
 
     def degree(self, v: str) -> int:
         """Number of distinct neighbors (unweighted)."""
-        return len(self._adj[v])
+        i = self._index(v)
+        return self._indptr[i + 1] - self._indptr[i]
 
     def strength(self, v: str) -> int:
         """Sum of incident edge weights."""
-        return sum(self._adj[v].values())
+        i = self._index(v)
+        return sum(self._weights[self._indptr[i] : self._indptr[i + 1]])
 
     def sorted_actors(self) -> list[str]:
-        return list(self._adj)
+        return list(self._names)
 
 
 def _check_times(times: Iterable[Timestamp], what: str) -> None:
@@ -229,30 +266,29 @@ def build_cumulative_snapshots(
 
     _check_times(chain(breakpoints, map(itemgetter(0), groups)), "event times and breakpoints")
 
+    # ids in label order over the whole input; pair (i, j), i < j, is code i * n + j
+    names = sorted(set(chain.from_iterable(map(itemgetter(1), groups))))
+    n = len(names)
+    ids = dict(zip(names, range(n)))
     # latest first, so the next group due is popped off the end
     groups.sort(key=itemgetter(0), reverse=True)
-    edges: dict[tuple[str, str], int] = {}
-    actors: set[str] = set()
+    links: dict[int, int] = {}
+    present: set[int] = set()
     snapshots = []
     for bp, label in zip(breakpoints, labels):
         while groups and groups[-1][0] <= bp:
             _, members, weight = groups.pop()
-            actors.update(members)
-            for key in combinations(sorted(members), 2):
-                edges[key] = edges.get(key, 0) + weight
-        snapshots.append(GraphSnapshot(label, frozenset(actors), dict(edges)))
+            members = sorted(map(ids.__getitem__, members))
+            present.update(members)
+            for i, j in combinations(members, 2):
+                links[i * n + j] = links.get(i * n + j, 0) + weight
+        snapshot = GraphSnapshot.__new__(GraphSnapshot)  # built by the fold, not checked again
+        snapshot._store(label, names, sorted(present), links)
+        snapshots.append(snapshot)
     return snapshots
 
 
-def _indexed(s: GraphSnapshot) -> tuple[list[str], list[list[int]]]:
-    """Sorted actor labels and integer adjacency lists (neighbors ascending)."""
-    order = s.sorted_actors()
-    index = {v: i for i, v in enumerate(order)}
-    adj = [[index[u] for u in s.neighbors(v)] for v in order]
-    return order, adj
-
-
-def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[int]]:
+def _levels(adj: Sequence[Sequence[int]], source: int, seen: list[bool]) -> list[list[int]]:
     """BFS frontiers from `source`, one list per hop distance (level 0 is
     [source]); marks every reached index in `seen`."""
     seen[source] = True
@@ -269,7 +305,7 @@ def _levels(adj: list[list[int]], source: int, seen: list[bool]) -> list[list[in
         levels.append(frontier)
 
 
-def _giant(adj: list[list[int]]) -> list[int]:
+def _giant(adj: Sequence[Sequence[int]]) -> list[int]:
     """Indices of the largest connected component.
 
     On a size tie the first component discovered wins: over the sorted actor
@@ -288,9 +324,8 @@ def giant_component(s: GraphSnapshot) -> GraphSnapshot:
     smallest actor label. An empty snapshot is returned unchanged; the
     operation is idempotent.
     """
-    if not s.actors:
+    if not s.n_actors:
         return s
-    order, adj = _indexed(s)
-    best = {order[i] for i in _giant(adj)}
+    best = {s._names[i] for i in _giant(s._rows())}
     edges = {pair: w for pair, w in s.edges.items() if pair[0] in best}
-    return GraphSnapshot(s.label, frozenset(best), edges)
+    return GraphSnapshot(s.label, best, edges)

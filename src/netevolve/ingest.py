@@ -9,6 +9,9 @@ file where more than 10% of the data rows are malformed raises ParseError.
 Self-loops, empty author lists and repeated pub_ids are domain noise: they
 warn and skip the same way but do not count toward the 10% budget. The kept
 records must not mix kinds of time.
+
+Each parse keeps one string per distinct actor label, looked up in one
+table as it is decoded, so the decoder's per-occurrence copy is freed at once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import csv
 import io
 import json
 import math
-from datetime import datetime
+import re
+from datetime import date, datetime
 from functools import cache, partial
 from operator import attrgetter
 from typing import Iterable
@@ -27,11 +31,11 @@ from .graph_core import InteractionEvent, PublicationRecord, Timestamp, _check_t
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
-_TEXT_TYPES = frozenset({str, int, float})
 
 
 def parse_timestamp(text: str) -> Timestamp:
-    """Parse an ASCII integer or finite float (no `_`, no `+`), or an ISO-8601 timestamp."""
+    """Parse an ASCII integer or finite float (no `_`, no `+`), or an ISO-8601
+    timestamp whose date and time are separated by `T`, `t` or a space."""
     raw = text.strip()
     # int() and float() alone would also take "1_000", "+5" and non-ASCII digits
     if raw.isascii() and "_" not in raw and not raw.startswith("+"):
@@ -48,9 +52,12 @@ def parse_timestamp(text: str) -> Timestamp:
                 raise ValueError(f"non-finite time {text!r}")
             return value
     try:
-        return datetime.fromisoformat(raw)
+        value = datetime.fromisoformat(raw)
+        # fromisoformat takes any character between the date and the time
+        date.fromisoformat(re.split("[Tt ]", raw, maxsplit=1)[0])
     except ValueError:
         raise ValueError(f"unparseable time {text!r}") from None
+    return value
 
 
 class _Noise(ValueError):
@@ -81,16 +88,17 @@ def _parse_records(lines, decode, source, noun, time_of):
     return records, warnings
 
 
-def _decode_event(row: list[str], parse_time) -> InteractionEvent:
+def _decode_event(row: list[str], parse_time, intern) -> InteractionEvent:
     if len(row) < 3:
         raise ValueError("too few fields")
     time = parse_time(row[0])
+    a, b = (intern(label, label) for label in (row[1].strip(), row[2].strip()))
     weight = row[3].strip() if len(row) >= 4 else ""
     # int() would also take "1_000", "+2" and non-ASCII digits
     if weight and not (weight.isascii() and weight.removeprefix("-").isdigit()):
-        InteractionEvent(time, row[1], row[2])  # an empty label is the earlier fault
+        InteractionEvent(time, a, b)  # an empty label is the earlier fault
         raise ValueError(f"bad weight {row[3]!r}")
-    event = InteractionEvent(time, row[1], row[2], int(weight) if weight else 1)
+    event = InteractionEvent(time, a, b, int(weight) if weight else 1)
     if event.a == event.b:
         raise _Noise(f"self-loop on {event.a!r}")
     return event
@@ -112,7 +120,8 @@ def parse_edge_events_text(
     header = [cell.strip().lower() for cell in rows[0][1]]
     if header[:3] != ["time", "a", "b"]:
         raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0][1]!r}")
-    decode = partial(_decode_event, parse_time=cache(parse_timestamp))  # once per distinct time
+    # each time is parsed once per distinct string, each label kept once
+    decode = partial(_decode_event, parse_time=cache(parse_timestamp), intern={}.setdefault)
     return _parse_records(rows[1:], decode, source, "row", attrgetter("time"))
 
 
@@ -134,16 +143,17 @@ def write_edge_events_text(events: Iterable[InteractionEvent]) -> str:
     return buffer.getvalue()
 
 
-def _json_texts(values: list, field: str) -> tuple[str, ...]:
-    """JSON strings and finite numbers as text; a null, boolean, array,
+def _json_text(value, field: str) -> str:
+    """A JSON string, or a finite number as its text; a null, boolean, array,
     object, NaN or infinity (a token or an overflowing number) fails."""
-    for value in values:
-        kind = type(value)
-        if kind not in _TEXT_TYPES:
-            raise ValueError(f"{field} {json.dumps(value)} is not a string or number")
-        if kind is float and not math.isfinite(value):
-            raise ValueError(f"{field} {json.dumps(value)} is not finite")
-    return tuple(map(str, values))
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is not int and kind is not float:
+        raise ValueError(f"{field} {json.dumps(value)} is not a string or number")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{field} {json.dumps(value)} is not finite")
+    return str(value)
 
 
 def parse_publications_text(
@@ -157,11 +167,12 @@ def parse_publications_text(
     """
     seen_ids: set[str] = set()
     parse_time = cache(parse_timestamp)  # once per distinct date
+    intern = {}.setdefault  # one object per distinct author name
 
     def decode(line: str) -> PublicationRecord:
         try:
             obj = json.loads(line)
-            pub_id = _json_texts([obj["pub_id"]], "pub_id")[0].strip()
+            pub_id = _json_text(obj["pub_id"], "pub_id").strip()
             if not pub_id:
                 raise ValueError("blank pub_id")
             date = parse_time(str(obj["date"]))
@@ -170,7 +181,8 @@ def parse_publications_text(
             raise ValueError(exc) from None
         if not isinstance(authors, list):
             raise ValueError("authors must be a list")
-        record = PublicationRecord(pub_id, date, _json_texts(authors, "author"))
+        names = [_json_text(name, "author").strip() for name in authors]
+        record = PublicationRecord(pub_id, date, [intern(name, name) for name in names])
         if not record.authors:
             raise _Noise("empty author list")
         if pub_id in seen_ids:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Optional
+from itertools import pairwise
+from typing import Optional, Sequence
 
 from .errors import UndefinedMetricError
-from .graph_core import GraphSnapshot, _giant, _indexed, _levels
+from .graph_core import GraphSnapshot, _giant, _levels
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class _PathPass:
     kernel: str
 
 
-def _reference_pass(adj: list[list[int]]) -> tuple[list[float], list[int], list[int], list[int]]:
+def _reference_pass(adj: list[array]) -> tuple[list[float], list[int], list[int], list[int]]:
     """Pure-Python Brandes over every source, with per-source hop summaries.
 
     Python integers keep path counts exact, and each dependency receives its
@@ -117,8 +118,9 @@ _SIGMA_EXACT = 2.0**53
 _NUMPY_MIN_ACTORS = 64
 
 
-def _frontier_pass(adj: list[list[int]], batch: int = 64, pushes=operator.le):
-    """Batched Brandes in numpy that touches only each level's frontier.
+def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
+    """Batched Brandes in numpy over a snapshot's CSR arrays (`_indptr`,
+    `_indices`, read without a copy) that touches only each level's frontier.
 
     A block of sources is one flat array of (source, actor) slots. Each
     forward level steps along the frontier's edges (push) or along the
@@ -131,10 +133,11 @@ def _frontier_pass(adj: list[list[int]], batch: int = 64, pushes=operator.le):
     """
     import numpy as np
 
-    n = len(adj)
-    deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    starts = np.cumsum(deg) - deg
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
+    indptr = np.frombuffer(indptr, dtype=np.int64)
+    indices = np.frombuffer(indices, dtype=np.int64)
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    starts = indptr[:-1]
 
     def expand(slots, actors):
         """Each edge out of `slots`: its row in `slots` and the slot it reaches."""
@@ -201,13 +204,18 @@ def _frontier_pass(adj: list[list[int]], batch: int = 64, pushes=operator.le):
 
 def _all_sources(s: GraphSnapshot) -> _PathPass:
     """The one all-sources pass every path-based measure reads from."""
-    order, adj = _indexed(s)
+    order, adj = s.sorted_actors(), s._rows()
     giant = _giant(adj)
     if len(adj) >= _NUMPY_MIN_ACTORS and s.n_links:
-        result = _frontier_pass(adj)
+        result = _frontier_pass(s._indptr, s._indices)
         if result is not None:
             return _PathPass(order, *result, giant, "numpy")
     return _PathPass(order, *_reference_pass(adj), giant, "python")
+
+
+def _degrees(s: GraphSnapshot) -> list[int]:
+    """Degree of every actor, in label order."""
+    return [hi - lo for lo, hi in pairwise(s._indptr)]
 
 
 def density_weighted(s: GraphSnapshot) -> float:
@@ -229,20 +237,22 @@ def density_simple(s: GraphSnapshot) -> float:
     return 2.0 * s.n_links / (n * (n - 1))
 
 
-def _closed_pairs(s: GraphSnapshot, v: str) -> tuple[int, int]:
-    """(connected pairs among the neighbors of `v`, degree of `v`)."""
-    nbrs = s.neighbors(v)
-    closed = sum(1 for a, b in combinations(nbrs, 2) if b in s.neighbors(a))
-    return closed, len(nbrs)
+def _closed_pairs(s: GraphSnapshot) -> list[tuple[int, int]]:
+    """Per actor in label order: (connected pairs among its neighbors, its
+    degree). Each such pair is seen from both of its ends."""
+    nbrs = [set(row) for row in s._rows()]
+    return [(sum(len(nbrs[u] & mine) for u in mine) // 2, len(mine)) for mine in nbrs]
+
+
+def _local_clustering(closed: int, k: int) -> float:
+    return 0.0 if k < 2 else closed / (k * (k - 1) / 2)
 
 
 def local_clustering(s: GraphSnapshot, v: str) -> float:
     """Fraction of neighbor pairs of `v` that are themselves connected;
     0.0 when deg(v) < 2. Raises KeyError for unknown actors."""
-    closed, k = _closed_pairs(s, v)
-    if k < 2:
-        return 0.0
-    return closed / (k * (k - 1) / 2)
+    i = s._index(v)
+    return _local_clustering(*_closed_pairs(s)[i])
 
 
 def avg_clustering(s: GraphSnapshot) -> float:
@@ -250,18 +260,15 @@ def avg_clustering(s: GraphSnapshot) -> float:
     contribute 0)."""
     if s.n_actors == 0:
         raise UndefinedMetricError("clustering needs at least one actor")
-    return math.fsum(local_clustering(s, v) for v in s.sorted_actors()) / s.n_actors
+    return math.fsum(_local_clustering(*pair) for pair in _closed_pairs(s)) / s.n_actors
 
 
 def transitivity(s: GraphSnapshot) -> float:
     """Global transitivity 3*triangles / open-or-closed triads, offered for
     comparison with the mean-local coefficient."""
-    closed = 0
-    triads = 0
-    for v in s.sorted_actors():
-        pairs, k = _closed_pairs(s, v)
-        closed += pairs
-        triads += k * (k - 1) // 2
+    pairs = _closed_pairs(s)
+    closed = sum(c for c, _ in pairs)
+    triads = sum(k * (k - 1) // 2 for _, k in pairs)
     if triads == 0:
         raise UndefinedMetricError("no connected triples")
     return closed / triads
@@ -288,8 +295,7 @@ def _path_stats(p: _PathPass) -> tuple[int, float]:
 def degree_histogram(s: GraphSnapshot) -> dict[int, int]:
     """degree -> actor count, including degree 0; counts sum to N."""
     hist: dict[int, int] = {}
-    for v in s.sorted_actors():
-        d = s.degree(v)
+    for d in _degrees(s):
         hist[d] = hist.get(d, 0) + 1
     return hist
 
@@ -303,12 +309,14 @@ def assortativity(s: GraphSnapshot) -> Optional[float]:
     """
     if s.n_links == 0:
         raise UndefinedMetricError("assortativity needs at least one edge")
+    deg = _degrees(s)
     xs: list[int] = []
     ys: list[int] = []
-    for a, b in sorted(s.edges):
-        da, db = s.degree(a), s.degree(b)
-        xs.extend((da, db))
-        ys.extend((db, da))
+    for i, row in enumerate(s._rows()):  # edges (i, j), i < j, in sorted order
+        for j in row:
+            if j > i:
+                xs.extend((deg[i], deg[j]))
+                ys.extend((deg[j], deg[i]))
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
@@ -321,18 +329,23 @@ def assortativity(s: GraphSnapshot) -> Optional[float]:
     return max(-1.0, min(1.0, r))
 
 
+def _neighbor_degree(deg: list[int], row: Sequence[int]) -> float:
+    return sum(map(deg.__getitem__, row)) / len(row)
+
+
 def avg_neighbor_degree(s: GraphSnapshot, v: str) -> float:
     """Mean degree of the neighbors of `v`; undefined for isolated actors."""
-    nbrs = s.neighbors(v)
-    if not nbrs:
+    row = s._rows()[s._index(v)]
+    if not row:
         raise UndefinedMetricError(f"actor {v!r} has no neighbors")
-    return sum(s.degree(u) for u in nbrs) / len(nbrs)
+    return _neighbor_degree(_degrees(s), row)
 
 
 def avg_neighbor_degree_mean(s: GraphSnapshot) -> float:
     """Network-level mean of avg_neighbor_degree over actors with degree >= 1
     (isolated actors are excluded)."""
-    values = [avg_neighbor_degree(s, v) for v in s.sorted_actors() if s.degree(v) >= 1]
+    deg = _degrees(s)
+    values = [_neighbor_degree(deg, row) for row in s._rows() if row]
     if not values:
         raise UndefinedMetricError("no actor has neighbors")
     return math.fsum(values) / len(values)
@@ -371,7 +384,7 @@ def closeness(s: GraphSnapshot, harmonic: bool = False) -> dict[str, float]:
     """
     if not harmonic:
         return _closeness(_all_sources(s))
-    order, adj = _indexed(s)
+    order, adj = s.sorted_actors(), s._rows()
     n = len(order)
     out: dict[str, float] = {}
     for i, v in enumerate(order):
@@ -442,12 +455,11 @@ def metrics_row(s: GraphSnapshot) -> MetricsRow:
         neighbor_mean = avg_neighbor_degree_mean(s)
     strength_mean = 2.0 * s.sum_links / n
     if n >= 3:
-        order = s.sorted_actors()
-        cent_deg = centralization([float(s.degree(v)) for v in order], "degree", n)
+        cent_deg = centralization(list(map(float, _degrees(s))), "degree", n)
         btw = _betweenness(paths, normalized=True)
-        cent_btw = centralization([btw[v] for v in order], "betweenness", n)
+        cent_btw = centralization(list(btw.values()), "betweenness", n)
         close = _closeness(paths)
-        cent_close = centralization([close[v] for v in order], "closeness", n)
+        cent_close = centralization(list(close.values()), "closeness", n)
     else:
         cent_deg = cent_btw = cent_close = None
     return MetricsRow(

@@ -9,6 +9,7 @@ values.
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +66,26 @@ def floyd_warshall_path_stats(snapshot):
     total = dist[mask].sum()
     count = int(mask.sum())
     return diameter, total / count
+
+
+def assortativity_exact(snapshot):
+    """Degree assortativity in exact rational arithmetic, over both
+    orientations of every edge: (sign of r, r squared as a Fraction), or
+    None when the endpoint degrees have zero variance. Nothing is rounded;
+    the caller takes the square root last."""
+    adj = adjacency_sets(snapshot)
+    pairs = [(len(adj[a]), len(adj[b])) for a, b in snapshot.edges]
+    pairs += [(y, x) for x, y in pairs]
+    n = len(pairs)
+    sx = sum(x for x, _ in pairs)
+    sy = sum(y for _, y in pairs)
+    # n**2 times the covariance and the variances, as integers
+    cov = n * sum(x * y for x, y in pairs) - sx * sy
+    var_x = n * sum(x * x for x, _ in pairs) - sx * sx
+    var_y = n * sum(y * y for _, y in pairs) - sy * sy
+    if var_x == 0 or var_y == 0:
+        return None
+    return (cov > 0) - (cov < 0), Fraction(cov * cov, var_x * var_y)
 
 
 def local_clustering_brute(snapshot, v):

@@ -1,5 +1,7 @@
+import json
 import logging
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,12 @@ from netevolve import (
     build_cumulative_snapshots,
     giant_component,
     load_snapshots,
+    metrics_row,
+    parse_edge_events_text,
+    parse_publications_text,
 )
+from netevolve.generators import barabasi_albert
+from netevolve.metrics import _all_sources
 
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
 
@@ -36,6 +43,58 @@ class TestInteractionEvent:
     def test_rejects_empty_label(self):
         with pytest.raises(ValueError):
             InteractionEvent(1, "  ", "B")
+
+
+class TestPublicationRecord:
+    def test_trims_drops_blanks_and_repeats(self):
+        record = PublicationRecord("P", 1, [" A", "B ", "", "  ", "A", "b", "B"])
+        assert record.authors == ("A", "B", "b")
+
+    def test_keyword_construction(self):
+        record = PublicationRecord(pub_id="P", date=2, authors=iter([" A "]))
+        assert (record.pub_id, record.date, record.authors) == ("P", 2, ("A",))
+
+    def test_equality_and_hashing(self):
+        record = PublicationRecord("P", 1, ("A", " B"))
+        same = PublicationRecord("P", 1, ["A", "B", "A"])
+        assert record == same and hash(record) == hash(same)
+        assert len({record, same}) == 1
+        assert record != PublicationRecord("P", 2, ("A", "B"))
+        assert record != PublicationRecord("P", 1, ("B", "A"))
+
+    def test_immutable(self):
+        record = PublicationRecord("P", 1, ("A",))
+        with pytest.raises(FrozenInstanceError):
+            record.pub_id = "Q"
+        with pytest.raises(FrozenInstanceError):
+            del record.authors
+        with pytest.raises(FrozenInstanceError):
+            record.extra = 1
+        assert not hasattr(record, "__dict__")
+
+
+class TestInternedLabels:
+    """One string object per distinct label and parse, from the decoder
+    through the records to the snapshot's label table."""
+
+    def test_publication_authors_share_one_object(self):
+        lines = [
+            json.dumps({"pub_id": f"P{i}", "date": "2005-01-01", "authors": ["Cy", " Ann ", "Bob"]})
+            for i in range(4)
+        ]
+        records, _ = parse_publications_text("\n".join(lines))
+        first = records[0].authors
+        assert all(a is b for r in records for a, b in zip(r.authors, first, strict=True))
+        (s,) = build_cumulative_snapshots([], [records[0].date], ["p"], publications=records)
+        assert all(v is a for v, a in zip(s.sorted_actors(), sorted(first), strict=True))
+
+    def test_event_actors_share_one_object(self):
+        # longer than one character: CPython shares one-character strings anyway
+        events, _ = parse_edge_events_text("time,a,b\n1,Ann,Bob\n2, Bob ,Cy\n3,Cy,Ann\n")
+        a, b, c = events[0].a, events[0].b, events[1].b
+        assert events[1].a is b and events[2].a is c and events[2].b is a
+        (s,) = build_cumulative_snapshots(events, [3], ["p"])
+        assert all(v is w for v, w in zip(s.sorted_actors(), (a, b, c), strict=True))
 
 
 class TestSnapshotConstruction:
@@ -169,6 +228,52 @@ class TestBuildAgainstRescan:
         snaps = build_cumulative_snapshots(evs, breakpoints, labels, publications=pubs)
         assert [s.label for s in snaps] == labels
         assert [(s.actors, s.edges) for s in snaps] == expected
+
+
+@st.composite
+def _weighted_edges(draw):
+    """(a, b, weight) triples with repeated pairs in either order, plus
+    isolated actors."""
+    names = [f"{c}{i}" for i, c in enumerate("qZbA" * 5)][: draw(st.integers(2, 20))]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1])
+    triples = draw(st.lists(st.tuples(pair, st.integers(1, 4)), min_size=1, max_size=60))
+    isolated = draw(st.lists(st.sampled_from(names + ["solo1", "solo2"]), max_size=3))
+    return [(a, b, w) for (a, b), w in triples], isolated
+
+
+def _fold_and_direct(triples, isolated):
+    """The same graph folded from events and single-author publications, and
+    built directly from labels."""
+    events = [InteractionEvent(i % 7, a, b, w) for i, (a, b, w) in enumerate(triples)]
+    solos = [PublicationRecord(f"S{i}", 3, (v,)) for i, v in enumerate(isolated)]
+    (folded,) = build_cumulative_snapshots(events, [6], ["g"], publications=solos)
+    return folded, GraphSnapshot.from_edge_list("g", triples, extra_actors=isolated)
+
+
+def _assert_same_graph(folded, direct):
+    assert folded == direct
+    assert folded.sorted_actors() == direct.sorted_actors()
+    assert folded.actors == direct.actors
+    assert folded.edges == direct.edges
+    assert list(folded.edges) == list(direct.edges)
+    for v in direct.sorted_actors():
+        assert (folded.degree(v), folded.strength(v)) == (direct.degree(v), direct.strength(v))
+    assert repr(_all_sources(folded)) == repr(_all_sources(direct))
+    assert repr(metrics_row(folded)) == repr(metrics_row(direct))
+
+
+class TestFoldMatchesDirectBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(_weighted_edges())
+    def test_random_graphs(self, graph):
+        _assert_same_graph(*_fold_and_direct(*graph))
+
+    def test_numpy_kernel_reads_both(self):
+        s = barabasi_albert(200, 3, 11)
+        triples = [(a, b, w) for (a, b), w in s.edges.items()]
+        folded, direct = _fold_and_direct(triples, [])
+        assert _all_sources(folded).kernel == "numpy"
+        _assert_same_graph(folded, direct)
 
 
 class TestDisasterSample:

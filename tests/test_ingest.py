@@ -68,6 +68,21 @@ class TestParseTimestamp:
         assert [r.date for r in records] == [2000, 2001] * 3
         assert sorted(calls[3:]) == ["2000", "2001"]
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("2005-01-01T10:00", datetime(2005, 1, 1, 10)),
+            ("2005-01-01t10:00", datetime(2005, 1, 1, 10)),
+            ("2005-01-01 10:00", datetime(2005, 1, 1, 10)),
+            ("20050101T10", datetime(2005, 1, 1, 10)),
+            ("2005-W10-1T10:00", datetime(2005, 3, 7, 10)),
+            ("2005W10T10", datetime(2005, 3, 7, 10)),
+            ("2005-W10", datetime(2005, 3, 7)),
+        ],
+    )
+    def test_iso_date_and_time_separators(self, text, value):
+        assert parse_timestamp(text) == value
+
     def test_zulu_suffix_is_utc(self):
         value = parse_timestamp("2005-03-01T10:00:00Z")
         assert value == datetime(2005, 3, 1, 10, tzinfo=timezone.utc)
@@ -305,6 +320,12 @@ WARNING_TABLE = [
     ("csv", "\u0663,A,B", "unparseable time '\u0663'", True),
     ("csv", "1_0.5,A,B", "unparseable time '1_0.5'", True),
     ("csv", "1e999,A,B", "non-finite time '1e999'", True),
+    # fromisoformat itself takes any character between the date and the time
+    ("csv", "2005-01-01x10:00,A,B", "unparseable time '2005-01-01x10:00'", True),
+    ("csv", "2005-01-01\u00e910:00,A,B", "unparseable time '2005-01-01\u00e910:00'", True),
+    ("csv", '"2005-01-01,10:00",A,B', "unparseable time '2005-01-01,10:00'", True),
+    ("csv", "2005-01-01_10:00,A,B", "unparseable time '2005-01-01_10:00'", True),
+    ("csv", "2005-01-01510:00,A,B", "unparseable time '2005-01-01510:00'", True),
     ("jsonl", "not json", "Expecting value: line 1 column 1 (char 0)", True),
     ("jsonl", '{"date": "2005-01-01", "authors": ["A"]}', "'pub_id'", True),
     ("jsonl", '{"pub_id": "P", "authors": ["A"]}', "'date'", True),
@@ -315,6 +336,8 @@ WARNING_TABLE = [
     ("jsonl", _pub(date="nan"), "non-finite time 'nan'", True),
     ("jsonl", _pub(date="nan", authors=[]), "non-finite time 'nan'", True),
     ("jsonl", _pub(date="+2005"), "unparseable time '+2005'", True),
+    ("jsonl", _pub(date="2005-01-01x10:00"), "unparseable time '2005-01-01x10:00'", True),
+    ("jsonl", _pub(date="2005-01-01-10:00"), "unparseable time '2005-01-01-10:00'", True),
     ("jsonl", _pub(authors="A,B"), "authors must be a list", True),
     ("jsonl", _pub(authors=[float("nan"), "A"]), "author NaN is not finite", True),
     ("jsonl", _pub(authors=["A", float("inf")]), "author Infinity is not finite", True),

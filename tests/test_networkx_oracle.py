@@ -2,10 +2,13 @@
 Swart 2008), an implementation that shares no code with netevolve.
 
 Skipped when networkx is not installed. Values agree to 1e-12 relative.
+Assortativity is judged against the exact rational value from
+`oracles.assortativity_exact` instead: networkx's own rounding can reach
+1e-12 on a correct value (see `test_assortativity_regression_graph`).
 """
 
 import math
-import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +26,15 @@ from netevolve import (
 )
 from netevolve.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from netevolve.metrics import _all_sources
+from oracles import assortativity_exact
 
 nx = pytest.importorskip("networkx")
+
+# netevolve's worst assortativity error against the exact value, measured
+# over 30,000 examples of linked_graphs: 1.97e-14 relative, and 2.8e-17
+# absolute where r is exactly 0. The bounds are ten times those.
+ASSORTATIVITY_REL = 10 * 1.97e-14
+ASSORTATIVITY_ABS_AT_ZERO = 10 * 2.8e-17
 
 
 def _close(got, want, floor=0.0):
@@ -65,16 +75,7 @@ def _check_against_networkx(s: GraphSnapshot) -> None:
         with pytest.raises(UndefinedMetricError):
             transitivity(s)
 
-    with warnings.catch_warnings():
-        # networkx divides by a zero variance on degree-regular edge sets
-        warnings.simplefilter("ignore", RuntimeWarning)
-        nx_assortativity = nx.degree_assortativity_coefficient(g)
-    if row.assortativity is None:
-        assert math.isnan(nx_assortativity)
-    else:
-        # where it is exactly 0, netevolve's fsum gives 0.0 and networkx's
-        # mixing-matrix sums leave rounding of about 1e-15
-        assert _close(row.assortativity, nx_assortativity, floor=1e-14)
+    _check_assortativity(s, row.assortativity)
 
     nx_betweenness = nx.betweenness_centrality(g, normalized=True)
     for v, score in betweenness(s, normalized=True).items():
@@ -104,6 +105,35 @@ def _check_against_networkx(s: GraphSnapshot) -> None:
     for v in linked:
         assert _close(avg_neighbor_degree(s, v), nx_neighbor[v])
     assert _close(row.avg_neighbor_degree, math.fsum(nx_neighbor[v] for v in linked) / len(linked))
+
+
+def _check_assortativity(s: GraphSnapshot, got) -> None:
+    exact = assortativity_exact(s)
+    if exact is None:
+        assert got is None
+        return
+    sign, r_squared = exact
+    want = math.copysign(math.sqrt(r_squared), sign)
+    if want == 0.0:
+        assert abs(got) <= ASSORTATIVITY_ABS_AT_ZERO
+    else:
+        assert abs(got - want) <= ASSORTATIVITY_REL * abs(want)
+
+
+def test_assortativity_regression_graph():
+    """Exact r is -1/55. netevolve gives it to the last bit; networkx is
+    1.0016e-12 relative off, which failed a 1e-12 check on a correct value."""
+    links = [
+        (0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3),
+        (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+    ]
+    s = GraphSnapshot.from_edge_list(
+        "r", [(f"r{i:02d}", f"r{j:02d}", 1) for i, j in links], extra_actors=["z0"]
+    )
+    assert assortativity_exact(s) == (-1, Fraction(1, 55**2))
+    row = metrics_row(s)
+    assert row.assortativity == -1 / 55
+    _check_assortativity(s, row.assortativity)
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from conftest import complete, path_graph, star
 from netevolve import GraphSnapshot, betweenness, closeness, giant_component, metrics, path_stats
 from netevolve.generators import barabasi_albert
-from netevolve.graph_core import InteractionEvent, _indexed
+from netevolve.graph_core import InteractionEvent
 from netevolve.ingest import write_edge_events_text
 from netevolve.metrics import _all_sources, _frontier_pass, _reference_pass
 
 
-def _adjacency(s):
-    return _indexed(s)[1]
+def _csr(s):
+    return s._indptr, s._indices
 
 
 def _assert_agree(fast, reference):
@@ -65,7 +65,7 @@ def _steps(s):
     for each push, False for each pull."""
     rule = inspect.signature(_frontier_pass).parameters["pushes"].default
     steps = []
-    _frontier_pass(_adjacency(s), len(s.actors), lambda f, u: steps.append(rule(f, u)) or steps[-1])
+    _frontier_pass(*_csr(s), len(s.actors), lambda f, u: steps.append(rule(f, u)) or steps[-1])
     return steps
 
 
@@ -73,27 +73,25 @@ class TestDenseKernel:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.sampled_from([1, 3, 7, 64]))
     def test_agrees_with_reference(self, s, batch):
-        adj = _adjacency(s)
-        _assert_agree(_frontier_pass(adj, batch), _reference_pass(adj))
+        _assert_agree(_frontier_pass(*_csr(s), batch), _reference_pass(s._rows()))
         paths = _all_sources(s)
         assert {paths.order[i] for i in paths.giant} == giant_component(s).actors
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_on_ba_graphs(self, seed):
-        adj = _adjacency(barabasi_albert(150, 2, seed))
-        _assert_agree(_frontier_pass(adj), _reference_pass(adj))
+        s = barabasi_albert(150, 2, seed)
+        _assert_agree(_frontier_pass(*_csr(s)), _reference_pass(s._rows()))
 
     def test_isolated_actors_only(self):
-        adj = [[] for _ in range(5)]
-        assert _frontier_pass(adj) == _reference_pass(adj)
+        s = GraphSnapshot.from_edge_list("isolated", [], extra_actors=[f"z{i}" for i in range(5)])
+        assert _frontier_pass(*_csr(s)) == _reference_pass(s._rows())
 
     @pytest.mark.parametrize("pushes", [True, False], ids=["push-only", "pull-only"])
     @settings(max_examples=60, deadline=None)
     @given(s=graphs(), batch=st.sampled_from([1, 3, 64]))
     def test_each_step_direction_alone_agrees(self, pushes, s, batch):
-        adj = _adjacency(s)
-        result = _frontier_pass(adj, batch, lambda frontier_deg, unvisited_deg: pushes)
-        _assert_agree(result, _reference_pass(adj))
+        result = _frontier_pass(*_csr(s), batch, lambda frontier_deg, unvisited_deg: pushes)
+        _assert_agree(result, _reference_pass(s._rows()))
 
     def test_a_path_pushes_until_its_ends(self):
         # the frontier of a path has at most two slots per source, so only
@@ -129,11 +127,11 @@ class TestSigmaGuard:
 
     def test_overflowing_path_counts_fall_back_to_reference(self):
         s = _layered()
-        adj = _adjacency(s)
-        assert _frontier_pass(adj) is None
+        assert _frontier_pass(*_csr(s)) is None
         paths = _all_sources(s)
         assert paths.kernel == "python"
-        assert (paths.betweenness, paths.reach, paths.dist_sum, paths.ecc) == _reference_pass(adj)
+        reference = _reference_pass(s._rows())
+        assert (paths.betweenness, paths.reach, paths.dist_sum, paths.ecc) == reference
         assert path_stats(s)[0] == 22
 
     def test_counts_below_the_limit_stay_dense(self):
@@ -159,8 +157,8 @@ class TestKernelChoice:
 
     def test_public_views_match_reference_on_dense_graphs(self):
         s = barabasi_albert(120, 3, 5)
-        order, adj = _indexed(s)
-        scores, reach, dist_sum, _ = _reference_pass(adj)
+        order = s.sorted_actors()
+        scores, reach, dist_sum, _ = _reference_pass(s._rows())
         btw = betweenness(s)
         close = closeness(s)
         n = len(order)
@@ -190,3 +188,23 @@ def test_analyze_runs_without_scipy(tmp_path):
     )
     assert result.stdout == "0 True []\n"
     assert (tmp_path / "out.csv").read_text().count("\n") == 2
+
+
+def test_small_analyze_never_imports_numpy(tmp_path):
+    """Snapshots below 64 actors stay in Python: with `sys.modules["numpy"]
+    = None`, any attempt to import numpy would raise ImportError."""
+    s = barabasi_albert(63, 2, 4)
+    events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(s.edges.items())]
+    data = tmp_path / "small.csv"
+    data.write_text(write_edge_events_text(events))
+    argv = ["analyze", "--input", str(data), "--breakpoints", "40,200", "--format", "json"]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from netevolve import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert '"n_actors": 63' in result.stdout
