@@ -18,6 +18,7 @@ from .ingest import parse_timestamp, write_edge_events_text
 from .graph_core import InteractionEvent
 from .metrics import degree_histogram
 from .pipeline import (
+    _TABLE,
     INPUT_KINDS,
     AnalysisConfig,
     bundle_to_csv,
@@ -176,35 +177,30 @@ def _cmd_fit(args) -> int:
 def _cmd_report(args) -> int:
     data = _read_input(args.bundle)
     try:
-        text = _render_report(json.loads(data.decode("utf-8")))
+        text = _render_report(json.loads(data.decode("utf-8"), object_hook=_Fields))
     except UnicodeDecodeError as exc:
         # its repr would echo the whole input
         raise ParseError(f"{args.bundle}: not UTF-8 at byte {exc.start} ({exc.reason})") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.bundle}: not a netevolve bundle ({exc!r})") from exc
     _write_output(args.out, text)
     return EXIT_OK
 
 
+class _Fields(dict):
+    """A JSON object read like the dataclass it renders; a missing key is a KeyError."""
+
+    __getattr__ = dict.__getitem__
+
+
+_REPORT_COLUMNS = ("label", "n_actors", "n_links", "sum_links", "clustering", "diameter", "small_world")
+
+
 def _render_report(payload: dict) -> str:
-    lines = []
-    header = ["label", "n_actors", "n_links", "sum_links", "clustering", "diameter", "small_world"]
-    lines.append("\t".join(header))
+    cells = [dict(_TABLE)[name] for name in _REPORT_COLUMNS]
+    lines = ["\t".join(_REPORT_COLUMNS)]
     for row, verdict in zip(payload["rows"], payload["verdicts"]):
-        clustering = row["clustering"]
-        lines.append(
-            "\t".join(
-                [
-                    row["label"],
-                    str(row["n_actors"]),
-                    str(row["n_links"]),
-                    str(row["sum_links"]),
-                    "" if clustering is None else f"{clustering:.2f}",
-                    "" if row["diameter"] is None else str(row["diameter"]),
-                    "" if verdict["verdict"] is None else str(verdict["verdict"]).lower(),
-                ]
-            )
-        )
+        lines.append("\t".join(cell(row, None, verdict) for cell in cells))
     drivers = payload["correlations"]["ranked_drivers"]
     lines.append("ranked_drivers: " + (", ".join(drivers) if drivers else "(none)"))
     for check in payload["static_checks"]:

@@ -38,11 +38,29 @@ def _time_category(t: Timestamp) -> str:
     return "numeric"
 
 
+def _label(value) -> str:
+    """An actor label trimmed of surrounding whitespace; a value that is not
+    a string is a ValueError naming it."""
+    if not isinstance(value, str):
+        raise ValueError(f"actor label {value!r} is not a string")
+    return value.strip()
+
+
+def _integer(weight) -> int:
+    """A weight as an int (numpy integers convert); a bool, float or string
+    is a ValueError naming it."""
+    index = getattr(type(weight), "__index__", None)
+    if index is None or isinstance(weight, bool):
+        raise ValueError(f"weight {weight!r} is not an integer")
+    return index(weight)
+
+
 @dataclass(frozen=True)
 class InteractionEvent:
     """One timestamped, weighted, undirected interaction between two actors.
 
-    Actor labels are trimmed of surrounding whitespace; (a, b) and (b, a)
+    Actor labels are strings, trimmed of surrounding whitespace, and must
+    not be blank; the weight is an integer of at least 1. (a, b) and (b, a)
     describe the same interaction. Self-loops (a == b) are representable so
     that ingest layers can reject them with a warning instead of crashing.
     """
@@ -53,10 +71,11 @@ class InteractionEvent:
     weight: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "a", self.a.strip())
-        object.__setattr__(self, "b", self.b.strip())
+        object.__setattr__(self, "a", _label(self.a))
+        object.__setattr__(self, "b", _label(self.b))
         if not self.a or not self.b:
             raise ValueError("empty actor label")
+        object.__setattr__(self, "weight", _integer(self.weight))
         if self.weight < 1:
             raise ValueError(f"weight {self.weight} < 1")
 
@@ -65,9 +84,10 @@ class InteractionEvent:
 class PublicationRecord:
     """One publication: an id, a date, and its author list.
 
-    Author names are trimmed, blank names dropped and repeats removed
-    case-sensitively, first occurrence kept. The authors form a clique: each
-    pair of them shares one unit of edge weight per joint publication.
+    `authors` is a sequence of string names, not one string. Names are
+    trimmed, blank names dropped and repeats removed case-sensitively, first
+    occurrence kept. The authors form a clique: each pair of them shares one
+    unit of edge weight per joint publication.
     """
 
     # no per-record __dict__: a corpus holds one record per publication
@@ -77,7 +97,9 @@ class PublicationRecord:
     authors: tuple[str, ...]
 
     def __post_init__(self):
-        names = dict.fromkeys(map(str.strip, self.authors))
+        if isinstance(self.authors, str):
+            raise ValueError(f"authors must be a sequence of names, not {self.authors!r}")
+        names = dict.fromkeys(map(_label, self.authors))
         names.pop("", None)
         object.__setattr__(self, "authors", tuple(names))
 
@@ -86,12 +108,13 @@ class PublicationRecord:
 class GraphSnapshot:
     """Immutable weighted undirected simple graph at one breakpoint.
 
-    `GraphSnapshot(label, actors, edges)` checks its input: `edges` maps
-    actor pairs, in either order, to positive weights, and every endpoint
-    must be in `actors` (which may also hold isolated actors). The graph is
-    kept as integer CSR: actor i is `_names[i]`, the labels sorted, and its
-    neighbors, ascending, and their edge weights sit at positions
-    `_indptr[i]` to `_indptr[i + 1]` of `_indices` and `_weights`.
+    `GraphSnapshot(label, actors, edges)` checks its input: every actor is
+    a string that is not blank, `edges` maps actor pairs, in either order,
+    to integer weights of at least 1, and every endpoint must be in `actors`
+    (which may also hold isolated actors). The graph is kept as integer
+    CSR: actor i is `_names[i]`, the labels sorted, and its neighbors,
+    ascending, and their edge weights sit at positions `_indptr[i]` to
+    `_indptr[i + 1]` of `_indices` and `_weights`.
     """
 
     label: str
@@ -102,7 +125,10 @@ class GraphSnapshot:
     sum_links: int  # total interaction count (sum of edge weights)
 
     def __init__(self, label: str, actors: Iterable[str], edges: Mapping[tuple[str, str], int]):
-        names = sorted(set(actors))
+        actors = set(actors)
+        if not all(map(_label, actors)):
+            raise ValueError("empty actor label")
+        names = sorted(actors)
         ids = {v: i for i, v in enumerate(names)}
         n = len(names)
         links: dict[int, int] = {}
@@ -111,6 +137,7 @@ class GraphSnapshot:
                 raise ValueError(f"self-loop on actor {a!r}")
             if a not in ids or b not in ids:
                 raise ValueError(f"edge endpoint not registered as actor: ({a!r}, {b!r})")
+            w = _integer(w)
             if w < 1:
                 raise ValueError(f"edge weight must be >= 1, got {w} for ({a!r}, {b!r})")
             i, j = sorted((ids[a], ids[b]))
@@ -142,15 +169,15 @@ class GraphSnapshot:
         extra_actors: Iterable[str] = (),
     ) -> "GraphSnapshot":
         """Build a snapshot from (a, b, weight) triples plus optional isolated
-        actors; repeated pairs accumulate weight."""
+        actors, with labels trimmed; repeated pairs accumulate weight."""
         edges: dict[tuple[str, str], int] = {}
-        actors = {a.strip() for a in extra_actors}
+        actors = set(map(_label, extra_actors))
         for a, b, w in weighted_edges:
-            a, b = a.strip(), b.strip()
+            a, b = _label(a), _label(b)
             actors.add(a)
             actors.add(b)
             key = (a, b) if a <= b else (b, a)
-            edges[key] = edges.get(key, 0) + w
+            edges[key] = edges.get(key, 0) + _integer(w)
         return cls(label, actors, edges)
 
     @property

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InsufficientDataError, PipelineError
 from .evolution import (
@@ -89,8 +89,6 @@ class ReportBundle:
 def _yearly_breakpoints(times: Sequence[Timestamp]) -> tuple[list[Timestamp], list[str]]:
     """Year-end breakpoints for every calendar year the times span; years of
     offset-aware times are UTC years."""
-    if not times:
-        raise ValueError("input contains no interactions to slice")
     if not all(isinstance(t, datetime) for t in times):
         raise ValueError("--yearly requires date-typed event times")
     tz = timezone.utc if times[0].tzinfo is not None else None
@@ -115,7 +113,8 @@ def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnaps
     """The one route from an input file's bytes to snapshots: decode them
     (UTF-8, with or without a byte-order mark), parse them per config.kind
     and slice them. Returns (snapshots, ingest warnings); any failure is a
-    PipelineError at stage "ingest"."""
+    PipelineError at stage "ingest", caused by an InsufficientDataError when
+    the input holds no interaction at all, whatever the slicing mode."""
     try:
         text = data.decode("utf-8-sig")
         events, records = [], []
@@ -124,14 +123,14 @@ def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnaps
         else:
             records, warnings = parse_publications_text(text, source=config.input_path)
         times = [ev.time for ev in events] + [r.date for r in records]
+        if not times:
+            raise InsufficientDataError("input contains no interactions to slice")
         if config.breakpoints is not None:
             breakpoints = list(config.breakpoints)
             labels = list(config.labels or (f"T{i + 1}" for i in range(len(breakpoints))))
         elif config.yearly:
             breakpoints, labels = _yearly_breakpoints(times)
         else:
-            if not times:
-                raise ValueError("input contains no interactions to slice")
             breakpoints, labels = [max(times)], ["all"]
         snapshots = build_cumulative_snapshots(events, breakpoints, labels, publications=records)
     except Exception as exc:
@@ -147,9 +146,7 @@ def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
 
     try:
         per_period = [_per_period(s, config.thresholds) for s in snapshots]
-        rows = [r for r, _, _ in per_period]
-        fits = [f for _, f, _ in per_period]
-        verdicts = [v for _, _, v in per_period]
+        rows, fits, verdicts = (list(column) for column in zip(*per_period))
     except Exception as exc:
         raise PipelineError("metrics", str(exc)) from exc
 
@@ -185,97 +182,73 @@ def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
     return ReportBundle(rows, fits, proxies, correlations, static_checks, verdicts, provenance)
 
 
-CSV_COLUMNS = (
-    "label",
-    "n_actors",
-    "n_links",
-    "sum_links",
-    "density_weighted_pct",
-    "density_simple_pct",
-    "clustering",
-    "diameter",
-    "avg_distance",
-    "power_law_exponent",
-    "r_squared",
-    "assortativity",
-    "avg_neighbor_degree",
-    "avg_strength",
-    "centralization_degree",
-    "centralization_betweenness",
-    "centralization_closeness",
-    "small_world",
-)
-
-
-def _cell(value, fmt: str) -> str:
+def _cell(value, fmt: str = "") -> str:
+    """A table cell: blank for an undefined value."""
     return "" if value is None else format(value, fmt)
 
 
-def bundle_to_csv(bundle: ReportBundle) -> str:
-    """Metrics table, one row per period. Densities print as percentages with
-    one decimal; undefined metrics are blank cells."""
+def _percent(fraction: Optional[float]) -> Optional[float]:
+    return None if fraction is None else 100 * fraction
+
+
+# The per-period table in output order, one (column, cell of (row, fit,
+# verdict)) per column: the CSV writes every column, `report` some of them.
+_TABLE = (
+    ("label", lambda r, f, v: r.label),
+    ("n_actors", lambda r, f, v: _cell(r.n_actors)),
+    ("n_links", lambda r, f, v: _cell(r.n_links)),
+    ("sum_links", lambda r, f, v: _cell(r.sum_links)),
+    ("density_weighted_pct", lambda r, f, v: _cell(_percent(r.density_weighted), ".1f")),
+    ("density_simple_pct", lambda r, f, v: _cell(_percent(r.density_simple), ".1f")),
+    ("clustering", lambda r, f, v: _cell(r.clustering, ".2f")),
+    ("diameter", lambda r, f, v: _cell(r.diameter)),
+    ("avg_distance", lambda r, f, v: _cell(r.avg_distance, ".2f")),
+    ("power_law_exponent", lambda r, f, v: "" if f is None else format(f.exponent, ".2f")),
+    ("r_squared", lambda r, f, v: "" if f is None else format(f.r_squared, ".3f")),
+    ("assortativity", lambda r, f, v: _cell(r.assortativity, ".3f")),
+    ("avg_neighbor_degree", lambda r, f, v: _cell(r.avg_neighbor_degree, ".2f")),
+    ("avg_strength", lambda r, f, v: _cell(r.avg_strength, ".2f")),
+    ("centralization_degree", lambda r, f, v: _cell(r.centralization_degree, ".3f")),
+    ("centralization_betweenness", lambda r, f, v: _cell(r.centralization_betweenness, ".3f")),
+    ("centralization_closeness", lambda r, f, v: _cell(r.centralization_closeness, ".3f")),
+    ("small_world", lambda r, f, v: _cell(v.verdict).lower()),
+)
+
+CSV_COLUMNS = tuple(name for name, _ in _TABLE)
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row, fit, verdict in zip(bundle.rows, bundle.fits, bundle.verdicts):
-        writer.writerow(
-            [
-                row.label,
-                row.n_actors,
-                row.n_links,
-                row.sum_links,
-                _cell(None if row.density_weighted is None else 100 * row.density_weighted, ".1f"),
-                _cell(None if row.density_simple is None else 100 * row.density_simple, ".1f"),
-                _cell(row.clustering, ".2f"),
-                "" if row.diameter is None else str(row.diameter),
-                _cell(row.avg_distance, ".2f"),
-                "" if fit is None else format(fit.exponent, ".2f"),
-                "" if fit is None else format(fit.r_squared, ".3f"),
-                _cell(row.assortativity, ".3f"),
-                _cell(row.avg_neighbor_degree, ".2f"),
-                _cell(row.avg_strength, ".2f"),
-                _cell(row.centralization_degree, ".3f"),
-                _cell(row.centralization_betweenness, ".3f"),
-                _cell(row.centralization_closeness, ".3f"),
-                "" if verdict.verdict is None else str(verdict.verdict).lower(),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
+def bundle_to_csv(bundle: ReportBundle) -> str:
+    """Metrics table, one row per period; undefined metrics are blank cells."""
+    periods = zip(bundle.rows, bundle.fits, bundle.verdicts)
+    return _csv_text(CSV_COLUMNS, ([cell(*p) for _, cell in _TABLE] for p in periods))
+
+
 def bundle_to_json(bundle: ReportBundle) -> str:
-    """Full-precision JSON rendering of the whole bundle (sorted keys)."""
-    payload = {
-        "rows": [asdict(r) for r in bundle.rows],
-        "fits": [None if f is None else asdict(f) for f in bundle.fits],
-        "proxies": [asdict(p) for p in bundle.proxies],
-        "correlations": {
-            "pairs": [asdict(p) for p in bundle.correlations.pairs],
-            "ranked_drivers": list(bundle.correlations.ranked_drivers),
-        },
-        "static_checks": [asdict(c) for c in bundle.static_checks],
-        "verdicts": [
-            {**asdict(v), "verdict": v.verdict} for v in bundle.verdicts
-        ],
-        "provenance": bundle.provenance,
-    }
+    """Full-precision JSON of the bundle's dataclass fields plus each verdict's flag."""
+    payload = asdict(bundle)
+    for verdict, fields in zip(bundle.verdicts, payload["verdicts"]):
+        fields["verdict"] = verdict.verdict
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _g12(pairs: Iterable[tuple[float, float]]) -> Iterable[list[str]]:
+    return ([format(x, ".12g"), format(y, ".12g")] for x, y in pairs)
 
 
 def fit_plot_csv(hist: dict[int, int], fit: PowerLawFit) -> tuple[str, str]:
     """Log-log point scatter of `hist` and the endpoints of its fitted line
     as two CSV texts, ready for any external plotter."""
-    points = loglog_points(hist)
-    points_buffer = io.StringIO()
-    writer = csv.writer(points_buffer, lineterminator="\n")
-    writer.writerow(["log10_degree", "log10_count"])
-    for x, y in points:
-        writer.writerow([format(x, ".12g"), format(y, ".12g")])
-    line_buffer = io.StringIO()
-    writer = csv.writer(line_buffer, lineterminator="\n")
-    writer.writerow(["log10_degree", "log10_count_fit"])
-    xs = [x for x, _ in points]
-    for x in (min(xs), max(xs)):
-        y = fit.intercept - fit.exponent * x
-        writer.writerow([format(x, ".12g"), format(y, ".12g")])
-    return points_buffer.getvalue(), line_buffer.getvalue()
+    points = loglog_points(hist)  # sorted by degree: the line spans the first to the last
+    line = [(x, fit.intercept - fit.exponent * x) for x in (points[0][0], points[-1][0])]
+    return (
+        _csv_text(("log10_degree", "log10_count"), _g12(points)),
+        _csv_text(("log10_degree", "log10_count_fit"), _g12(line)),
+    )

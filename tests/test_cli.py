@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple
@@ -12,6 +13,7 @@ import pytest
 import netevolve.powerlaw
 from netevolve.cli import main
 from netevolve.pipeline import (
+    CSV_COLUMNS,
     AnalysisConfig,
     bundle_to_csv,
     bundle_to_json,
@@ -34,6 +36,21 @@ def run_cli(*args, env=None):
         text=True,
         env=env,
     )
+
+
+# the README's two sample commands, with the stem of their golden files
+README_SAMPLES = pytest.mark.parametrize(
+    "args, golden",
+    [
+        (
+            ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS,
+             "--labels", "T1,T1-T2,T1-T3,T1-T4"],
+            "disaster",
+        ),
+        (["--input", COAUTHORS, "--kind", "publications", "--yearly"], "coauthorship_yearly"),
+    ],
+    ids=["disaster", "coauthorship"],
+)
 
 
 def sample_configs():
@@ -121,25 +138,11 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2020", "2021"]
 
-    @pytest.mark.parametrize(
-        "args, golden",
-        [
-            (
-                ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS,
-                 "--labels", "T1,T1-T2,T1-T3,T1-T4"],
-                "disaster_report.csv",
-            ),
-            (
-                ["--input", COAUTHORS, "--kind", "publications", "--yearly"],
-                "coauthorship_yearly_report.csv",
-            ),
-        ],
-        ids=["disaster", "coauthorship"],
-    )
+    @README_SAMPLES
     def test_readme_samples_match_committed_tables(self, tmp_path, args, golden):
         out = tmp_path / "report.csv"
         assert main(["analyze", *args, "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+        assert out.read_bytes() == (GOLDEN / f"{golden}_report.csv").read_bytes()
 
     @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
     def test_proxies_match_per_snapshot_recomputation(self, config):
@@ -281,6 +284,26 @@ class TestReport:
         assert "ranked_drivers:" in text
         assert "static[clustering]" in text
 
+    @README_SAMPLES
+    def test_readme_samples_match_committed_reports(self, tmp_path, args, golden):
+        bundle_path = tmp_path / "bundle.json"
+        assert main(["analyze", *args, "--format", "json", "--out", str(bundle_path)]) == 0
+        out = tmp_path / "report.txt"
+        assert main(["report", "--bundle", str(bundle_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{golden}_report.txt").read_bytes()
+
+    def test_row_without_clustering_is_parse_error(self, tmp_path, capsys):
+        config = sample_configs()[0]
+        bundle = json.loads(bundle_to_json(run_analysis(config, Path(DISASTER).read_bytes())))
+        del bundle["rows"][0]["clustering"]
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(json.dumps(bundle))
+        assert main(["report", "--bundle", str(bundle_path)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "stage": "parse",
+            "error": f"{bundle_path}: not a netevolve bundle (KeyError('clustering'))",
+        }
+
     @pytest.mark.parametrize(
         "content", ["{}", "[1, 2]", "not json"], ids=["empty-object", "list", "not-json"]
     )
@@ -378,6 +401,17 @@ class TestIgnoredOptions:
 
 
 class TestReadme:
+    def test_report_layout_names_the_columns(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        layout = readme.split("### Report layout", 1)[1].split("\n#", 1)[0]
+        csv_columns, report_columns = (
+            tuple(" ".join(names.split()).split(", "))
+            for names in re.findall(r"columns `([^`]*)`", layout)
+        )
+        assert csv_columns == CSV_COLUMNS
+        report = (GOLDEN / "disaster_report.txt").read_text()
+        assert tuple(report.split("\n", 1)[0].split("\t")) == report_columns
+
     def test_library_use_block_runs(self, tmp_path, monkeypatch):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Library use", 1)[1]
@@ -412,6 +446,9 @@ FAULT_INPUTS = {
     "list.json": b"[1, 2]",
     "text.json": b"not json",
     "latin1.json": '{"rows": "\xf6"}'.encode("latin-1"),
+    "header.csv": b"time,a,b\n",
+    "loops.csv": b"time,a,b\n1,A,A\n2,B,B\n",
+    "empty.jsonl": b"",
 }
 
 FAULT_CONTRACT = [
@@ -469,6 +506,17 @@ FAULT_CONTRACT = [
     pytest.param(
         "generate", ["--model", "ws", "-n", "3", "--k", "4"], 2, "config", id="generate-ws-k-too-big"
     ),
+] + [
+    # an input with no interactions fails before slicing, whatever the mode
+    pytest.param(
+        command, ["--input", source, *kind, *mode], 4, "ingest",
+        id=f"{command}-no-interactions-{source}{''.join(mode)}",
+    )
+    for source, kind in [
+        ("header.csv", []), ("loops.csv", []), ("empty.jsonl", ["--kind", "publications"])
+    ]
+    for command in ("analyze", "fit")
+    for mode in ([], ["--yearly"], ["--breakpoints", "5"])
 ]
 
 

@@ -1,8 +1,10 @@
 import json
 import logging
 import random
+import re
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,75 @@ class TestSnapshotConstruction:
     def test_rejects_duplicate_edge_under_normalization(self):
         with pytest.raises(ValueError):
             GraphSnapshot("x", frozenset({"A", "B"}), {("A", "B"): 1, ("B", "A"): 2})
+
+
+class TestLibraryInputRules:
+    """Records and snapshots built in code follow the decoders' label rule,
+    and every weight is an integer of at least 1, stored as an int."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GraphSnapshot.from_edge_list("g", [("  ", "A", 1)]), "empty actor label"),
+            (lambda: GraphSnapshot.from_edge_list("g", [], [" "]), "empty actor label"),
+            (lambda: GraphSnapshot("g", {"", "A"}, {("", "A"): 1}), "empty actor label"),
+            (lambda: GraphSnapshot("g", {" \t", "A"}, {}), "empty actor label"),
+            (lambda: GraphSnapshot("g", {1, "A"}, {}), "actor label 1 is not a string"),
+            (
+                lambda: GraphSnapshot.from_edge_list("g", [(b"A", "B", 1)]),
+                "actor label b'A' is not a string",
+            ),
+            (lambda: InteractionEvent(1, 5, "B"), "actor label 5 is not a string"),
+            (lambda: InteractionEvent(1, "A", None), "actor label None is not a string"),
+            (lambda: PublicationRecord("P", 2005, [1, "A"]), "actor label 1 is not a string"),
+            (
+                lambda: PublicationRecord("P", 2005, "AB"),
+                "authors must be a sequence of names, not 'AB'",
+            ),
+        ],
+        ids=[
+            "edge-list-blank", "edge-list-blank-extra", "snapshot-empty", "snapshot-blank",
+            "snapshot-int", "edge-list-bytes", "event-int", "event-none", "record-int",
+            "record-bare-string",
+        ],
+    )
+    def test_label_faults(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "weight", [1.5, 2.0, True, False, "2", None, np.float64(2)],
+        ids=["fraction", "whole-float", "true", "false", "string", "none", "numpy-float"],
+    )
+    def test_weight_must_be_an_integer(self, weight):
+        message = f"^weight {re.escape(repr(weight))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            InteractionEvent(1, "A", "B", weight)
+        with pytest.raises(ValueError, match=message):
+            GraphSnapshot("g", {"A", "B"}, {("A", "B"): weight})
+        with pytest.raises(ValueError, match=message):
+            GraphSnapshot.from_edge_list("g", [("A", "B", weight)])
+
+    @pytest.mark.parametrize("weight", [0, -3, np.int64(0)], ids=["zero", "negative", "numpy"])
+    def test_weight_below_one(self, weight):
+        with pytest.raises(ValueError, match=f"^weight {int(weight)} < 1$"):
+            InteractionEvent(1, "A", "B", weight)
+        below = f"^edge weight must be >= 1, got {int(weight)} for \\('A', 'B'\\)$"
+        with pytest.raises(ValueError, match=below):
+            GraphSnapshot("g", {"A", "B"}, {("A", "B"): weight})
+        with pytest.raises(ValueError, match=below):
+            GraphSnapshot.from_edge_list("g", [("A", "B", weight)])
+
+    def test_numpy_integer_weights_are_stored_as_int(self):
+        event = InteractionEvent(1, "A", "B", np.int64(2))
+        assert type(event.weight) is int
+        (folded,) = build_cumulative_snapshots([event], [1], ["p"])
+        direct = GraphSnapshot("g", {"A", "B"}, {("A", "B"): np.int32(2)})
+        listed = GraphSnapshot.from_edge_list("g", [("A", "B", np.int64(1)), ("B", "A", np.uint8(1))])
+        for s in (folded, direct, listed):
+            assert s.edges == {("A", "B"): 2}
+            assert type(s.sum_links) is int
+            assert json.dumps(s.sum_links) == "2"
 
 
 class TestBuildCumulativeSnapshots:
