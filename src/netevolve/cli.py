@@ -15,7 +15,7 @@ from .errors import InsufficientDataError, ParseError, PipelineError, UndefinedM
 from .evolution import SmallWorldThresholds
 from .generators import barabasi_albert, erdos_renyi, watts_strogatz
 from .ingest import parse_timestamp, write_edge_events_text
-from .graph_core import InteractionEvent
+from .graph_core import InteractionEvent, check_labels
 from .metrics import degree_histogram
 from .pipeline import (
     _TABLE,
@@ -197,9 +197,12 @@ _REPORT_COLUMNS = ("label", "n_actors", "n_links", "sum_links", "clustering", "d
 
 
 def _render_report(payload: dict) -> str:
+    """The report text; a ValueError when the bundle's rows, fits and
+    verdicts differ in length or its period labels break the label rule."""
     cells = [dict(_TABLE)[name] for name in _REPORT_COLUMNS]
+    check_labels([row.label for row in payload["rows"]])
     lines = ["\t".join(_REPORT_COLUMNS)]
-    for row, verdict in zip(payload["rows"], payload["verdicts"]):
+    for row, _, verdict in zip(payload["rows"], payload["fits"], payload["verdicts"], strict=True):
         lines.append("\t".join(cell(row, None, verdict) for cell in cells))
     drivers = payload["correlations"]["ranked_drivers"]
     lines.append("ranked_drivers: " + (", ".join(drivers) if drivers else "(none)"))

@@ -18,10 +18,11 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -99,9 +100,31 @@ class PublicationRecord:
     def __post_init__(self):
         if isinstance(self.authors, str):
             raise ValueError(f"authors must be a sequence of names, not {self.authors!r}")
-        names = dict.fromkeys(map(_label, self.authors))
-        names.pop("", None)
-        object.__setattr__(self, "authors", tuple(names))
+        object.__setattr__(self, "authors", _author_names(self.authors))
+
+
+def _author_names(values: Iterable, trim=_label, intern=None) -> tuple[str, ...]:
+    """The one author rule of `PublicationRecord`: each value read as a
+    trimmed name by `trim`, blank names dropped and repeats removed
+    case-sensitively, first occurrence kept; `intern(name, name)`, when
+    given, picks the string object each name is kept as."""
+    names = dict.fromkeys(map(trim, values))
+    names.pop("", None)
+    return tuple(names) if intern is None else tuple(map(intern, names, names))
+
+
+_set_pub_id, _set_date, _set_authors = (
+    PublicationRecord.__dict__[name].__set__ for name in PublicationRecord.__slots__
+)
+
+
+def _publication(pub_id: str, date: Timestamp, authors: tuple[str, ...]) -> PublicationRecord:
+    """A record of authors that `_author_names` already gave, not normalised again."""
+    record = object.__new__(PublicationRecord)
+    _set_pub_id(record, pub_id)
+    _set_date(record, date)
+    _set_authors(record, authors)
+    return record
 
 
 @dataclass(frozen=True, init=False)
@@ -130,8 +153,7 @@ class GraphSnapshot:
             raise ValueError("empty actor label")
         names = sorted(actors)
         ids = {v: i for i, v in enumerate(names)}
-        n = len(names)
-        links: dict[int, int] = {}
+        links: dict[tuple[int, int], int] = {}
         for (a, b), w in edges.items():
             if a == b:
                 raise ValueError(f"self-loop on actor {a!r}")
@@ -140,18 +162,18 @@ class GraphSnapshot:
             w = _integer(w)
             if w < 1:
                 raise ValueError(f"edge weight must be >= 1, got {w} for ({a!r}, {b!r})")
-            i, j = sorted((ids[a], ids[b]))
-            if i * n + j in links:
+            i, j = pair = tuple(sorted((ids[a], ids[b])))
+            if pair in links:
                 raise ValueError(f"duplicate edge {(names[i], names[j])!r}")
-            links[i * n + j] = w
-        self._store(label, names, range(n), links)
+            links[pair] = w
+        self._store(label, names, range(len(names)), links)
 
     def _store(self, label: str, names: Sequence[str], ids: Sequence[int], links: dict):
         """Keep the graph on the actors `ids` (ascending) of the sorted label
-        table `names`, whose links map the pair code i * len(names) + j
-        (i < j) to a weight. The fold calls this on a bare instance."""
-        n, rank = len(names), dict(zip(ids, range(len(ids))))
-        half = [(rank[code // n], rank[code % n], w) for code, w in links.items()]
+        table `names`, whose links map the id pair (i, j), i < j, to a weight.
+        The fold calls this on a bare instance."""
+        rank = dict(zip(ids, range(len(ids))))
+        half = [(rank[i], rank[j], w) for (i, j), w in links.items()]
         arcs = sorted(half + [(j, i, w) for i, j, w in half])  # both directions, row by row
         indptr = [bisect_left(arcs, (i,)) for i in range(len(ids) + 1)]
         object.__setattr__(self, "label", label)
@@ -232,28 +254,38 @@ class GraphSnapshot:
 
 def _check_times(times: Iterable[Timestamp], what: str) -> None:
     """Only finite times of one kind can be ordered against each other."""
-    categories = {_time_category(t) for t in times}
+    # once per distinct time: times of two kinds never compare equal
+    categories = set(map(_time_category, set(times)))
     if "non-finite" in categories:
         raise ValueError(f"{what} must be finite (got NaN or infinity)")
     if len(categories) > 1:
         raise ValueError(f"{what} mix " + " and ".join(sorted(categories)) + " times")
 
 
+def check_labels(labels: Sequence[str]) -> None:
+    """Raise ValueError unless every period label is distinct, not blank and
+    free of tabs, CRs and LFs: a label names its period's output, so a repeat
+    would overwrite another period, and it is one cell of the tab-separated
+    report."""
+    if not all(label.strip() for label in labels):
+        raise ValueError(f"period labels must not be blank, got {list(labels)!r}")
+    if any(c in label for label in labels for c in "\t\r\n"):
+        raise ValueError(f"period labels must not hold a tab, CR or LF, got {list(labels)!r}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"period labels must be distinct, got {list(labels)!r}")
+
+
 def check_breakpoints(breakpoints: Sequence[Timestamp], labels: Sequence[str] | None) -> None:
     """Raise ValueError unless there is at least one breakpoint, the
     breakpoints are finite, of one time kind and strictly increasing, and
-    the labels, unless None, name them one to one, each label once and none
-    blank: a label names its period's output, so a repeat would overwrite
-    another period.
+    the labels, unless None, name them one to one and pass `check_labels`.
     """
     if not breakpoints:
         raise ValueError("at least one breakpoint is required")
     if labels is not None and len(labels) != len(breakpoints):
         raise ValueError(f"got {len(labels)} labels for {len(breakpoints)} breakpoints")
-    if labels is not None and not all(label.strip() for label in labels):
-        raise ValueError(f"period labels must not be blank, got {list(labels)!r}")
-    if labels is not None and len(set(labels)) != len(labels):
-        raise ValueError(f"period labels must be distinct, got {list(labels)!r}")
+    if labels is not None:
+        check_labels(labels)
     _check_times(breakpoints, "breakpoints")
     for earlier, later in zip(breakpoints, breakpoints[1:]):
         if not earlier < later:
@@ -293,22 +325,27 @@ def build_cumulative_snapshots(
 
     _check_times(chain(breakpoints, map(itemgetter(0), groups)), "event times and breakpoints")
 
-    # ids in label order over the whole input; pair (i, j), i < j, is code i * n + j
+    # ids in label order over the whole input; links are keyed by id pairs (i, j), i < j
     names = sorted(set(chain.from_iterable(map(itemgetter(1), groups))))
-    n = len(names)
-    ids = dict(zip(names, range(n)))
-    # latest first, so the next group due is popped off the end
-    groups.sort(key=itemgetter(0), reverse=True)
-    links: dict[int, int] = {}
+    ids = dict(zip(names, range(len(names))))
+    groups.sort(key=itemgetter(0))
+    links: Counter[tuple[int, int]] = Counter()
     present: set[int] = set()
     snapshots = []
+    done = 0
     for bp, label in zip(breakpoints, labels):
-        while groups and groups[-1][0] <= bp:
-            _, members, weight = groups.pop()
+        due = bisect_right(groups, bp, done, key=itemgetter(0))
+        unit = []  # the period's unit-weight groups, whose pairs are counted at once
+        for _, members, weight in groups[done:due]:
             members = sorted(map(ids.__getitem__, members))
             present.update(members)
-            for i, j in combinations(members, 2):
-                links[i * n + j] = links.get(i * n + j, 0) + weight
+            if weight == 1:
+                unit.append(members)
+            else:
+                for pair in combinations(members, 2):
+                    links[pair] += weight
+        links.update(chain.from_iterable(map(combinations, unit, repeat(2))))
+        done = due
         snapshot = GraphSnapshot.__new__(GraphSnapshot)  # built by the fold, not checked again
         snapshot._store(label, names, sorted(present), links)
         snapshots.append(snapshot)

@@ -27,7 +27,8 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import ParseError
-from .graph_core import InteractionEvent, PublicationRecord, Timestamp, _check_times
+from .graph_core import InteractionEvent, PublicationRecord, Timestamp
+from .graph_core import _author_names, _check_times, _publication
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
@@ -72,15 +73,15 @@ def _parse_records(lines, decode, source, noun, time_of):
     records whose times mix kinds, raise ParseError.
     """
     records, warnings = [], []
-    malformed = 0
-    for lineno, raw in lines:
+    rows = malformed = 0
+    for rows, (lineno, raw) in enumerate(lines, start=1):
         try:
             records.append(decode(raw))
         except ValueError as exc:
             warnings.append(f"{source}:{lineno}: {exc}, {noun} skipped")
             malformed += not isinstance(exc, _Noise)
-    if lines and malformed / len(lines) > _MAX_BAD_FRACTION:
-        raise ParseError(f"{source}: {malformed} of {len(lines)} {noun}s malformed (> 10%)")
+    if malformed and malformed / rows > _MAX_BAD_FRACTION:
+        raise ParseError(f"{source}: {malformed} of {rows} {noun}s malformed (> 10%)")
     try:
         _check_times(map(time_of, records), "times")
     except ValueError as exc:
@@ -156,22 +157,34 @@ def _json_text(value, field: str) -> str:
     return str(value)
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
 def parse_publications_text(
     text: str, source: str = "<string>"
 ) -> tuple[list[PublicationRecord], list[str]]:
     """Parse publication JSON Lines content; returns (records, warnings).
 
-    Records end in LF or CRLF and keep their order; `PublicationRecord`
-    trims and deduplicates the authors. Records with an empty author list
-    or a duplicate pub_id are skipped with a warning.
+    Records end in LF or CRLF and keep their order; each is decoded once,
+    and its authors are read once under the `PublicationRecord` rule.
+    Records with an empty author list or a duplicate pub_id are skipped
+    with a warning.
     """
     seen_ids: set[str] = set()
     parse_time = cache(parse_timestamp)  # once per distinct date
     intern = {}.setdefault  # one object per distinct author name
 
     def decode(line: str) -> PublicationRecord:
+        # the C scanner reads the line between JSON whitespace; a line it does
+        # not take whole goes to json.loads, which raises with its own text
+        value = line.strip(" \t\n\r")
         try:
+            obj, end = _scan_json(value, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(value):
             obj = json.loads(line)
+        try:
             pub_id = _json_text(obj["pub_id"], "pub_id").strip()
             if not pub_id:
                 raise ValueError("blank pub_id")
@@ -181,17 +194,27 @@ def parse_publications_text(
             raise ValueError(exc) from None
         if not isinstance(authors, list):
             raise ValueError("authors must be a list")
-        names = [_json_text(name, "author").strip() for name in authors]
-        record = PublicationRecord(pub_id, date, [intern(name, name) for name in names])
-        if not record.authors:
+        try:
+            names = _author_names(authors, str.strip, intern)
+        except TypeError:  # a name that is not a string: a number, or a fault
+            names = _author_names(authors, lambda v: _json_text(v, "author").strip(), intern)
+        if not names:
             raise _Noise("empty author list")
         if pub_id in seen_ids:
             raise _Noise(f"duplicate pub_id {pub_id!r}")
         seen_ids.add(pub_id)
-        return record
+        return _publication(pub_id, date, names)
 
+    return _parse_records(_numbered_lines(text), decode, source, "record", attrgetter("date"))
+
+
+def _numbered_lines(text: str):
+    """(line number, line) for each line of `text` that is not blank; a line
+    is let go once the caller moves past it."""
     # records end at LF only: str.splitlines would also break at characters
     # such as U+2028 and U+0085, which JSON strings may hold raw
-    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
-    return _parse_records(lines, decode, source, "record", attrgetter("date"))
-
+    lines = text.split("\n")[::-1]
+    for lineno in range(1, len(lines) + 1):
+        line = lines.pop()
+        if line.strip():
+            yield lineno, line

@@ -7,19 +7,24 @@ values.
 """
 
 import itertools
+import json
 import math
 from collections import deque
+from datetime import datetime
 from fractions import Fraction
 
 import numpy as np
 
 from netevolve import (
     InsufficientDataError,
+    ParseError,
+    PublicationRecord,
     UndefinedMetricError,
     assortativity,
     avg_neighbor_degree_mean,
     degree_histogram,
     fit_powerlaw,
+    parse_timestamp,
 )
 
 
@@ -251,3 +256,95 @@ def proxies_by_recomputation(snapshots):
             multi = None
         out.append((s.label, pref, homophily, embedding, multi))
     return out
+
+
+def brandes_exact(snapshot):
+    """Raw betweenness (both endpoints, as `_reference_pass` sums it) per
+    actor in sorted label order, by Brandes with integer path counts and
+    `Fraction` dependencies: nothing is rounded."""
+    adj = adjacency_sets(snapshot)
+    order = sorted(adj)
+    scores = {v: Fraction(0) for v in order}
+    for s in order:
+        dist, sigma = _bfs_sigma(adj, s)
+        reached = sorted((v for v in order if dist[v] > 0), key=dist.__getitem__, reverse=True)
+        delta = {v: Fraction(0) for v in order}
+        for w in reached:
+            for v in adj[w]:
+                if dist[v] == dist[w] - 1:
+                    delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            scores[w] += delta[w]
+    return [scores[v] for v in order]
+
+
+def centralization_betweenness_exact(raw):
+    """Freeman betweenness centralization of raw scores as `brandes_exact`
+    gives them, as a Fraction: each normalised score is raw / ((n-1)(n-2)),
+    and the spread is divided by n - 1, then clamped to [0, 1]."""
+    n = len(raw)
+    scores = [b / ((n - 1) * (n - 2)) for b in raw]
+    spread = sum(max(scores) - b for b in scores)
+    return min(Fraction(1), max(Fraction(0), spread / (n - 1)))
+
+
+def _json_text(value, field):
+    if type(value) is str:
+        return value
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} {json.dumps(value)} is not a string or number")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{field} {json.dumps(value)} is not finite")
+    return str(value)
+
+
+def _time_kind(t):
+    if isinstance(t, datetime):
+        return "offset-aware date" if t.tzinfo is not None else "naive date"
+    return "non-finite" if isinstance(t, float) and not math.isfinite(t) else "numeric"
+
+
+def parse_publications_reference(text, source="<string>"):
+    """The per-line `json.loads` decoder that `parse_publications_text`
+    replaced: (records, warnings), or ParseError past the 10% budget or on
+    mixed time kinds. Each author name is trimmed, the blank and repeated
+    ones dropped, and kept as the first string object of its text in the
+    parse."""
+    interned = {}
+    seen_ids = set()
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    records, warnings = [], []
+    malformed = 0
+    for lineno, line in lines:
+        noise = False
+        try:
+            try:
+                obj = json.loads(line)
+                pub_id = _json_text(obj["pub_id"], "pub_id").strip()
+                if not pub_id:
+                    raise ValueError("blank pub_id")
+                date = parse_timestamp(str(obj["date"]))
+                authors = obj["authors"]
+            except (KeyError, TypeError) as exc:
+                raise ValueError(exc) from None
+            if not isinstance(authors, list):
+                raise ValueError("authors must be a list")
+            names = [_json_text(name, "author").strip() for name in authors]
+            names = [interned.setdefault(name, name) for name in names if name]
+            record = PublicationRecord(pub_id, date, list(dict.fromkeys(names)))
+            noise = True
+            if not record.authors:
+                raise ValueError("empty author list")
+            if pub_id in seen_ids:
+                raise ValueError(f"duplicate pub_id {pub_id!r}")
+        except ValueError as exc:
+            warnings.append(f"{source}:{lineno}: {exc}, record skipped")
+            malformed += not noise
+            continue
+        seen_ids.add(pub_id)
+        records.append(record)
+    if lines and malformed / len(lines) > 0.10:
+        raise ParseError(f"{source}: {malformed} of {len(lines)} records malformed (> 10%)")
+    kinds = {_time_kind(r.date) for r in records}
+    if len(kinds) > 1:
+        raise ParseError(f"{source}: times mix " + " and ".join(sorted(kinds)) + " times")
+    return records, warnings

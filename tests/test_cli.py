@@ -305,6 +305,40 @@ class TestReport:
         }
 
     @pytest.mark.parametrize(
+        "field, reason",
+        [
+            ("rows", "zip() argument 2 is longer than argument 1"),
+            ("fits", "zip() argument 2 is shorter than argument 1"),
+            ("verdicts", "zip() argument 3 is shorter than arguments 1-2"),
+        ],
+    )
+    def test_unequal_period_lists_are_parse_error(self, tmp_path, capsys, field, reason):
+        config = sample_configs()[0]
+        bundle = json.loads(bundle_to_json(run_analysis(config, Path(DISASTER).read_bytes())))
+        del bundle[field][-1]
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(json.dumps(bundle))
+        out = tmp_path / "report.txt"
+        assert main(["report", "--bundle", str(bundle_path), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "stage": "parse",
+            "error": f"{bundle_path}: not a netevolve bundle (ValueError({reason!r}))",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\t", "\r", "\n"])
+    def test_label_with_a_table_separator_is_parse_error(self, tmp_path, capsys, separator):
+        config = sample_configs()[0]
+        bundle = json.loads(bundle_to_json(run_analysis(config, Path(DISASTER).read_bytes())))
+        bundle["rows"][0]["label"] = f"a{separator}b"
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(json.dumps(bundle))
+        assert main(["report", "--bundle", str(bundle_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "parse"
+        assert "must not hold a tab, CR or LF" in err["error"]
+
+    @pytest.mark.parametrize(
         "content", ["{}", "[1, 2]", "not json"], ids=["empty-object", "list", "not-json"]
     )
     def test_malformed_bundle_is_parse_error(self, tmp_path, capsys, content):
@@ -449,6 +483,18 @@ FAULT_INPUTS = {
     "header.csv": b"time,a,b\n",
     "loops.csv": b"time,a,b\n1,A,A\n2,B,B\n",
     "empty.jsonl": b"",
+    "tab-label.json": json.dumps(
+        {
+            "rows": [
+                {"label": "a\tb", "n_actors": 2, "n_links": 1, "sum_links": 1,
+                 "clustering": 0.0, "diameter": 1}
+            ],
+            "fits": [None],
+            "verdicts": [{"verdict": False}],
+            "correlations": {"ranked_drivers": []},
+            "static_checks": [],
+        }
+    ).encode(),
 }
 
 FAULT_CONTRACT = [
@@ -495,6 +541,14 @@ FAULT_CONTRACT = [
         "config",
         id="fit-label-separator",
     ),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--breakpoints", "1,2", "--labels", "a\tb,c"], 2, "config",
+        id="analyze-label-tab",
+    ),
+    pytest.param(
+        "fit", ["--input", DISASTER, "--breakpoints", "1,2", "--labels", "a\rb,c"], 2, "config",
+        id="fit-label-carriage-return",
+    ),
     pytest.param("fit", ["--input", "missing.csv"], 3, "io", id="fit-missing"),
     pytest.param("fit", ["--input", "latin1.csv"], 3, "ingest", id="fit-not-utf-8"),
     pytest.param("report", ["--bundle", "object.json"], 3, "parse", id="report-empty-object"),
@@ -502,6 +556,7 @@ FAULT_CONTRACT = [
     pytest.param("report", ["--bundle", "text.json"], 3, "parse", id="report-not-json"),
     pytest.param("report", ["--bundle", "latin1.json"], 3, "parse", id="report-not-utf-8"),
     pytest.param("report", ["--bundle", "missing.json"], 3, "io", id="report-missing"),
+    pytest.param("report", ["--bundle", "tab-label.json"], 3, "parse", id="report-label-tab"),
     pytest.param("generate", ["--model", "er", "-n", "5"], 2, "config", id="generate-er-no-p"),
     pytest.param(
         "generate", ["--model", "ws", "-n", "3", "--k", "4"], 2, "config", id="generate-ws-k-too-big"

@@ -223,6 +223,12 @@ class TestBuildCumulativeSnapshots:
         with pytest.raises(ValueError, match="distinct"):
             build_cumulative_snapshots([], [1, 2], ["a", "a"])
 
+    @pytest.mark.parametrize("separator", ["\t", "\r", "\n"])
+    def test_label_with_a_table_separator_rejected(self, separator):
+        # a label is one cell of the tab-separated report
+        with pytest.raises(ValueError, match="must not hold a tab, CR or LF"):
+            build_cumulative_snapshots([], [1, 2], [f"a{separator}b", "c"])
+
     def test_self_loop_event_warns_but_not_fatal(self, caplog):
         evs = events((1, "A", "B"), (2, "C", "C"))
         with caplog.at_level(logging.WARNING, logger="netevolve.graph_core"):

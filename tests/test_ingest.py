@@ -19,6 +19,7 @@ from netevolve import (
     write_edge_events_text,
 )
 from netevolve.graph_core import InteractionEvent
+from oracles import parse_publications_reference
 
 
 class TestParseTimestamp:
@@ -489,3 +490,139 @@ class TestExpandPublications:
         assert snapshot.actors == frozenset(expected_actors)
         assert snapshot.edges == expected_weights
         assert snapshot.n_links == len(expected_weights)
+
+
+# JSON values as text, so that a line may hold what json.dumps never writes:
+# NaN, Infinity, duplicate keys and stray whitespace
+_NAMES = st.sampled_from(["Ann", " Ann", "Ann ", "Bob ", "Cy", "Dé", "", "  ", 7, 2.5])
+_ODD_AUTHORS = st.sampled_from(["null", "true", "-0", "1e400", "NaN", "-Infinity", "{}"])
+_ODD_FIELDS = [
+    st.sampled_from(["12", "NaN", "Infinity", "null", "false", "[1]"]),
+    st.sampled_from(['"nan"', '"yesterday"', "NaN", "null", '"2005-01-01"', '"2005"']),
+    st.sampled_from(['"A,B"', "null", "{}"]),
+]
+_DATES = [
+    ["2005-01-01", "2005-03-01T10:00", "2006-07-01"],
+    ["2005", "5.5", "-3"],
+    ["2005-01-01T10:00+01:00", "2006-01-01T00:00Z"],
+]
+_JSON_SPACE = st.text(st.sampled_from(" \t\r"), max_size=2)
+_OTHER_SPACE = st.sampled_from(["\x0c", "\xa0", "\u2028", "\u0085"])
+
+
+@st.composite
+def _jsonl_record(draw, dates, odd):
+    """One JSONL record as text, with JSON whitespace between its tokens.
+    With `odd`, a field may be of the wrong type or NaN, and a key may be
+    repeated or missing."""
+    sep = draw(_JSON_SPACE)
+    names = _NAMES.map(json.dumps) | _ODD_AUTHORS if odd else _NAMES.map(json.dumps)
+    authors = draw(st.lists(names, min_size=1, max_size=5))
+    fields = [
+        ("pub_id", json.dumps(draw(st.sampled_from([f"P{i}" for i in range(30)] + [" P1 ", ""])))),
+        ("date", json.dumps(draw(st.sampled_from(dates)))),
+        ("authors", "[" + ("," + sep).join(authors) + "]"),
+    ]
+    if odd:
+        field = draw(st.integers(0, 2))
+        fields[field] = (fields[field][0], draw(_ODD_FIELDS[field]))
+        if draw(st.booleans()):
+            fields.insert(draw(st.integers(0, 3)), fields[draw(st.integers(0, 2))])
+        elif draw(st.booleans()):
+            del fields[draw(st.integers(0, 2))]
+    pairs = (f"{json.dumps(k)}{sep}:{sep}{v}" for k, v in draw(st.permutations(fields)))
+    return sep + "{" + sep + ("," + sep).join(pairs) + sep + "}" + sep
+
+
+@st.composite
+def _odd_lines(draw, record):
+    """`record` as lines that json.loads may reject: stray non-JSON
+    whitespace, a BOM, extra data, the record split over two lines, or a
+    bare value in its place."""
+    shape = draw(st.integers(0, 4))
+    if shape == 0:
+        space = draw(_OTHER_SPACE)
+        return [space + record if draw(st.booleans()) else record + space]
+    if shape == 1:
+        return ["\ufeff" + record]
+    if shape == 2:
+        return [record + draw(st.sampled_from([" x", " 1", ",", "}", " {}"]))]
+    if shape == 3:
+        cut = draw(st.integers(1, len(record) - 1))
+        return [record[:cut], record[cut:]]
+    return [draw(st.sampled_from(["1,2", "7", '"s"', "[]", "null", "NaN", "Infinity"]))]
+
+
+@st.composite
+def _jsonl_texts(draw):
+    """JSONL text of valid records of one time kind with up to three odd
+    records or lines among them, blank lines, and LF or CRLF line ends."""
+    dates = draw(st.sampled_from(_DATES))
+    lines = [draw(_jsonl_record(dates, False)) for _ in range(draw(st.integers(5, 30)))]
+    for _ in range(draw(st.integers(0, 3))):
+        odd = draw(_jsonl_record(dates, True))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(_odd_lines(odd)) if draw(st.booleans()) else [odd]
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(st.sampled_from(["", " \t", "\x0c", "\xa0"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _decoded(parse, text):
+    """What a decoder makes of `text`: its records and warnings, checked to
+    keep one string object per author name, or the ParseError text."""
+    try:
+        records, warnings = parse(text, "f.jsonl")
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    first = {}
+    for record in records:
+        assert type(record) is PublicationRecord and type(record.authors) is tuple
+        for name in record.authors:
+            assert first.setdefault(name, name) is name
+    return records, warnings
+
+
+def _assert_decoded_alike(text):
+    assert _decoded(parse_publications_text, text) == _decoded(parse_publications_reference, text)
+
+
+class TestDecoderMatchesReference:
+    """`parse_publications_text` decodes each line once with the C scanner;
+    the per-line `json.loads` decoder in oracles.py is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_jsonl_texts())
+    def test_random_texts(self, text):
+        _assert_decoded_alike(text)
+
+    def test_split_object_lines_fail_alone(self):
+        # joined into one array these two lines would parse as two records
+        good = [_good_row("jsonl", i) for i in range(18)]
+        text = "\n".join(good + ['{"x":[1', '2]}, {"y":3}']) + "\n"
+        records, warnings = parse_publications_text(text, "f.jsonl")
+        assert len(records) == 18
+        assert warnings == [
+            "f.jsonl:19: Expecting ',' delimiter: line 1 column 8 (char 7), record skipped",
+            "f.jsonl:20: Extra data: line 1 column 2 (char 1), record skipped",
+        ]
+        assert (records, warnings) == parse_publications_reference(text, "f.jsonl")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            " \t" + _pub() + " \r",
+            "\x0c" + _pub(),
+            "\xa0" + _pub(),
+            _pub() + "\u2028",
+            "\ufeff" + _pub(),
+            _pub() + " x",
+            "1,2",
+            '{"pub_id": "P", "pub_id": "Q", "date": "2005", "authors": ["A", "B"]}',
+            '{"pub_id": "P", "date": "2005", "authors": [NaN]}',
+        ],
+    )
+    def test_whitespace_and_extra_data(self, line):
+        _assert_decoded_alike("\n".join([_good_row("jsonl", i) for i in range(9)] + [line]))
