@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import UndefinedMetricError
-from .metrics import CENTRALIZATION_KINDS, MetricsRow
+from .metrics import CENTRALIZATION_KINDS, MetricsRow, _pearson
 from .powerlaw import PowerLawFit
 
 PROXY_NAMES = ("embedding", "homophily", "multi_connectivity", "pref_attachment")
@@ -114,16 +114,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise ValueError("need at least 3 paired observations")
-    n = len(x)
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    sxx = math.fsum((v - mean_x) ** 2 for v in x)
-    syy = math.fsum((v - mean_y) ** 2 for v in y)
-    if sxx == 0.0 or syy == 0.0:
+    r = _pearson(x, y)
+    if r is None:
         raise UndefinedMetricError("correlation is undefined for a constant series")
-    sxy = math.fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    return r
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -148,10 +142,6 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     Invariant under strictly monotone transforms of either input; undefined
     when either series is constant.
     """
-    if len(x) != len(y):
-        raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < 3:
-        raise ValueError("need at least 3 paired observations")
     return pearson(_average_ranks(x), _average_ranks(y))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -40,11 +41,12 @@ def _time_category(t: Timestamp) -> str:
 
 
 def _label(value) -> str:
-    """An actor label trimmed of surrounding whitespace; a value that is not
-    a string is a ValueError naming it."""
+    """An actor label trimmed of surrounding whitespace and interned, so each
+    label is one string object while any record holds it; a value that is
+    not a string is a ValueError naming it."""
     if not isinstance(value, str):
         raise ValueError(f"actor label {value!r} is not a string")
-    return value.strip()
+    return sys.intern(str.strip(value))
 
 
 def _integer(weight) -> int:
@@ -56,12 +58,19 @@ def _integer(weight) -> int:
     return index(weight)
 
 
+def _edge_weight(weight, a: str, b: str) -> int:
+    """The weight of the edge (a, b) as an int of at least 1."""
+    if (weight := _integer(weight)) < 1:
+        raise ValueError(f"edge weight must be >= 1, got {weight} for ({a!r}, {b!r})")
+    return weight
+
+
 @dataclass(frozen=True)
 class InteractionEvent:
     """One timestamped, weighted, undirected interaction between two actors.
 
-    Actor labels are strings, trimmed of surrounding whitespace, and must
-    not be blank; the weight is an integer of at least 1. (a, b) and (b, a)
+    Actor labels are strings, trimmed of surrounding whitespace and
+    interned, and must not be blank; the weight is an integer of at least 1. (a, b) and (b, a)
     describe the same interaction. Self-loops (a == b) are representable so
     that ingest layers can reject them with a warning instead of crashing.
     """
@@ -81,14 +90,15 @@ class InteractionEvent:
             raise ValueError(f"weight {self.weight} < 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PublicationRecord:
     """One publication: an id, a date, and its author list.
 
-    `authors` is a sequence of string names, not one string. Names are
-    trimmed, blank names dropped and repeats removed case-sensitively, first
-    occurrence kept. The authors form a clique: each pair of them shares one
-    unit of edge weight per joint publication.
+    `authors` is a sequence of string names, not one string. Names follow
+    the actor label rule and are trimmed and interned; blank names are
+    dropped and repeats removed case-sensitively, first occurrence kept. The
+    authors form a clique: each pair of them shares one unit of edge weight
+    per joint publication.
     """
 
     # no per-record __dict__: a corpus holds one record per publication
@@ -97,34 +107,28 @@ class PublicationRecord:
     date: Timestamp
     authors: tuple[str, ...]
 
-    def __post_init__(self):
-        if isinstance(self.authors, str):
-            raise ValueError(f"authors must be a sequence of names, not {self.authors!r}")
-        object.__setattr__(self, "authors", _author_names(self.authors))
+    def __init__(self, pub_id: str, date: Timestamp, authors: Iterable[str]):
+        if isinstance(authors, str):
+            raise ValueError(f"authors must be a sequence of names, not {authors!r}")
+        _set_pub_id(self, pub_id)
+        _set_date(self, date)
+        _set_authors(self, _author_names(authors))
 
 
-def _author_names(values: Iterable, trim=_label, intern=None) -> tuple[str, ...]:
-    """The one author rule of `PublicationRecord`: each value read as a
-    trimmed name by `trim`, blank names dropped and repeats removed
-    case-sensitively, first occurrence kept; `intern(name, name)`, when
-    given, picks the string object each name is kept as."""
-    names = dict.fromkeys(map(trim, values))
+def _author_names(values: Iterable) -> tuple[str, ...]:
+    """The author rule of `PublicationRecord`, read once per record."""
+    values = list(values)  # read again when a name is not a string
+    try:
+        names = dict.fromkeys(map(str.strip, values))
+    except TypeError:  # `_label` names the value that is not a string
+        names = dict.fromkeys(map(_label, values))
     names.pop("", None)
-    return tuple(names) if intern is None else tuple(map(intern, names, names))
+    return tuple(map(sys.intern, names))
 
 
 _set_pub_id, _set_date, _set_authors = (
     PublicationRecord.__dict__[name].__set__ for name in PublicationRecord.__slots__
 )
-
-
-def _publication(pub_id: str, date: Timestamp, authors: tuple[str, ...]) -> PublicationRecord:
-    """A record of authors that `_author_names` already gave, not normalised again."""
-    record = object.__new__(PublicationRecord)
-    _set_pub_id(record, pub_id)
-    _set_date(record, date)
-    _set_authors(record, authors)
-    return record
 
 
 @dataclass(frozen=True, init=False)
@@ -159,9 +163,7 @@ class GraphSnapshot:
                 raise ValueError(f"self-loop on actor {a!r}")
             if a not in ids or b not in ids:
                 raise ValueError(f"edge endpoint not registered as actor: ({a!r}, {b!r})")
-            w = _integer(w)
-            if w < 1:
-                raise ValueError(f"edge weight must be >= 1, got {w} for ({a!r}, {b!r})")
+            w = _edge_weight(w, a, b)
             i, j = pair = tuple(sorted((ids[a], ids[b])))
             if pair in links:
                 raise ValueError(f"duplicate edge {(names[i], names[j])!r}")
@@ -190,8 +192,8 @@ class GraphSnapshot:
         weighted_edges: Iterable[tuple[str, str, int]],
         extra_actors: Iterable[str] = (),
     ) -> "GraphSnapshot":
-        """Build a snapshot from (a, b, weight) triples plus optional isolated
-        actors, with labels trimmed; repeated pairs accumulate weight."""
+        """Build a snapshot from (a, b, weight >= 1) triples plus optional
+        isolated actors, with labels trimmed; repeated pairs accumulate weight."""
         edges: dict[tuple[str, str], int] = {}
         actors = set(map(_label, extra_actors))
         for a, b, w in weighted_edges:
@@ -199,7 +201,7 @@ class GraphSnapshot:
             actors.add(a)
             actors.add(b)
             key = (a, b) if a <= b else (b, a)
-            edges[key] = edges.get(key, 0) + _integer(w)
+            edges[key] = edges.get(key, 0) + _edge_weight(w, a, b)
         return cls(label, actors, edges)
 
     @property

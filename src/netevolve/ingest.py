@@ -10,8 +10,8 @@ Self-loops, empty author lists and repeated pub_ids are domain noise: they
 warn and skip the same way but do not count toward the 10% budget. The kept
 records must not mix kinds of time.
 
-Each parse keeps one string per distinct actor label, looked up in one
-table as it is decoded, so the decoder's per-occurrence copy is freed at once.
+The decoders hand raw fields to `InteractionEvent` and `PublicationRecord`,
+whose constructors apply the one label rule: trim, reject a blank, intern.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import ParseError
 from .graph_core import InteractionEvent, PublicationRecord, Timestamp
-from .graph_core import _author_names, _check_times, _publication
+from .graph_core import _check_times
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
@@ -89,17 +89,16 @@ def _parse_records(lines, decode, source, noun, time_of):
     return records, warnings
 
 
-def _decode_event(row: list[str], parse_time, intern) -> InteractionEvent:
+def _decode_event(row: list[str], parse_time) -> InteractionEvent:
     if len(row) < 3:
         raise ValueError("too few fields")
     time = parse_time(row[0])
-    a, b = (intern(label, label) for label in (row[1].strip(), row[2].strip()))
     weight = row[3].strip() if len(row) >= 4 else ""
     # int() would also take "1_000", "+2" and non-ASCII digits
     if weight and not (weight.isascii() and weight.removeprefix("-").isdigit()):
-        InteractionEvent(time, a, b)  # an empty label is the earlier fault
+        InteractionEvent(time, row[1], row[2])  # an empty label is the earlier fault
         raise ValueError(f"bad weight {row[3]!r}")
-    event = InteractionEvent(time, a, b, int(weight) if weight else 1)
+    event = InteractionEvent(time, row[1], row[2], int(weight) if weight else 1)
     if event.a == event.b:
         raise _Noise(f"self-loop on {event.a!r}")
     return event
@@ -121,8 +120,8 @@ def parse_edge_events_text(
     header = [cell.strip().lower() for cell in rows[0][1]]
     if header[:3] != ["time", "a", "b"]:
         raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0][1]!r}")
-    # each time is parsed once per distinct string, each label kept once
-    decode = partial(_decode_event, parse_time=cache(parse_timestamp), intern={}.setdefault)
+    # each time is parsed once per distinct string
+    decode = partial(_decode_event, parse_time=cache(parse_timestamp))
     return _parse_records(rows[1:], decode, source, "row", attrgetter("time"))
 
 
@@ -166,13 +165,12 @@ def parse_publications_text(
     """Parse publication JSON Lines content; returns (records, warnings).
 
     Records end in LF or CRLF and keep their order; each is decoded once,
-    and its authors are read once under the `PublicationRecord` rule.
+    and its authors are read once, by `PublicationRecord`.
     Records with an empty author list or a duplicate pub_id are skipped
     with a warning.
     """
     seen_ids: set[str] = set()
     parse_time = cache(parse_timestamp)  # once per distinct date
-    intern = {}.setdefault  # one object per distinct author name
 
     def decode(line: str) -> PublicationRecord:
         # the C scanner reads the line between JSON whitespace; a line it does
@@ -195,26 +193,17 @@ def parse_publications_text(
         if not isinstance(authors, list):
             raise ValueError("authors must be a list")
         try:
-            names = _author_names(authors, str.strip, intern)
-        except TypeError:  # a name that is not a string: a number, or a fault
-            names = _author_names(authors, lambda v: _json_text(v, "author").strip(), intern)
-        if not names:
+            record = PublicationRecord(pub_id, date, authors)
+        except ValueError:  # a name that is not a string: a number, or a fault
+            record = PublicationRecord(pub_id, date, [_json_text(v, "author") for v in authors])
+        if not record.authors:
             raise _Noise("empty author list")
         if pub_id in seen_ids:
             raise _Noise(f"duplicate pub_id {pub_id!r}")
         seen_ids.add(pub_id)
-        return _publication(pub_id, date, names)
+        return record
 
-    return _parse_records(_numbered_lines(text), decode, source, "record", attrgetter("date"))
-
-
-def _numbered_lines(text: str):
-    """(line number, line) for each line of `text` that is not blank; a line
-    is let go once the caller moves past it."""
     # records end at LF only: str.splitlines would also break at characters
     # such as U+2028 and U+0085, which JSON strings may hold raw
-    lines = text.split("\n")[::-1]
-    for lineno in range(1, len(lines) + 1):
-        line = lines.pop()
-        if line.strip():
-            yield lineno, line
+    lines = ((n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip())
+    return _parse_records(lines, decode, source, "record", attrgetter("date"))

@@ -317,6 +317,12 @@ def assortativity(s: GraphSnapshot) -> Optional[float]:
             if j > i:
                 xs.extend((deg[i], deg[j]))
                 ys.extend((deg[j], deg[i]))
+    return _pearson(xs, ys)
+
+
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Product-moment correlation of two equally long series, clamped to
+    [-1, 1]; None when either series has zero variance."""
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
@@ -325,8 +331,7 @@ def assortativity(s: GraphSnapshot) -> Optional[float]:
     if sxx == 0.0 or syy == 0.0:
         return None
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
 def _neighbor_degree(deg: list[int], row: Sequence[int]) -> float:

@@ -287,6 +287,65 @@ def centralization_betweenness_exact(raw):
     return min(Fraction(1), max(Fraction(0), spread / (n - 1)))
 
 
+def clustering_exact(snapshot):
+    """(mean local clustering over every actor, transitivity) as Fractions,
+    from each actor's neighbour pairs; the mean is None without actors, and
+    transitivity None when no actor has two neighbours."""
+    adj = adjacency_sets(snapshot)
+    closed = {v: sum(y in adj[x] for x, y in itertools.combinations(adj[v], 2)) for v in adj}
+    triads = {v: len(adj[v]) * (len(adj[v]) - 1) // 2 for v in adj}
+    local = [Fraction(closed[v], triads[v]) for v in adj if triads[v]]
+    mean = sum(local, Fraction(0)) / len(adj) if adj else None
+    total = sum(triads.values())
+    return mean, Fraction(sum(closed.values()), total) if total else None
+
+
+def _hops(adj, source):
+    """Hop distances from `source` to every other actor it reaches."""
+    return [d for d in _bfs_sigma(adj, source)[0].values() if d > 0]
+
+
+def closeness_exact(snapshot):
+    """Per actor in sorted label order, as Fractions: Wasserman-Faust
+    closeness (r - 1)**2 / ((n - 1) * distance sum) over the r actors its
+    component holds, 0 when isolated, and harmonic closeness, the sum of
+    reciprocal distances over n - 1."""
+    adj = adjacency_sets(snapshot)
+    n = len(adj)
+    wf, harmonic = [], []
+    for v in sorted(adj):
+        hops = _hops(adj, v)
+        wf.append(Fraction(len(hops) ** 2, (n - 1) * sum(hops)) if hops else Fraction(0))
+        harmonic.append(sum(Fraction(1, d) for d in hops) / (n - 1) if n > 1 else Fraction(0))
+    return wf, harmonic
+
+
+def centralization_closeness_exact(wf):
+    """Freeman closeness centralization of Wasserman-Faust scores as
+    `closeness_exact` gives them, over the star maximum (n-1)(n-2)/(2n-3),
+    clamped to [0, 1]."""
+    n = len(wf)
+    spread = sum(max(wf) - c for c in wf)
+    return min(Fraction(1), max(Fraction(0), spread * (2 * n - 3) / ((n - 1) * (n - 2))))
+
+
+def mean_distance_exact(snapshot):
+    """Mean hop distance over every ordered pair of distinct actors that
+    reach each other, as a Fraction; None without a link."""
+    adj = adjacency_sets(snapshot)
+    hops = [d for v in adj for d in _hops(adj, v)]
+    return Fraction(sum(hops), len(hops)) if hops else None
+
+
+def neighbor_degree_exact(snapshot):
+    """({actor: mean degree of its neighbours} over the actors that have
+    neighbours, the mean of those values or None), as Fractions."""
+    adj = adjacency_sets(snapshot)
+    per_actor = {v: Fraction(sum(len(adj[u]) for u in adj[v]), len(adj[v])) for v in adj if adj[v]}
+    mean = sum(per_actor.values()) / len(per_actor) if per_actor else None
+    return per_actor, mean
+
+
 def _json_text(value, field):
     if type(value) is str:
         return value

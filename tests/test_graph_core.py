@@ -76,8 +76,9 @@ class TestPublicationRecord:
 
 
 class TestInternedLabels:
-    """One string object per distinct label and parse, from the decoder
-    through the records to the snapshot's label table."""
+    """One string object per distinct label, from the decoder through the
+    records to the snapshot's label table, across parses and for records
+    built in code."""
 
     def test_publication_authors_share_one_object(self):
         lines = [
@@ -97,6 +98,20 @@ class TestInternedLabels:
         assert events[1].a is b and events[2].a is c and events[2].b is a
         (s,) = build_cumulative_snapshots(events, [3], ["p"])
         assert all(v is w for v, w in zip(s.sorted_actors(), (a, b, c), strict=True))
+
+    def test_event_built_in_code_shares_the_parsed_label(self):
+        event = InteractionEvent(1, " Ann", "Bob")
+        (parsed,), _ = parse_edge_events_text("time,a,b\n2, Ann,Cy\n")
+        assert parsed.a is event.a
+        (again,), _ = parse_edge_events_text("time,a,b\n3,Cy,Ann \n")
+        assert again.b is event.a and again.a is parsed.b
+
+    def test_record_built_in_code_shares_the_decoded_authors(self):
+        record = PublicationRecord("P", 2005, [" Ann ", "Bob", "Ann"])
+        line = json.dumps({"pub_id": "Q", "date": "2005", "authors": ["Bob\t", "Ann"]})
+        (decoded,), _ = parse_publications_text(line)
+        assert record.authors == ("Ann", "Bob") and decoded.authors == ("Bob", "Ann")
+        assert decoded.authors[0] is record.authors[1] and decoded.authors[1] is record.authors[0]
 
 
 class TestSnapshotConstruction:
@@ -144,11 +159,15 @@ class TestLibraryInputRules:
                 lambda: PublicationRecord("P", 2005, "AB"),
                 "authors must be a sequence of names, not 'AB'",
             ),
+            (
+                lambda: PublicationRecord("P", 2005, iter(["A", 1, "B"])),
+                "actor label 1 is not a string",
+            ),
         ],
         ids=[
             "edge-list-blank", "edge-list-blank-extra", "snapshot-empty", "snapshot-blank",
             "snapshot-int", "edge-list-bytes", "event-int", "event-none", "record-int",
-            "record-bare-string",
+            "record-bare-string", "record-iterator-int",
         ],
     )
     def test_label_faults(self, build, message):
@@ -177,6 +196,17 @@ class TestLibraryInputRules:
             GraphSnapshot("g", {"A", "B"}, {("A", "B"): weight})
         with pytest.raises(ValueError, match=below):
             GraphSnapshot.from_edge_list("g", [("A", "B", weight)])
+
+    @pytest.mark.parametrize(
+        "triples, weight",
+        [([("a", "b", 2), ("a", "b", -1)], -1), ([("a", "b", 0), ("a", "b", 1)], 0)],
+        ids=["negative-after-positive", "zero-before-positive"],
+    )
+    def test_each_edge_list_triple_weighs_at_least_one(self, triples, weight):
+        # the sum over a repeated pair would be at least 1 in both cases
+        below = f"^edge weight must be >= 1, got {weight} for \\('a', 'b'\\)$"
+        with pytest.raises(ValueError, match=below):
+            GraphSnapshot.from_edge_list("x", triples)
 
     def test_numpy_integer_weights_are_stored_as_int(self):
         event = InteractionEvent(1, "A", "B", np.int64(2))
