@@ -65,7 +65,7 @@ def _edge_weight(weight, a: str, b: str) -> int:
     return weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class InteractionEvent:
     """One timestamped, weighted, undirected interaction between two actors.
 
@@ -75,19 +75,27 @@ class InteractionEvent:
     that ingest layers can reject them with a warning instead of crashing.
     """
 
+    # no per-event __dict__: a log holds one event per row
     time: Timestamp
     a: str
     b: str
     weight: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _label(self.a))
-        object.__setattr__(self, "b", _label(self.b))
-        if not self.a or not self.b:
+    def __init__(self, time: Timestamp, a: str, b: str, weight: int = 1):
+        a, b = _label(a), _label(b)
+        if not a or not b:
             raise ValueError("empty actor label")
-        object.__setattr__(self, "weight", _integer(self.weight))
-        if self.weight < 1:
-            raise ValueError(f"weight {self.weight} < 1")
+        if (weight := _integer(weight)) < 1:
+            raise ValueError(f"weight {weight} < 1")
+        _set_time(self, time)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_weight(self, weight)
+
+
+_set_time, _set_a, _set_b, _set_weight = (
+    InteractionEvent.__dict__[name].__set__ for name in InteractionEvent.__slots__
+)
 
 
 @dataclass(frozen=True, init=False)

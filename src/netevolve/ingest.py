@@ -111,18 +111,25 @@ def parse_edge_events_text(
     end in LF, CRLF or CR. Warnings cite physical line numbers, blank lines
     included."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
-    except csv.Error as exc:
-        raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
-    if not rows:
+
+    def rows():
+        """Each row that is not blank, with its line number, as it is read."""
+        try:
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
+
+    lines = rows()
+    if (first := next(lines, None)) is None:
         return [], []
-    header = [cell.strip().lower() for cell in rows[0][1]]
+    header = [cell.strip().lower() for cell in first[1]]
     if header[:3] != ["time", "a", "b"]:
-        raise ParseError(f"{source}: expected header time,a,b[,weight], got {rows[0][1]!r}")
+        raise ParseError(f"{source}: expected header time,a,b[,weight], got {first[1]!r}")
     # each time is parsed once per distinct string
     decode = partial(_decode_event, parse_time=cache(parse_timestamp))
-    return _parse_records(rows[1:], decode, source, "row", attrgetter("time"))
+    return _parse_records(lines, decode, source, "row", attrgetter("time"))
 
 
 def format_timestamp(t: Timestamp) -> str:

@@ -116,17 +116,29 @@ def _reference_pass(adj: list[array]) -> tuple[list[float], list[int], list[int]
 _SIGMA_EXACT = 2.0**53
 # Below this many actors the Python pass takes less time than importing numpy.
 _NUMPY_MIN_ACTORS = 64
+# Arcs a level expands at once, which bounds the kernel's working set: a run
+# of slots holds at most this many plus one actor's degree. Blocks of 2**13
+# to 2**14 arcs ran fastest.
+_BLOCK_ARCS = 1 << 13
+# A level with DAG edges for at least 1/_WIDE_LEVEL of the batch's slots
+# lists its new slots by one scan of `dist`. A narrower one sorts its heads:
+# deep graphs run thousands of narrow levels, and a scan of every slot on
+# each of them costs more than the sort.
+_WIDE_LEVEL = 16
 
 
-def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
+def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le, block: int = _BLOCK_ARCS):
     """Batched Brandes in numpy over a snapshot's CSR arrays (`_indptr`,
     `_indices`, read without a copy) that touches only each level's frontier.
 
-    A block of sources is one flat array of (source, actor) slots. Each
+    A batch of sources is one flat array of (source, actor) slots, and one
+    `dist` and one `row` buffer serve every batch of the snapshot. Each
     forward level steps along the frontier's edges (push) or along the
     unvisited slots' edges (pull): `pushes(frontier_deg, unvisited_deg)`
     decides, and by default the smaller degree sum wins (Beamer, Asanovic &
-    Patterson 2012). The level's shortest-path DAG edges are kept; path
+    Patterson 2012). A step expands about `block` arcs at a time and keeps
+    only the shortest-path DAG edges of each run, in edge order, so every
+    bincount adds its terms in the same order whatever the block. Path
     counts forward and dependencies backward take one bincount per level.
     Returns the same tuple as _reference_pass, or None when a path count
     reaches 2**53 and float64 can no longer hold it exactly.
@@ -139,56 +151,82 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
     deg = np.diff(indptr)
     starts = indptr[:-1]
 
-    def expand(slots, actors):
-        """Each edge out of `slots`: its row in `slots` and the slot it reaches."""
-        counts = deg[actors]
+    def expand(slots, actors, keep):
+        """The edges out of `slots` whose far slot passes `keep`: their rows
+        in `slots` and the slots they reach, in edge order."""
+        counts = deg.take(actors)
         rows = np.repeat(np.arange(len(slots)), counts)
-        first = np.repeat(starts[actors] - np.cumsum(counts) + counts, counts)
-        return rows, np.repeat(slots - actors, counts) + indices[np.arange(len(rows)) + first]
+        first = np.repeat(starts.take(actors) - np.cumsum(counts) + counts, counts)
+        reached = np.repeat(slots - actors, counts) + indices.take(np.arange(len(rows)) + first)
+        edges = np.flatnonzero(keep(reached))
+        return rows.take(edges), reached.take(edges)
+
+    def dag_edges(slots, actors, arcs, keep):
+        """`expand` over slots that own `arcs` arcs, one run of slots at a
+        time: a run starts at the slot that owns each `block`-th arc."""
+        if arcs <= block:
+            return expand(slots, actors, keep)
+        cuts = np.cumsum(deg.take(actors)).searchsorted(range(block, arcs, block), "right")
+        runs = [
+            (r0, *expand(slots[r0:r1], actors[r0:r1], keep))
+            for r0, r1 in pairwise([0, *cuts, len(slots)])
+        ]
+        return (
+            np.concatenate([rows + r0 for r0, rows, _ in runs]),
+            np.concatenate([reached for _, _, reached in runs]),
+        )
 
     scores = np.zeros(n)
     stats = np.zeros((3, n), dtype=np.int64)  # per source: reach, distance sum, eccentricity
+    dist_buffer = np.empty(min(batch, n) * n, dtype=np.int32)
+    row_buffer = np.empty(len(dist_buffer), dtype=np.int64)  # a visited slot's row in its level
     for lo in range(0, n, batch):
         b = min(batch, n - lo)
         # slot j*n + v holds actor v as seen from source lo + j
         frontier, actors = np.arange(b) * (n + 1) + lo, np.arange(lo, lo + b)
-        dist = np.full(b * n, -1, dtype=np.int32)
-        row = np.empty(b * n, dtype=np.int64)  # a visited slot's row in its level
+        dist, row = dist_buffer[: b * n], row_buffer[: b * n]
+        dist.fill(-1)
         dist[frontier], row[frontier] = 0, np.arange(b)
         # per level: its actors, their path counts, and the tail and head rows of
         # the DAG edges into it
         levels = [(actors, np.ones(b), None, None)]
         unvisited = None
-        frontier_deg = int(deg[actors].sum())
+        frontier_deg = int(deg.take(actors).sum())
         unvisited_deg = b * len(indices) - frontier_deg
         # a new slot is an unvisited one with an edge to the frontier
         while frontier_deg and unvisited_deg:
             depth = len(levels)
             if pushes(frontier_deg, unvisited_deg):
-                tails, heads = expand(frontier, actors)
-                edges = np.flatnonzero(dist[heads] < 0)
-                tails, heads = tails[edges], heads[edges]
+                tails, heads = dag_edges(
+                    frontier, actors, frontier_deg, lambda far: dist.take(far) < 0
+                )
             else:
                 live = np.flatnonzero(dist < 0) if unvisited is None else unvisited
-                unvisited = live[dist[live] < 0]
-                heads, tails = expand(unvisited, unvisited % n)
-                edges = np.flatnonzero(dist[tails] == depth - 1)
-                tails, heads = row[tails[edges]], unvisited[heads[edges]]
-            # one edge per head slot keeps its own index, whichever write wins
-            order = np.arange(len(heads))
-            row[heads] = order
-            frontier = np.sort(heads[row[heads] == order])
-            if not len(frontier):
+                unvisited = live[dist.take(live) < 0]
+                heads, tails = dag_edges(
+                    unvisited, unvisited % n, unvisited_deg, lambda far: dist.take(far) == depth - 1
+                )
+                tails, heads = row.take(tails), unvisited.take(heads)
+            if not len(heads):
                 break
+            if len(heads) * _WIDE_LEVEL >= len(dist):
+                # a wide level marks its slots and lists them in one scan
+                dist[heads] = depth
+                frontier = np.flatnonzero(dist == depth)
+            else:
+                # one edge per head slot keeps its own index, whichever write wins
+                order = np.arange(len(heads))
+                row[heads] = order
+                frontier = np.sort(heads[row.take(heads) == order])
+                dist[frontier] = depth
             row[frontier] = np.arange(len(frontier))
-            heads = row[heads]
-            sigma = np.bincount(heads, weights=levels[-1][1][tails], minlength=len(frontier))
+            heads = row.take(heads)
+            sigma = np.bincount(heads, weights=levels[-1][1].take(tails), minlength=len(frontier))
             if sigma.max() >= _SIGMA_EXACT:
                 return None
-            dist[frontier] = depth
             actors = frontier % n
             levels.append((actors, sigma, tails, heads))
-            frontier_deg = int(deg[actors].sum())
+            frontier_deg = int(deg.take(actors).sum())
             unvisited_deg -= frontier_deg
         hops = dist.reshape(b, n)  # -1 where unreached
         stats[:, lo : lo + b] = (hops >= 0).sum(1), np.maximum(hops, 0).sum(1), hops.max(1)
@@ -197,7 +235,7 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
             actors, sigma, tails, heads = levels[depth]
             scores += np.bincount(actors, weights=delta, minlength=n)
             up_sigma = levels[depth - 1][1]
-            terms = up_sigma[tails] / sigma[heads] * (1.0 + delta[heads])
+            terms = up_sigma.take(tails) / sigma.take(heads) * (1.0 + delta.take(heads))
             delta = np.bincount(tails, weights=terms, minlength=len(up_sigma))
     return scores.tolist(), *stats.tolist()
 

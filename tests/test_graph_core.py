@@ -2,7 +2,7 @@ import json
 import logging
 import random
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -45,6 +45,29 @@ class TestInteractionEvent:
     def test_rejects_empty_label(self):
         with pytest.raises(ValueError):
             InteractionEvent(1, "  ", "B")
+
+    def test_checks_labels_before_the_weight(self):
+        with pytest.raises(ValueError, match="empty actor label"):
+            InteractionEvent(1, "A", " ", weight=0)
+        with pytest.raises(ValueError, match=r"actor label 5 is not a string"):
+            InteractionEvent(1, 5, "B", weight="x")
+        with pytest.raises(ValueError, match=r"weight '2' is not an integer"):
+            InteractionEvent(1, "A", "B", weight="2")
+        with pytest.raises(ValueError, match=r"^weight 0 < 1$"):
+            InteractionEvent(1, "A", "B", weight=0)
+
+    def test_dataclass_behaviour(self):
+        event = InteractionEvent(time=2, a=" A", b="B ", weight=np.int64(3))
+        assert event == InteractionEvent(2, "A", "B", 3) and type(event.weight) is int
+        assert hash(event) == hash(InteractionEvent(2, "A", "B", 3))
+        assert event != InteractionEvent(2, "B", "A", 3)
+        assert repr(event) == "InteractionEvent(time=2, a='A', b='B', weight=3)"
+        assert [f.name for f in fields(InteractionEvent)] == ["time", "a", "b", "weight"]
+        assert fields(InteractionEvent)[3].default == 1
+        assert InteractionEvent(2, "A", "B").weight == 1
+        with pytest.raises(FrozenInstanceError):
+            event.a = "C"
+        assert not hasattr(event, "__dict__")
 
 
 class TestPublicationRecord:

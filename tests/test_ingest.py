@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -148,6 +149,25 @@ class TestParseEdgeEvents:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_edge_events_text("from,to,when\n1,A,B\n")
+
+    def test_reader_error_names_its_line(self):
+        text = "time,a,b\n1,A,B\n\n2,A," + "B" * 200_000 + "\n3,B,C\n"
+        with pytest.raises(ParseError, match=r"^f\.csv:4: field larger than field limit"):
+            parse_edge_events_text(text, "f.csv")
+
+    def test_rows_stream_into_the_decoder(self):
+        # the peak holds the events, the reader's copy of the text and the
+        # time cache; a list of every split row besides took it past 4x
+        rows = (f"{i // 10},a{i % 97},b{i % 89},{1 + i % 3}\n" for i in range(20_000))
+        text = "time,a,b,weight\n" + "".join(rows)
+        tracemalloc.start()
+        try:
+            events, warnings = parse_edge_events_text(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 20_000 and warnings == []
+        assert peak < 3 * held
 
     def test_mixed_time_kinds_rejected(self):
         with pytest.raises(ParseError):

@@ -12,6 +12,7 @@ import os
 from fractions import Fraction
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,40 @@ class TestDenseKernel:
         steps = _steps(s)
         assert steps[0] is True
         assert steps[-1] is False
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.sampled_from([1, 3, 64]))
+    def test_expansion_blocks_leave_results_unchanged(self, s, batch):
+        # every level keeps its DAG edges in edge order, however it is cut
+        whole = _frontier_pass(*_csr(s), batch)
+        for block in (1, 7):
+            assert _frontier_pass(*_csr(s), batch, block=block) == whole
+
+    @pytest.mark.parametrize(
+        "s, blocks",
+        [(barabasi_albert(150, 2, 0), (1, 7)), (barabasi_albert(800, 3, 1), (97, 2**20))],
+        ids=["ba150", "ba800"],
+    )
+    def test_blocks_split_wide_levels_alike(self, s, blocks):
+        # the widest levels of BA(800, 3) expand over 10**5 arcs, many default
+        # blocks each; blocks of 1 and 7 arcs take too long there and run on
+        # BA(150, 2)
+        whole = _frontier_pass(*_csr(s))
+        for block in blocks:
+            assert _frontier_pass(*_csr(s), block=block) == whole
+
+    def test_peak_memory_stays_bounded(self):
+        # tracemalloc peak on BA(800, 3): 8.19 MB when each level expanded
+        # all of its arcs at once, 4.67 MB in runs (Python 3.11, numpy 2.4)
+        s = barabasi_albert(800, 3, 1)
+        _frontier_pass(*_csr(s))  # numpy is imported outside the trace
+        tracemalloc.start()
+        try:
+            _frontier_pass(*_csr(s))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 # Worst relative errors against exact Brandes over 6,000 hypothesis examples
