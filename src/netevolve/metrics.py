@@ -120,14 +120,9 @@ _NUMPY_MIN_ACTORS = 64
 # of slots holds at most this many plus one actor's degree. Blocks of 2**13
 # to 2**14 arcs ran fastest.
 _BLOCK_ARCS = 1 << 13
-# A level with DAG edges for at least 1/_WIDE_LEVEL of the batch's slots
-# lists its new slots by one scan of `dist`. A narrower one sorts its heads:
-# deep graphs run thousands of narrow levels, and a scan of every slot on
-# each of them costs more than the sort.
-_WIDE_LEVEL = 16
 
 
-def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le, block: int = _BLOCK_ARCS):
+def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
     """Batched Brandes in numpy over a snapshot's CSR arrays (`_indptr`,
     `_indices`, read without a copy) that touches only each level's frontier.
 
@@ -136,9 +131,10 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le, block: 
     forward level steps along the frontier's edges (push) or along the
     unvisited slots' edges (pull): `pushes(frontier_deg, unvisited_deg)`
     decides, and by default the smaller degree sum wins (Beamer, Asanovic &
-    Patterson 2012). A step expands about `block` arcs at a time and keeps
-    only the shortest-path DAG edges of each run, in edge order, so every
-    bincount adds its terms in the same order whatever the block. Path
+    Patterson 2012). A step expands about _BLOCK_ARCS arcs at a time and
+    keeps only the shortest-path DAG edges of each run, in edge order, so
+    every bincount adds its terms in the same order whatever the block. A
+    level marks its new slots in `dist` and lists them with one scan. Path
     counts forward and dependencies backward take one bincount per level.
     Returns the same tuple as _reference_pass, or None when a path count
     reaches 2**53 and float64 can no longer hold it exactly.
@@ -163,10 +159,11 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le, block: 
 
     def dag_edges(slots, actors, arcs, keep):
         """`expand` over slots that own `arcs` arcs, one run of slots at a
-        time: a run starts at the slot that owns each `block`-th arc."""
-        if arcs <= block:
+        time: a run starts at the slot that owns each _BLOCK_ARCS-th arc."""
+        if arcs <= _BLOCK_ARCS:
             return expand(slots, actors, keep)
-        cuts = np.cumsum(deg.take(actors)).searchsorted(range(block, arcs, block), "right")
+        ends = range(_BLOCK_ARCS, arcs, _BLOCK_ARCS)
+        cuts = np.cumsum(deg.take(actors)).searchsorted(ends, "right")
         runs = [
             (r0, *expand(slots[r0:r1], actors[r0:r1], keep))
             for r0, r1 in pairwise([0, *cuts, len(slots)])
@@ -209,16 +206,8 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le, block: 
                 tails, heads = row.take(tails), unvisited.take(heads)
             if not len(heads):
                 break
-            if len(heads) * _WIDE_LEVEL >= len(dist):
-                # a wide level marks its slots and lists them in one scan
-                dist[heads] = depth
-                frontier = np.flatnonzero(dist == depth)
-            else:
-                # one edge per head slot keeps its own index, whichever write wins
-                order = np.arange(len(heads))
-                row[heads] = order
-                frontier = np.sort(heads[row.take(heads) == order])
-                dist[frontier] = depth
+            dist[heads] = depth
+            frontier = np.flatnonzero(dist == depth)
             row[frontier] = np.arange(len(frontier))
             heads = row.take(heads)
             sigma = np.bincount(heads, weights=levels[-1][1].take(tails), minlength=len(frontier))

@@ -144,20 +144,23 @@ class TestDenseKernel:
         # every level keeps its DAG edges in edge order, however it is cut
         whole = _frontier_pass(*_csr(s), batch)
         for block in (1, 7):
-            assert _frontier_pass(*_csr(s), batch, block=block) == whole
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "_BLOCK_ARCS", block)
+                assert _frontier_pass(*_csr(s), batch) == whole
 
     @pytest.mark.parametrize(
         "s, blocks",
         [(barabasi_albert(150, 2, 0), (1, 7)), (barabasi_albert(800, 3, 1), (97, 2**20))],
         ids=["ba150", "ba800"],
     )
-    def test_blocks_split_wide_levels_alike(self, s, blocks):
+    def test_blocks_split_wide_levels_alike(self, s, blocks, monkeypatch):
         # the widest levels of BA(800, 3) expand over 10**5 arcs, many default
         # blocks each; blocks of 1 and 7 arcs take too long there and run on
         # BA(150, 2)
         whole = _frontier_pass(*_csr(s))
         for block in blocks:
-            assert _frontier_pass(*_csr(s), block=block) == whole
+            monkeypatch.setattr(metrics, "_BLOCK_ARCS", block)
+            assert _frontier_pass(*_csr(s)) == whole
 
     def test_peak_memory_stays_bounded(self):
         # tracemalloc peak on BA(800, 3): 8.19 MB when each level expanded
