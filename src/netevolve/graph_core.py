@@ -362,33 +362,28 @@ def build_cumulative_snapshots(
     return snapshots
 
 
-def _levels(adj: Sequence[Sequence[int]], source: int, seen: list[bool]) -> list[list[int]]:
-    """BFS frontiers from `source`, one list per hop distance (level 0 is
-    [source]); marks every reached index in `seen`."""
-    seen[source] = True
-    levels = [[source]]
-    while True:
-        frontier = []
-        for v in levels[-1]:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-        if not frontier:
-            return levels
-        levels.append(frontier)
-
-
 def _giant(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the largest connected component.
+    """Indices of the largest connected component, in BFS order from its
+    first index.
 
     On a size tie the first component discovered wins: over the sorted actor
     list, the one holding the smallest label.
     """
     seen = [False] * len(adj)
-    components = [_levels(adj, start, seen) for start in range(len(adj)) if not seen[start]]
-    largest = max(components, key=lambda levels: sum(map(len, levels)), default=[])
-    return list(chain.from_iterable(largest))
+    largest: list[int] = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for v in component:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+        if len(component) > len(largest):
+            largest = component
+    return largest
 
 
 def giant_component(s: GraphSnapshot) -> GraphSnapshot:

@@ -7,9 +7,10 @@ math.fsum is used for floating reductions, so results are bit-identical
 regardless of input ordering.
 
 Diameter, average distance, betweenness and closeness all read one
-all-sources pass per snapshot (_all_sources). It runs on a batched numpy
+all-sources pass per snapshot (_all_sources), and only the giant-component
+search traverses the graph besides it. The pass runs on a batched numpy
 kernel for graphs with 64 actors or more and at least one link, and on the
-pure-Python reference otherwise.
+pure-Python reference otherwise; neither takes options.
 
 Two density variants are reported side by side: the weighted form
 2W/(N(N-1)) over the total interaction count W (the headline figure for
@@ -20,14 +21,13 @@ collaboration logs, which may exceed 1) and the standard simple form
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Optional, Sequence
 
 from .errors import UndefinedMetricError
-from .graph_core import GraphSnapshot, _giant, _levels
+from .graph_core import GraphSnapshot, _giant
 
 
 @dataclass(frozen=True)
@@ -120,24 +120,33 @@ _NUMPY_MIN_ACTORS = 64
 # of slots holds at most this many plus one actor's degree. Blocks of 2**13
 # to 2**14 arcs ran fastest.
 _BLOCK_ARCS = 1 << 13
+# Sources the kernel runs side by side.
+_BATCH = 64
 
 
-def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
+def _pushes(frontier_deg: int, unvisited_deg: int) -> bool:
+    """Whether a level steps along the frontier's edges rather than along the
+    unvisited slots' edges: the smaller degree sum wins (Beamer, Asanovic &
+    Patterson 2012)."""
+    return frontier_deg <= unvisited_deg
+
+
+def _frontier_pass(indptr, indices):
     """Batched Brandes in numpy over a snapshot's CSR arrays (`_indptr`,
     `_indices`, read without a copy) that touches only each level's frontier.
 
-    A batch of sources is one flat array of (source, actor) slots, and one
-    `dist` and one `row` buffer serve every batch of the snapshot. Each
+    A batch of _BATCH sources is one flat array of (source, actor) slots, and
+    one `dist` and one `row` buffer serve every batch of the snapshot. Each
     forward level steps along the frontier's edges (push) or along the
-    unvisited slots' edges (pull): `pushes(frontier_deg, unvisited_deg)`
-    decides, and by default the smaller degree sum wins (Beamer, Asanovic &
-    Patterson 2012). A step expands about _BLOCK_ARCS arcs at a time and
-    keeps only the shortest-path DAG edges of each run, in edge order, so
-    every bincount adds its terms in the same order whatever the block. A
-    level marks its new slots in `dist` and lists them with one scan. Path
-    counts forward and dependencies backward take one bincount per level.
-    Returns the same tuple as _reference_pass, or None when a path count
-    reaches 2**53 and float64 can no longer hold it exactly.
+    unvisited slots' edges (pull), as _pushes decides; a pull lists the
+    unvisited slots with one scan of `dist`. A step expands about _BLOCK_ARCS
+    arcs at a time and keeps only the shortest-path DAG edges of each run, in
+    edge order, so every bincount adds its terms in the same order whatever
+    the block. A level marks its new slots in `dist` and lists them with one
+    scan. Path counts forward and dependencies backward take one bincount per
+    level. The kernel takes no options. Returns the same tuple as
+    _reference_pass, or None when a path count reaches 2**53 and float64 can
+    no longer hold it exactly.
     """
     import numpy as np
 
@@ -175,10 +184,10 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
 
     scores = np.zeros(n)
     stats = np.zeros((3, n), dtype=np.int64)  # per source: reach, distance sum, eccentricity
-    dist_buffer = np.empty(min(batch, n) * n, dtype=np.int32)
+    dist_buffer = np.empty(min(_BATCH, n) * n, dtype=np.int32)
     row_buffer = np.empty(len(dist_buffer), dtype=np.int64)  # a visited slot's row in its level
-    for lo in range(0, n, batch):
-        b = min(batch, n - lo)
+    for lo in range(0, n, _BATCH):
+        b = min(_BATCH, n - lo)
         # slot j*n + v holds actor v as seen from source lo + j
         frontier, actors = np.arange(b) * (n + 1) + lo, np.arange(lo, lo + b)
         dist, row = dist_buffer[: b * n], row_buffer[: b * n]
@@ -187,19 +196,17 @@ def _frontier_pass(indptr, indices, batch: int = 64, pushes=operator.le):
         # per level: its actors, their path counts, and the tail and head rows of
         # the DAG edges into it
         levels = [(actors, np.ones(b), None, None)]
-        unvisited = None
         frontier_deg = int(deg.take(actors).sum())
         unvisited_deg = b * len(indices) - frontier_deg
         # a new slot is an unvisited one with an edge to the frontier
         while frontier_deg and unvisited_deg:
             depth = len(levels)
-            if pushes(frontier_deg, unvisited_deg):
+            if _pushes(frontier_deg, unvisited_deg):
                 tails, heads = dag_edges(
                     frontier, actors, frontier_deg, lambda far: dist.take(far) < 0
                 )
             else:
-                live = np.flatnonzero(dist < 0) if unvisited is None else unvisited
-                unvisited = live[dist.take(live) < 0]
+                unvisited = np.flatnonzero(dist < 0)
                 heads, tails = dag_edges(
                     unvisited, unvisited % n, unvisited_deg, lambda far: dist.take(far) == depth - 1
                 )
@@ -405,25 +412,14 @@ def _betweenness(p: _PathPass, normalized: bool) -> dict[str, float]:
     return {v: score / scale for v, score in zip(p.order, p.betweenness)}
 
 
-def closeness(s: GraphSnapshot, harmonic: bool = False) -> dict[str, float]:
+def closeness(s: GraphSnapshot) -> dict[str, float]:
     """Per-actor closeness computed within each actor's component.
 
     The standard form (|C|-1)/sum-of-distances is scaled by the component's
     share of the graph, (|C|-1)/(N-1), so values stay comparable across
-    components of a fragmented graph; isolated actors score 0. The harmonic
-    alternative sums reciprocal distances over reachable actors, divided by
-    (N-1).
+    components of a fragmented graph; isolated actors score 0.
     """
-    if not harmonic:
-        return _closeness(_all_sources(s))
-    order, adj = s.sorted_actors(), s._rows()
-    n = len(order)
-    out: dict[str, float] = {}
-    for i, v in enumerate(order):
-        levels = _levels(adj, i, [False] * n)
-        reciprocal = math.fsum(len(frontier) / d for d, frontier in enumerate(levels[1:], 1))
-        out[v] = reciprocal / (n - 1) if n > 1 else 0.0
-    return out
+    return _closeness(_all_sources(s))
 
 
 def _closeness(p: _PathPass) -> dict[str, float]:

@@ -308,16 +308,11 @@ def _hops(adj, source):
 def closeness_exact(snapshot):
     """Per actor in sorted label order, as Fractions: Wasserman-Faust
     closeness (r - 1)**2 / ((n - 1) * distance sum) over the r actors its
-    component holds, 0 when isolated, and harmonic closeness, the sum of
-    reciprocal distances over n - 1."""
+    component holds, 0 when isolated."""
     adj = adjacency_sets(snapshot)
     n = len(adj)
-    wf, harmonic = [], []
-    for v in sorted(adj):
-        hops = _hops(adj, v)
-        wf.append(Fraction(len(hops) ** 2, (n - 1) * sum(hops)) if hops else Fraction(0))
-        harmonic.append(sum(Fraction(1, d) for d in hops) / (n - 1) if n > 1 else Fraction(0))
-    return wf, harmonic
+    hops = [_hops(adj, v) for v in sorted(adj)]
+    return [Fraction(len(h) ** 2, (n - 1) * sum(h)) if h else Fraction(0) for h in hops]
 
 
 def centralization_closeness_exact(wf):

@@ -304,12 +304,6 @@ class TestCloseness:
         assert values["A"] == pytest.approx(0.5)
         assert values["C"] == 0.0
 
-    def test_harmonic_variant(self):
-        p3 = path_graph(3, "P3")
-        values = closeness(p3, harmonic=True)
-        assert values["p1"] == 1.0
-        assert values["p0"] == pytest.approx((1 + 0.5) / 2)
-
 
 class TestCentralization:
     def test_star_degree_is_one(self):

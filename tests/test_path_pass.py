@@ -4,10 +4,11 @@ per-snapshot kernel choice; and every fractional measure of a snapshot
 against an exact rational oracle, through both kernels where it reads them.
 
 In test names, `dense` is the batched numpy kernel: it keeps each block of
-64 sources as a dense b*N array of (source, actor) slots.
+64 sources as a dense b*N array of (source, actor) slots. The kernel takes
+no options, so tests patch its module values `_BATCH`, `_pushes` and
+`_BLOCK_ARCS` to run other batches, forced step directions and blocks.
 """
 
-import inspect
 import os
 from fractions import Fraction
 import subprocess
@@ -93,12 +94,22 @@ def graphs(draw):
     return GraphSnapshot.from_edge_list(kind, edges, extra_actors=isolated)
 
 
+def _frontier_at(s, batch, pushes=None):
+    """The numpy kernel on `s` with `batch` sources at a time and, when
+    given, `pushes` in place of its step rule."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BATCH", batch)
+        if pushes is not None:
+            mp.setattr(metrics, "_pushes", pushes)
+        return _frontier_pass(*_csr(s))
+
+
 def _steps(s):
     """Run the numpy kernel on `s` in one block with its own step rule; True
     for each push, False for each pull."""
-    rule = inspect.signature(_frontier_pass).parameters["pushes"].default
+    rule = metrics._pushes
     steps = []
-    _frontier_pass(*_csr(s), len(s.actors), lambda f, u: steps.append(rule(f, u)) or steps[-1])
+    _frontier_at(s, len(s.actors), lambda f, u: steps.append(rule(f, u)) or steps[-1])
     return steps
 
 
@@ -106,7 +117,7 @@ class TestDenseKernel:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.sampled_from([1, 3, 7, 64]))
     def test_agrees_with_reference(self, s, batch):
-        _assert_agree(_frontier_pass(*_csr(s), batch), _reference_pass(s._rows()))
+        _assert_agree(_frontier_at(s, batch), _reference_pass(s._rows()))
         paths = _all_sources(s)
         assert {paths.order[i] for i in paths.giant} == giant_component(s).actors
 
@@ -123,7 +134,7 @@ class TestDenseKernel:
     @settings(max_examples=60, deadline=None)
     @given(s=graphs(), batch=st.sampled_from([1, 3, 64]))
     def test_each_step_direction_alone_agrees(self, pushes, s, batch):
-        result = _frontier_pass(*_csr(s), batch, lambda frontier_deg, unvisited_deg: pushes)
+        result = _frontier_at(s, batch, lambda frontier_deg, unvisited_deg: pushes)
         _assert_agree(result, _reference_pass(s._rows()))
 
     def test_a_path_pushes_until_its_ends(self):
@@ -142,11 +153,11 @@ class TestDenseKernel:
     @given(graphs(), st.sampled_from([1, 3, 64]))
     def test_expansion_blocks_leave_results_unchanged(self, s, batch):
         # every level keeps its DAG edges in edge order, however it is cut
-        whole = _frontier_pass(*_csr(s), batch)
+        whole = _frontier_at(s, batch)
         for block in (1, 7):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(metrics, "_BLOCK_ARCS", block)
-                assert _frontier_pass(*_csr(s), batch) == whole
+                assert _frontier_at(s, batch) == whole
 
     @pytest.mark.parametrize(
         "s, blocks",
@@ -164,7 +175,8 @@ class TestDenseKernel:
 
     def test_peak_memory_stays_bounded(self):
         # tracemalloc peak on BA(800, 3): 8.19 MB when each level expanded
-        # all of its arcs at once, 4.67 MB in runs (Python 3.11, numpy 2.4)
+        # all of its arcs at once, 4.67 MB in runs, 4.46 MB since a pull
+        # lists the unvisited slots with one scan (Python 3.11, numpy 2.4)
         s = barabasi_albert(800, 3, 1)
         _frontier_pass(*_csr(s))  # numpy is imported outside the trace
         tracemalloc.start()
@@ -208,7 +220,7 @@ class TestExactBrandes:
     def test_kernels_match_exact_scores(self, s):
         exact = brandes_exact(s)
         kernels = [_reference_pass(s._rows())[0]]
-        kernels += [_frontier_pass(*_csr(s), batch)[0] for batch in (1, 3, 7, 64)]
+        kernels += [_frontier_at(s, batch)[0] for batch in (1, 3, 7, 64)]
         for scores in kernels:
             for got, want in zip(scores, exact, strict=True):
                 _assert_near_exact(got, want, BETWEENNESS_WORST)
@@ -238,7 +250,6 @@ EXACT_WORST = {
     "transitivity": 9.9e-17,
     "closeness": 2.5e-16,
     "centralization_closeness": 7.6e-16,
-    "harmonic_closeness": 2.2e-16,
     "avg_distance": 1.1e-16,
     "neighbor_degree": 9.2e-17,
     "neighbor_degree_mean": 1.9e-16,
@@ -260,7 +271,7 @@ def _path_passes(s):
     numpy kernel at several batch sizes."""
     giant = _giant(s._rows())
     results = [("python", _reference_pass(s._rows()))]
-    results += [(f"numpy{b}", _frontier_pass(*_csr(s), b)) for b in (1, 3, 7, 64)]
+    results += [(f"numpy{b}", _frontier_at(s, b)) for b in (1, 3, 7, 64)]
     return [_PathPass(s.sorted_actors(), *result, giant, kernel) for kernel, result in results]
 
 
@@ -280,9 +291,7 @@ class TestExactMeasures:
         _assert_exact_or_undefined(
             avg_neighbor_degree_mean, s, neighbor_mean, EXACT_WORST["neighbor_degree_mean"]
         )
-        wf, harmonic = closeness_exact(s)
-        for got, want in zip(closeness(s, harmonic=True).values(), harmonic, strict=True):
-            _assert_near_exact(got, want, EXACT_WORST["harmonic_closeness"])
+        wf = closeness_exact(s)
         distance = mean_distance_exact(s)
         n = s.n_actors
         for paths in _path_passes(s):
@@ -301,9 +310,9 @@ class TestExactMeasures:
     def test_star_values(self):
         s = star(4)  # hub plus four leaves
         assert clustering_exact(s) == (0, 0)  # six open triads at the hub
-        wf, harmonic = closeness_exact(s)
+        wf = closeness_exact(s)
         hub = s.sorted_actors().index("hub")
-        assert wf[hub] == harmonic[hub] == 1
+        assert wf[hub] == 1
         assert centralization_closeness_exact(wf) == 1
         # 8 ordered hub-leaf pairs at 1 hop, 12 ordered leaf pairs at 2
         assert mean_distance_exact(s) == Fraction(8 * 1 + 12 * 2, 20)
