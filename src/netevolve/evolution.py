@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import UndefinedMetricError
-from .metrics import CENTRALIZATION_KINDS, MetricsRow, _pearson
+from .metrics import CENTRALIZATION_KINDS, MetricsRow
 from .powerlaw import PowerLawFit
 
 PROXY_NAMES = ("embedding", "homophily", "multi_connectivity", "pref_attachment")
@@ -112,12 +112,17 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """
     if len(x) != len(y):
         raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < 3:
+    n = len(x)
+    if n < 3:
         raise ValueError("need at least 3 paired observations")
-    r = _pearson(x, y)
-    if r is None:
+    mx = math.fsum(x) / n
+    my = math.fsum(y) / n
+    sxx = math.fsum((v - mx) ** 2 for v in x)
+    syy = math.fsum((v - my) ** 2 for v in y)
+    if sxx == 0.0 or syy == 0.0:
         raise UndefinedMetricError("correlation is undefined for a constant series")
-    return r
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

@@ -4,7 +4,8 @@ Everything here is a pure function of an immutable snapshot. Shortest paths
 are unweighted hop counts throughout; edge weights only enter the weighted
 density and strength measures. Iteration is always over sorted actors and
 math.fsum is used for floating reductions, so results are bit-identical
-regardless of input ordering.
+regardless of input ordering. Degree statistics (assortativity, the degree
+histogram) are exact integer sums.
 
 Diameter, average distance, betweenness and closeness all read one
 all-sources pass per snapshot (_all_sources), and only the giant-component
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Optional, Sequence
@@ -328,44 +330,29 @@ def _path_stats(p: _PathPass) -> tuple[int, float]:
 
 def degree_histogram(s: GraphSnapshot) -> dict[int, int]:
     """degree -> actor count, including degree 0; counts sum to N."""
-    hist: dict[int, int] = {}
-    for d in _degrees(s):
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    return dict(Counter(_degrees(s)))
 
 
 def assortativity(s: GraphSnapshot) -> Optional[float]:
     """Pearson correlation of endpoint degrees over edges, each undirected
     edge contributing both (deg u, deg v) and (deg v, deg u).
 
-    Returns None (undefined) when endpoint degrees have zero variance, e.g.
-    on regular graphs. Exactly -1 on stars.
+    Over those M = 2L arcs the coefficient is a ratio of integer degree sums
+    (Newman 2002): r = (M*P - S2**2) / (M*S3 - S2**2), where S2 and S3 sum k**2
+    and k**3 over actors and P sums each actor's degree times the degree sum
+    of its neighbors. The sums are exact, so r is rounded once, to the
+    nearest float. Returns None (undefined) when endpoint degrees have zero
+    variance, e.g. on regular graphs. Exactly -1 on stars.
     """
     if s.n_links == 0:
         raise UndefinedMetricError("assortativity needs at least one edge")
     deg = _degrees(s)
-    xs: list[int] = []
-    ys: list[int] = []
-    for i, row in enumerate(s._rows()):  # edges (i, j), i < j, in sorted order
-        for j in row:
-            if j > i:
-                xs.extend((deg[i], deg[j]))
-                ys.extend((deg[j], deg[i]))
-    return _pearson(xs, ys)
-
-
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """Product-moment correlation of two equally long series, clamped to
-    [-1, 1]; None when either series has zero variance."""
-    n = len(xs)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    arcs = 2 * s.n_links
+    s2 = sum(k * k for k in deg)
+    s3 = sum(k * k * k for k in deg)
+    p = sum(k * sum(map(deg.__getitem__, row)) for k, row in zip(deg, s._rows()))
+    var = arcs * s3 - s2 * s2
+    return (arcs * p - s2 * s2) / var if var else None
 
 
 def _neighbor_degree(deg: list[int], row: Sequence[int]) -> float:

@@ -24,6 +24,18 @@ def path_graph(n: int, label: str = "P") -> GraphSnapshot:
     )
 
 
+def assortativity_regression() -> GraphSnapshot:
+    """Seven linked actors and an isolated one, with exact degree
+    assortativity -1/55."""
+    links = [
+        (0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3),
+        (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+    ]
+    return GraphSnapshot.from_edge_list(
+        "r", [(f"r{i:02d}", f"r{j:02d}", 1) for i, j in links], extra_actors=["z0"]
+    )
+
+
 def random_snapshot(seed: int, max_n: int = 60) -> GraphSnapshot:
     """Random weighted snapshot (possibly disconnected, isolated actors)."""
     rng = random.Random(seed)

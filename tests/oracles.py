@@ -75,22 +75,19 @@ def floyd_warshall_path_stats(snapshot):
 
 def assortativity_exact(snapshot):
     """Degree assortativity in exact rational arithmetic, over both
-    orientations of every edge: (sign of r, r squared as a Fraction), or
-    None when the endpoint degrees have zero variance. Nothing is rounded;
-    the caller takes the square root last."""
+    orientations of every edge: r as a Fraction, or None when the endpoint
+    degrees have zero variance. Both orientations give the two series one
+    variance, so r is the covariance over it and nothing is rounded."""
     adj = adjacency_sets(snapshot)
     pairs = [(len(adj[a]), len(adj[b])) for a, b in snapshot.edges]
     pairs += [(y, x) for x, y in pairs]
     n = len(pairs)
     sx = sum(x for x, _ in pairs)
     sy = sum(y for _, y in pairs)
-    # n**2 times the covariance and the variances, as integers
+    # n**2 times the covariance and the variance, as integers
     cov = n * sum(x * y for x, y in pairs) - sx * sy
-    var_x = n * sum(x * x for x, _ in pairs) - sx * sx
-    var_y = n * sum(y * y for _, y in pairs) - sy * sy
-    if var_x == 0 or var_y == 0:
-        return None
-    return (cov > 0) - (cov < 0), Fraction(cov * cov, var_x * var_y)
+    var = n * sum(x * x for x, _ in pairs) - sx * sx
+    return Fraction(cov, var) if var else None
 
 
 def local_clustering_brute(snapshot, v):

@@ -2,9 +2,9 @@
 Swart 2008), an implementation that shares no code with netevolve.
 
 Skipped when networkx is not installed. Values agree to 1e-12 relative.
-Assortativity is judged against the exact rational value from
-`oracles.assortativity_exact` instead: networkx's own rounding can reach
-1e-12 on a correct value (see `test_assortativity_regression_graph`).
+Assortativity must instead equal the float nearest the exact rational value
+from `oracles.assortativity_exact`: networkx's own rounding can reach 1e-12
+on a correct value (see `test_assortativity_regression_graph`).
 """
 
 import math
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assortativity_regression
 from netevolve import (
     GraphSnapshot,
     UndefinedMetricError,
@@ -29,12 +30,6 @@ from netevolve.metrics import _all_sources
 from oracles import assortativity_exact
 
 nx = pytest.importorskip("networkx")
-
-# netevolve's worst assortativity error against the exact value, measured
-# over 30,000 examples of linked_graphs: 1.97e-14 relative, and 2.8e-17
-# absolute where r is exactly 0. The bounds are ten times those.
-ASSORTATIVITY_REL = 10 * 1.97e-14
-ASSORTATIVITY_ABS_AT_ZERO = 10 * 2.8e-17
 
 
 def _close(got, want, floor=0.0):
@@ -107,26 +102,15 @@ def _check_assortativity(s: GraphSnapshot, got) -> None:
     exact = assortativity_exact(s)
     if exact is None:
         assert got is None
-        return
-    sign, r_squared = exact
-    want = math.copysign(math.sqrt(r_squared), sign)
-    if want == 0.0:
-        assert abs(got) <= ASSORTATIVITY_ABS_AT_ZERO
     else:
-        assert abs(got - want) <= ASSORTATIVITY_REL * abs(want)
+        assert got == float(exact)
 
 
 def test_assortativity_regression_graph():
     """Exact r is -1/55. netevolve gives it to the last bit; networkx is
     1.0016e-12 relative off, which failed a 1e-12 check on a correct value."""
-    links = [
-        (0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3),
-        (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
-    ]
-    s = GraphSnapshot.from_edge_list(
-        "r", [(f"r{i:02d}", f"r{j:02d}", 1) for i, j in links], extra_actors=["z0"]
-    )
-    assert assortativity_exact(s) == (-1, Fraction(1, 55**2))
+    s = assortativity_regression()
+    assert assortativity_exact(s) == Fraction(-1, 55)
     row = metrics_row(s)
     assert row.assortativity == -1 / 55
     _check_assortativity(s, row.assortativity)

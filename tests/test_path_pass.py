@@ -7,6 +7,9 @@ In test names, `dense` is the batched numpy kernel: it keeps each block of
 64 sources as a dense b*N array of (source, actor) slots. The kernel takes
 no options, so tests patch its module values `_BATCH`, `_pushes` and
 `_BLOCK_ARCS` to run other batches, forced step directions and blocks.
+
+`EXACT_ORACLE_EXAMPLES` sets the number of hypothesis examples each exact
+oracle test draws (200 by default).
 """
 
 import os
@@ -16,13 +19,14 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, path_graph, star
+from conftest import assortativity_regression, complete, path_graph, star
 from netevolve import (
     GraphSnapshot,
     UndefinedMetricError,
+    assortativity,
     avg_clustering,
     avg_neighbor_degree,
     avg_neighbor_degree_mean,
@@ -47,6 +51,7 @@ from netevolve.metrics import (
     centralization,
 )
 from oracles import (
+    assortativity_exact,
     brandes_exact,
     centralization_betweenness_exact,
     centralization_closeness_exact,
@@ -55,6 +60,9 @@ from oracles import (
     mean_distance_exact,
     neighbor_degree_exact,
 )
+
+
+EXACT_EXAMPLES = int(os.environ.get("EXACT_ORACLE_EXAMPLES", "200"))
 
 
 def _csr(s):
@@ -215,7 +223,7 @@ def _assert_near_exact(got, exact, worst):
 class TestExactBrandes:
     """Both kernels against Brandes in exact rational arithmetic."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=EXACT_EXAMPLES, deadline=None)
     @given(graphs())
     def test_kernels_match_exact_scores(self, s):
         exact = brandes_exact(s)
@@ -276,11 +284,15 @@ def _path_passes(s):
 
 
 class TestExactMeasures:
-    """Clustering, closeness, distance and neighbour degree against exact
-    rational arithmetic."""
+    """Clustering, closeness, distance, neighbour degree and assortativity
+    against exact rational arithmetic."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=EXACT_EXAMPLES, deadline=None)
     @given(graphs())
+    @example(path_graph(4))
+    @example(star(5))
+    @example(complete(4))
+    @example(assortativity_regression())
     def test_measures_match_exact_values(self, s):
         mean, ratio = clustering_exact(s)
         _assert_exact_or_undefined(avg_clustering, s, mean, EXACT_WORST["clustering"])
@@ -291,6 +303,12 @@ class TestExactMeasures:
         _assert_exact_or_undefined(
             avg_neighbor_degree_mean, s, neighbor_mean, EXACT_WORST["neighbor_degree_mean"]
         )
+        if s.n_links == 0:
+            with pytest.raises(UndefinedMetricError):
+                assortativity(s)
+        else:
+            r = assortativity_exact(s)
+            assert assortativity(s) == (None if r is None else float(r))
         wf = closeness_exact(s)
         distance = mean_distance_exact(s)
         n = s.n_actors
