@@ -20,11 +20,10 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, combinations, repeat
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Timestamp = Union[datetime, int, float]
@@ -323,43 +322,89 @@ def build_cumulative_snapshots(
     is a mix of numbers, naive dates and offset-aware dates.
     """
     check_breakpoints(breakpoints, labels)
+    store = _Interactions()
+    store.add_events(events)
+    store.add_publications(publications)
+    return store.snapshots(breakpoints, labels)
 
-    # (time, members, weight): every pair of members gains `weight`
-    groups: list[tuple[Timestamp, tuple[str, ...], int]] = []
-    for ev in events:
-        if ev.a == ev.b:
-            logger.warning("dropping self-loop interaction on %r at %s", ev.a, ev.time)
-            continue
-        groups.append((ev.time, (ev.a, ev.b), ev.weight))
-    groups.extend((pub.date, pub.authors, 1) for pub in publications)
 
-    _check_times(chain(breakpoints, map(itemgetter(0), groups)), "event times and breakpoints")
+class _Interactions:
+    """Interactions kept as they stream in, one entry per event or
+    publication and no record object: its time in `times` (equal times
+    decoded from one string share an object), its weight in `weights`, and
+    its members' ids in the flat `members`, entry k's at
+    `members[offsets[k]:offsets[k + 1]]`. Ids count labels in first-seen
+    order until `snapshots` maps them to label order. Every pair of an
+    entry's members gains its weight."""
 
-    # ids in label order over the whole input; links are keyed by id pairs (i, j), i < j
-    names = sorted(set(chain.from_iterable(map(itemgetter(1), groups))))
-    ids = dict(zip(names, range(len(names))))
-    groups.sort(key=itemgetter(0))
-    links: Counter[tuple[int, int]] = Counter()
-    present: set[int] = set()
-    snapshots = []
-    done = 0
-    for bp, label in zip(breakpoints, labels):
-        due = bisect_right(groups, bp, done, key=itemgetter(0))
-        unit = []  # the period's unit-weight groups, whose pairs are counted at once
-        for _, members, weight in groups[done:due]:
-            members = sorted(map(ids.__getitem__, members))
-            present.update(members)
-            if weight == 1:
-                unit.append(members)
-            else:
-                for pair in combinations(members, 2):
-                    links[pair] += weight
-        links.update(chain.from_iterable(map(combinations, unit, repeat(2))))
-        done = due
-        snapshot = GraphSnapshot.__new__(GraphSnapshot)  # built by the fold, not checked again
-        snapshot._store(label, names, sorted(present), links)
-        snapshots.append(snapshot)
-    return snapshots
+    def __init__(self):
+        self.times: list[Timestamp] = []
+        self.weights: list[int] = []
+        self.members = array("q")
+        self.offsets = array("q", [0])
+        self._ids: defaultdict[str, int] = defaultdict()
+        self._ids.default_factory = self._ids.__len__  # a new label takes the next id
+
+    def _extend(self, groups: Iterable[tuple[Timestamp, Iterable[str], int]]) -> None:
+        """Keep each (time, member labels, weight) of `groups`."""
+        times, weights, members, offsets = self.times, self.weights, self.members, self.offsets
+        member_id = self._ids.__getitem__
+        for time, names, weight in groups:
+            times.append(time)
+            weights.append(weight)
+            members.extend(map(member_id, names))
+            offsets.append(len(members))
+
+    def add_events(self, events: Iterable[InteractionEvent]) -> None:
+        def groups():
+            for ev in events:
+                if ev.a == ev.b:
+                    logger.warning("dropping self-loop interaction on %r at %s", ev.a, ev.time)
+                    continue
+                yield ev.time, (ev.a, ev.b), ev.weight
+
+        self._extend(groups())
+
+    def add_publications(self, publications: Iterable[PublicationRecord]) -> None:
+        self._extend((pub.date, pub.authors, 1) for pub in publications)
+
+    def snapshots(self, breakpoints: Sequence[Timestamp], labels: Sequence[str]) -> list[GraphSnapshot]:
+        """One cumulative snapshot per breakpoint, as in
+        `build_cumulative_snapshots`, whose checks of breakpoints and labels
+        the caller has made."""
+        times, weights, offsets = self.times, self.weights, self.offsets
+        _check_times(chain(breakpoints, times), "event times and breakpoints")
+
+        # ids in label order over the whole input; links are keyed by id pairs (i, j), i < j
+        names = sorted(self._ids)
+        rank = [0] * len(names)
+        for i, name in enumerate(names):
+            rank[self._ids[name]] = i
+        # a list of the ints `rank` holds: 8 bytes an id, as in the array,
+        # and its slices take no boxing
+        members = list(map(rank.__getitem__, self.members))
+        order = sorted(range(len(times)), key=times.__getitem__)  # stable: input order within a time
+        links: Counter[tuple[int, int]] = Counter()
+        present: set[int] = set()
+        snapshots = []
+        done = 0
+        for bp, label in zip(breakpoints, labels):
+            due = bisect_right(order, bp, done, key=times.__getitem__)
+            unit = []  # the period's unit-weight groups, whose pairs are counted at once
+            for k in order[done:due]:
+                group = sorted(members[offsets[k] : offsets[k + 1]])
+                present.update(group)
+                if weights[k] == 1:
+                    unit.append(group)
+                else:
+                    for pair in combinations(group, 2):
+                        links[pair] += weights[k]
+            links.update(chain.from_iterable(map(combinations, unit, repeat(2))))
+            done = due
+            snapshot = GraphSnapshot.__new__(GraphSnapshot)  # built by the fold, not checked again
+            snapshot._store(label, names, sorted(present), links)
+            snapshots.append(snapshot)
+        return snapshots
 
 
 def _giant(adj: Sequence[Sequence[int]]) -> list[int]:

@@ -28,8 +28,8 @@ from .evolution import (
     proxy_series,
     static_attributes,
 )
-from .graph_core import GraphSnapshot, Timestamp, build_cumulative_snapshots, check_breakpoints
-from .ingest import format_timestamp, parse_edge_events_text, parse_publications_text
+from .graph_core import GraphSnapshot, Timestamp, _Interactions, check_breakpoints
+from .ingest import _edge_events, _publications, format_timestamp
 from .metrics import MetricsRow, degree_histogram, metrics_row
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
 
@@ -112,17 +112,18 @@ def _per_period(
 def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnapshot], list[str]]:
     """The one route from an input file's bytes to snapshots: decode them
     (UTF-8, with or without a byte-order mark), parse them per config.kind
-    and slice them. Returns (snapshots, ingest warnings); any failure is a
+    and slice them. Records stream from the decoder into a compact store and
+    none is kept. Returns (snapshots, ingest warnings); any failure is a
     PipelineError at stage "ingest", caused by an InsufficientDataError when
     the input holds no interaction at all, whatever the slicing mode."""
     try:
         text = data.decode("utf-8-sig")
-        events, records = [], []
+        store, warnings = _Interactions(), []
         if config.kind == "events":
-            events, warnings = parse_edge_events_text(text, source=config.input_path)
+            store.add_events(_edge_events(text, config.input_path, warnings))
         else:
-            records, warnings = parse_publications_text(text, source=config.input_path)
-        times = [ev.time for ev in events] + [r.date for r in records]
+            store.add_publications(_publications(text, config.input_path, warnings))
+        times = store.times
         if not times:
             raise InsufficientDataError("input contains no interactions to slice")
         if config.breakpoints is not None:
@@ -132,7 +133,8 @@ def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnaps
             breakpoints, labels = _yearly_breakpoints(times)
         else:
             breakpoints, labels = [max(times)], ["all"]
-        snapshots = build_cumulative_snapshots(events, breakpoints, labels, publications=records)
+        check_breakpoints(breakpoints, labels)
+        snapshots = store.snapshots(breakpoints, labels)
     except Exception as exc:
         raise PipelineError("ingest", str(exc)) from exc
     return snapshots, warnings
@@ -142,7 +144,9 @@ def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
     """Run the full pipeline on the input's bytes, which config.input_path
     only names; deterministic for fixed bytes and config. Any stage failure
     is wrapped in PipelineError naming the stage."""
+    digest = hashlib.sha256(data).hexdigest()
     snapshots, warnings = load_snapshots(config, data)
+    del data  # the metrics need not hold the input
 
     try:
         per_period = [_per_period(s, config.thresholds) for s in snapshots]
@@ -161,7 +165,7 @@ def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
         raise PipelineError("evolution", str(exc)) from exc
 
     provenance = {
-        "input_digest": hashlib.sha256(data).hexdigest(),
+        "input_digest": digest,
         "input_path": config.input_path,
         "kind": config.kind,
         "config": {
