@@ -64,7 +64,18 @@ def _edge_weight(weight, a: str, b: str) -> int:
     return weight
 
 
-@dataclass(frozen=True, init=False, slots=True)
+def _event(a: str, b: str, weight) -> tuple[str, str, int]:
+    """The event rule: both labels trimmed and not blank, and the weight an
+    int of at least 1; a ValueError names the first fault, labels first."""
+    a, b = a.strip(), b.strip()
+    if not a or not b:
+        raise ValueError("empty actor label")
+    if (weight := _integer(weight)) < 1:
+        raise ValueError(f"weight {weight} < 1")
+    return a, b, weight
+
+
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One timestamped, weighted, undirected interaction between two actors.
 
@@ -74,30 +85,19 @@ class InteractionEvent:
     that ingest layers can reject them with a warning instead of crashing.
     """
 
-    # no per-event __dict__: a log holds one event per row
     time: Timestamp
     a: str
     b: str
     weight: int = 1
 
-    def __init__(self, time: Timestamp, a: str, b: str, weight: int = 1):
-        a, b = _label(a), _label(b)
-        if not a or not b:
-            raise ValueError("empty actor label")
-        if (weight := _integer(weight)) < 1:
-            raise ValueError(f"weight {weight} < 1")
-        _set_time(self, time)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_weight(self, weight)
+    def __post_init__(self):
+        a, b, weight = _event(_label(self.a), _label(self.b), self.weight)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "weight", weight)
 
 
-_set_time, _set_a, _set_b, _set_weight = (
-    InteractionEvent.__dict__[name].__set__ for name in InteractionEvent.__slots__
-)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PublicationRecord:
     """One publication: an id, a date, and its author list.
 
@@ -108,34 +108,30 @@ class PublicationRecord:
     per joint publication.
     """
 
-    # no per-record __dict__: a corpus holds one record per publication
+    # not `slots=True`: with `frozen=True` it makes setting an unknown
+    # attribute a TypeError on Python 3.11, not FrozenInstanceError
     __slots__ = ("pub_id", "date", "authors")
     pub_id: str
     date: Timestamp
     authors: tuple[str, ...]
 
-    def __init__(self, pub_id: str, date: Timestamp, authors: Iterable[str]):
-        if isinstance(authors, str):
-            raise ValueError(f"authors must be a sequence of names, not {authors!r}")
-        _set_pub_id(self, pub_id)
-        _set_date(self, date)
-        _set_authors(self, _author_names(authors))
+    def __post_init__(self):
+        if isinstance(self.authors, str):
+            raise ValueError(f"authors must be a sequence of names, not {self.authors!r}")
+        names = _author_names(list(self.authors))
+        object.__setattr__(self, "authors", tuple(map(sys.intern, names)))
 
 
-def _author_names(values: Iterable) -> tuple[str, ...]:
-    """The author rule of `PublicationRecord`, read once per record."""
-    values = list(values)  # read again when a name is not a string
+def _author_names(values: list) -> dict[str, None]:
+    """The author rule, as the keys of a dict: each name trimmed, blanks
+    dropped, the first of repeats kept; a value that is not a string is a
+    ValueError naming it."""
     try:
         names = dict.fromkeys(map(str.strip, values))
     except TypeError:  # `_label` names the value that is not a string
         names = dict.fromkeys(map(_label, values))
     names.pop("", None)
-    return tuple(map(sys.intern, names))
-
-
-_set_pub_id, _set_date, _set_authors = (
-    PublicationRecord.__dict__[name].__set__ for name in PublicationRecord.__slots__
-)
+    return names
 
 
 @dataclass(frozen=True, init=False)
@@ -322,9 +318,18 @@ def build_cumulative_snapshots(
     is a mix of numbers, naive dates and offset-aware dates.
     """
     check_breakpoints(breakpoints, labels)
+
+    def groups():
+        for ev in events:
+            if ev.a == ev.b:
+                logger.warning("dropping self-loop interaction on %r at %s", ev.a, ev.time)
+            else:
+                yield ev.time, (ev.a, ev.b), ev.weight
+        for pub in publications:
+            yield pub.date, pub.authors, 1
+
     store = _Interactions()
-    store.add_events(events)
-    store.add_publications(publications)
+    store.add(groups())
     return store.snapshots(breakpoints, labels)
 
 
@@ -345,28 +350,16 @@ class _Interactions:
         self._ids: defaultdict[str, int] = defaultdict()
         self._ids.default_factory = self._ids.__len__  # a new label takes the next id
 
-    def _extend(self, groups: Iterable[tuple[Timestamp, Iterable[str], int]]) -> None:
-        """Keep each (time, member labels, weight) of `groups`."""
+    def add(self, groups: Iterable[tuple]) -> None:
+        """Keep each group of `groups`: a time, the member labels (trimmed,
+        not blank) and a weight, and any further fields, which are not kept."""
         times, weights, members, offsets = self.times, self.weights, self.members, self.offsets
         member_id = self._ids.__getitem__
-        for time, names, weight in groups:
+        for time, names, weight, *_ in groups:
             times.append(time)
             weights.append(weight)
             members.extend(map(member_id, names))
             offsets.append(len(members))
-
-    def add_events(self, events: Iterable[InteractionEvent]) -> None:
-        def groups():
-            for ev in events:
-                if ev.a == ev.b:
-                    logger.warning("dropping self-loop interaction on %r at %s", ev.a, ev.time)
-                    continue
-                yield ev.time, (ev.a, ev.b), ev.weight
-
-        self._extend(groups())
-
-    def add_publications(self, publications: Iterable[PublicationRecord]) -> None:
-        self._extend((pub.date, pub.authors, 1) for pub in publications)
 
     def snapshots(self, breakpoints: Sequence[Timestamp], labels: Sequence[str]) -> list[GraphSnapshot]:
         """One cumulative snapshot per breakpoint, as in
@@ -375,8 +368,9 @@ class _Interactions:
         times, weights, offsets = self.times, self.weights, self.offsets
         _check_times(chain(breakpoints, times), "event times and breakpoints")
 
-        # ids in label order over the whole input; links are keyed by id pairs (i, j), i < j
-        names = sorted(self._ids)
+        # ids in label order over the whole input; links are keyed by id pairs (i, j), i < j.
+        # Each label is interned once, so it is one string object across loads
+        names = sorted(map(sys.intern, self._ids))
         rank = [0] * len(names)
         for i, name in enumerate(names):
             rank[self._ids[name]] = i

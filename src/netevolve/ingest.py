@@ -1,8 +1,9 @@
 """Parsing of decoded edge-event CSV and publication JSON Lines text.
 
 Each format has one decoder, a stream that hands on each record as its line
-is read: `pipeline.load_snapshots` folds it as it reads, and
-`parse_edge_events_text` and `parse_publications_text` collect it in a list.
+is read, as a (time, actor labels, weight) group: `pipeline.load_snapshots`
+folds the groups as it reads, and `parse_edge_events_text` and
+`parse_publications_text` build a record of each and collect them in a list.
 
 Edge events use a `time,a,b,weight` CSV (weight optional, default 1).
 Publications are one JSON object per line: {"pub_id", "date", "authors"}.
@@ -13,8 +14,9 @@ when the stream ends. Self-loops, empty author lists and repeated pub_ids
 are domain noise: they warn and skip the same way but do not count toward
 the 10% budget. The kept records must not mix kinds of time.
 
-The decoders hand raw fields to `InteractionEvent` and `PublicationRecord`,
-whose constructors apply the one label rule: trim, reject a blank, intern.
+The decoders apply the records' rules, `graph_core._event` to a row and
+`graph_core._author_names` to an author list, so a group's labels are
+trimmed and not blank; the store interns each label once.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ import math
 import re
 from datetime import date, datetime
 from functools import lru_cache, partial
-from operator import attrgetter
 from typing import Iterable
 
 from .errors import ParseError
 from .graph_core import InteractionEvent, PublicationRecord, Timestamp
-from .graph_core import _check_times, _time_category
+from .graph_core import _author_names, _check_times, _event, _time_category
 
 EDGE_EVENT_FIELDS = ("time", "a", "b", "weight")
 _MAX_BAD_FRACTION = 0.10
@@ -77,9 +78,9 @@ class _Noise(ValueError):
     """A well-formed row with nothing to analyse: skipped, but not malformed."""
 
 
-def _parse_records(lines, decode, source, noun, time_of, warnings):
-    """Decode each (line number, raw) pair and yield each record as it is
-    read, appending each warning to `warnings`.
+def _parse_records(lines, decode, source, noun, warnings):
+    """Decode each (line number, raw) pair and yield each group, whose first
+    field is its time, as it is read, appending each warning to `warnings`.
 
     A ValueError from `decode` skips the row with a warning and marks it
     malformed unless it is `_Noise`; so does the RecursionError that json
@@ -90,14 +91,13 @@ def _parse_records(lines, decode, source, noun, time_of, warnings):
     kinds = {}  # one time of each kind kept
     for rows, (lineno, raw) in enumerate(lines, start=1):
         try:
-            record = decode(raw)
+            group = decode(raw)
         except (ValueError, RecursionError) as exc:
             warnings.append(f"{source}:{lineno}: {exc}, {noun} skipped")
             malformed += not isinstance(exc, _Noise)
             continue
-        time = time_of(record)
-        kinds.setdefault(_time_category(time), time)
-        yield record
+        kinds.setdefault(_time_category(group[0]), group[0])
+        yield group
     if malformed and malformed / rows > _MAX_BAD_FRACTION:
         raise ParseError(f"{source}: {malformed} of {rows} {noun}s malformed (> 10%)")
     try:
@@ -106,19 +106,19 @@ def _parse_records(lines, decode, source, noun, time_of, warnings):
         raise ParseError(f"{source}: {exc}") from None
 
 
-def _decode_event(row: list[str], parse_time) -> InteractionEvent:
+def _decode_event(row: list[str], parse_time) -> tuple[Timestamp, tuple[str, str], int]:
     if len(row) < 3:
         raise ValueError("too few fields")
     time = parse_time(row[0])
     weight = row[3].strip() if len(row) >= 4 else ""
     # int() would also take "1_000", "+2" and non-ASCII digits
     if weight and not (weight.isascii() and weight.removeprefix("-").isdigit()):
-        InteractionEvent(time, row[1], row[2])  # an empty label is the earlier fault
+        _event(row[1], row[2], 1)  # an empty label is the earlier fault
         raise ValueError(f"bad weight {row[3]!r}")
-    event = InteractionEvent(time, row[1], row[2], int(weight) if weight else 1)
-    if event.a == event.b:
-        raise _Noise(f"self-loop on {event.a!r}")
-    return event
+    a, b, weight = _event(row[1], row[2], int(weight) if weight else 1)
+    if a == b:
+        raise _Noise(f"self-loop on {a!r}")
+    return time, (a, b), weight
 
 
 _LINE_END = re.compile("\r\n?|\n")
@@ -146,8 +146,9 @@ def _lf_lines(text: str):
 
 def _edge_events(text: str, source: str, warnings: list[str]):
     """The stream behind `parse_edge_events_text`: an iterator of the
-    events, each decoded as its row is read, that appends each warning to
-    `warnings`. The header is read and checked on the call."""
+    events as (time, (a, b), weight), each decoded as its row is read, that
+    appends each warning to `warnings`. The header is read and checked on
+    the call."""
     reader = csv.reader(_lines(text))
 
     def rows():
@@ -166,7 +167,7 @@ def _edge_events(text: str, source: str, warnings: list[str]):
     if header[:3] != ["time", "a", "b"]:
         raise ParseError(f"{source}: expected header time,a,b[,weight], got {first[1]!r}")
     decode = partial(_decode_event, parse_time=lru_cache(_CACHED_TIMES)(parse_timestamp))
-    return _parse_records(lines, decode, source, "row", attrgetter("time"), warnings)
+    return _parse_records(lines, decode, source, "row", warnings)
 
 
 def parse_edge_events_text(
@@ -176,7 +177,8 @@ def parse_edge_events_text(
     end in LF, CRLF or CR. Warnings cite physical line numbers, blank lines
     included."""
     warnings: list[str] = []
-    return list(_edge_events(text, source, warnings)), warnings
+    events = [InteractionEvent(t, a, b, w) for t, (a, b), w in _edge_events(text, source, warnings)]
+    return events, warnings
 
 
 def format_timestamp(t: Timestamp) -> str:
@@ -215,12 +217,12 @@ _scan_json = json.JSONDecoder().scan_once
 
 def _publications(text: str, source: str, warnings: list[str]):
     """The stream behind `parse_publications_text`: an iterator of the
-    records, each decoded as it is read, that appends each warning to
-    `warnings`."""
+    records as (date, author names, 1, pub_id), each decoded as it is read,
+    that appends each warning to `warnings`."""
     seen_ids: set[str] = set()
     parse_time = lru_cache(_CACHED_TIMES)(parse_timestamp)
 
-    def decode(line: str) -> PublicationRecord:
+    def decode(line: str) -> tuple[Timestamp, dict[str, None], int, str]:
         # the C scanner reads the line between JSON whitespace; a line it does
         # not take whole goes to json.loads, which raises with its own text
         value = line.strip(" \t\n\r")
@@ -241,20 +243,20 @@ def _publications(text: str, source: str, warnings: list[str]):
         if not isinstance(authors, list):
             raise ValueError("authors must be a list")
         try:
-            record = PublicationRecord(pub_id, date, authors)
+            names = _author_names(authors)
         except ValueError:  # a name that is not a string: a number, or a fault
-            record = PublicationRecord(pub_id, date, [_json_text(v, "author") for v in authors])
-        if not record.authors:
+            names = _author_names([_json_text(v, "author") for v in authors])
+        if not names:
             raise _Noise("empty author list")
         if pub_id in seen_ids:
             raise _Noise(f"duplicate pub_id {pub_id!r}")
         seen_ids.add(pub_id)
-        return record
+        return date, names, 1, pub_id
 
     # records end at LF only: str.splitlines would also break at characters
     # such as U+2028 and U+0085, which JSON strings may hold raw
     lines = ((n, line) for n, line in enumerate(_lf_lines(text), 1) if line.strip())
-    return _parse_records(lines, decode, source, "record", attrgetter("date"), warnings)
+    return _parse_records(lines, decode, source, "record", warnings)
 
 
 def parse_publications_text(
@@ -262,10 +264,11 @@ def parse_publications_text(
 ) -> tuple[list[PublicationRecord], list[str]]:
     """Parse publication JSON Lines content; returns (records, warnings).
 
-    Records end in LF or CRLF and keep their order; each is decoded once,
-    and its authors are read once, by `PublicationRecord`.
-    Records with an empty author list or a duplicate pub_id are skipped
-    with a warning.
+    Records end in LF or CRLF and keep their order; each line is decoded
+    once, by the stream that `load_snapshots` folds, and a record is built
+    from each of its groups. Records with an empty author list or a
+    duplicate pub_id are skipped with a warning.
     """
     warnings: list[str] = []
-    return list(_publications(text, source, warnings)), warnings
+    stream = _publications(text, source, warnings)
+    return [PublicationRecord(pub_id, date, names) for date, names, _, pub_id in stream], warnings

@@ -112,17 +112,16 @@ def _per_period(
 def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnapshot], list[str]]:
     """The one route from an input file's bytes to snapshots: decode them
     (UTF-8, with or without a byte-order mark), parse them per config.kind
-    and slice them. Records stream from the decoder into a compact store and
-    none is kept. Returns (snapshots, ingest warnings); any failure is a
-    PipelineError at stage "ingest", caused by an InsufficientDataError when
-    the input holds no interaction at all, whatever the slicing mode."""
+    and slice them. The decoder's (time, actor labels, weight) groups stream
+    into a compact store; no record is built. Returns (snapshots, ingest
+    warnings); any failure is a PipelineError at stage "ingest", caused by
+    an InsufficientDataError when the input holds no interaction at all,
+    whatever the slicing mode."""
     try:
         text = data.decode("utf-8-sig")
         store, warnings = _Interactions(), []
-        if config.kind == "events":
-            store.add_events(_edge_events(text, config.input_path, warnings))
-        else:
-            store.add_publications(_publications(text, config.input_path, warnings))
+        decode = _edge_events if config.kind == "events" else _publications
+        store.add(decode(text, config.input_path, warnings))
         times = store.times
         if not times:
             raise InsufficientDataError("input contains no interactions to slice")

@@ -1,9 +1,11 @@
 import itertools
 import json
+import os
 import random
 import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,12 @@ from netevolve import (
 from netevolve.graph_core import InteractionEvent
 from netevolve.pipeline import _yearly_breakpoints
 from oracles import parse_publications_reference
+
+
+def _examples(default):
+    """The hypothesis examples of the decoder and load-route property tests:
+    `INGEST_EXAMPLES` when it is set, else `default`."""
+    return int(os.environ.get("INGEST_EXAMPLES", default))
 
 
 class TestParseTimestamp:
@@ -339,11 +347,19 @@ def _good_row(kind: str, i: int) -> str:
     return json.dumps({"pub_id": f"G{i}", "date": "2005-01-01", "authors": ["A", f"B{i}"]})
 
 
-def _parse(kind: str, rows: list[str]):
-    """Parse `rows` as the data of a file named f.<kind>."""
-    if kind == "csv":
-        return parse_edge_events_text("time,a,b,weight\n" + "\n".join(rows) + "\n", "f.csv")
-    return parse_publications_text("\n".join(rows) + "\n", "f.jsonl")
+def _parse(kind: str, rows: list[str], route: str = "parse"):
+    """Parse `rows` as the data of a file named f.<kind>: by `parse_*_text`
+    to (records, warnings), or, on the "load" route, by `load_snapshots` to
+    (snapshots, warnings), raising the ParseError its PipelineError wraps."""
+    text = ("time,a,b,weight\n" if kind == "csv" else "") + "\n".join(rows) + "\n"
+    if route == "parse":
+        parse = parse_edge_events_text if kind == "csv" else parse_publications_text
+        return parse(text, f"f.{kind}")
+    config = AnalysisConfig(f"f.{kind}", kind="events" if kind == "csv" else "publications")
+    try:
+        return load_snapshots(config, text.encode())
+    except PipelineError as exc:
+        raise exc.__cause__ from None
 
 
 def _pub(**fields) -> str:
@@ -421,25 +437,28 @@ WARNING_TABLE = [
 
 
 class TestWarningContract:
-    """One rule for both formats: a malformed row counts toward the 10%
-    budget, a noise row does not, and each warns `source:line: reason,
-    row|record skipped`."""
+    """One rule for both formats and both routes: a malformed row counts
+    toward the 10% budget, a noise row does not, and each warns
+    `source:line: reason, row|record skipped`."""
 
     @pytest.mark.parametrize("kind, raw, reason, malformed", WARNING_TABLE)
     def test_warning_text(self, kind, raw, reason, malformed):
         good = [_good_row(kind, i) for i in range(9)]
-        records, warnings = _parse(kind, good + [raw])
         line = 11 if kind == "csv" else 10
         noun = "row" if kind == "csv" else "record"
-        assert warnings == [f"f.{kind}:{line}: {reason}, {noun} skipped"]
-        assert len(records) == 9
-        # one more malformed row breaks the budget only if this one counted
         bad = "x,A,B" if kind == "csv" else "not json"
-        if malformed:
-            with pytest.raises(ParseError, match=re.escape(f"2 of 11 {noun}s malformed")):
-                _parse(kind, good + [raw, bad])
-        else:
-            assert len(_parse(kind, good + [raw, bad])[1]) == 2
+        # the load route builds no record, so the decoder alone must apply every rule
+        for route in ("parse", "load"):
+            kept, warnings = _parse(kind, good + [raw], route)
+            assert warnings == [f"f.{kind}:{line}: {reason}, {noun} skipped"]
+            # the skipped row adds nothing: the good rows' nine records, or their snapshots
+            assert kept == _parse(kind, good, route)[0]
+            # one more malformed row breaks the budget only if this one counted
+            if malformed:
+                with pytest.raises(ParseError, match=re.escape(f"2 of 11 {noun}s malformed")):
+                    _parse(kind, good + [raw, bad], route)
+            else:
+                assert len(_parse(kind, good + [raw, bad], route)[1]) == 2
 
     @pytest.mark.parametrize("kind", ["csv", "jsonl"])
     def test_budget_boundary(self, kind):
@@ -484,11 +503,12 @@ class TestWarningContract:
     )
     def test_jsonl_names_must_be_strings_or_numbers(self, fields, reason):
         good = [_good_row("jsonl", i) for i in range(9)]
-        records, warnings = _parse("jsonl", good + [_pub(**fields)])
-        assert warnings == [f"f.jsonl:10: {reason}, record skipped"]
-        assert len(records) == 9
-        with pytest.raises(ParseError, match="2 of 11 records malformed"):
-            _parse("jsonl", good + [_pub(**fields), "not json"])
+        for route in ("parse", "load"):
+            kept, warnings = _parse("jsonl", good + [_pub(**fields)], route)
+            assert warnings == [f"f.jsonl:10: {reason}, record skipped"]
+            assert kept == _parse("jsonl", good, route)[0]
+            with pytest.raises(ParseError, match="2 of 11 records malformed"):
+                _parse("jsonl", good + [_pub(**fields), "not json"], route)
 
     def test_null_pub_id_does_not_shadow_a_real_one(self):
         rows = [_pub(pub_id=None), _pub(pub_id="None")] + [_good_row("jsonl", i) for i in range(9)]
@@ -647,7 +667,7 @@ class TestDecoderMatchesReference:
     """`parse_publications_text` decodes each line once with the C scanner;
     the per-line `json.loads` decoder in oracles.py is the reference."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=_examples(200), deadline=None)
     @given(_jsonl_texts())
     def test_random_texts(self, text):
         _assert_decoded_alike(text)
@@ -775,7 +795,7 @@ class TestLoadStreams:
     must give what the library route gives: the same snapshots, the same
     warnings in order, or the same error."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_examples(300), deadline=None)
     @given(_load_inputs())
     def test_stream_and_library_route_agree(self, case):
         config, text = case
@@ -816,3 +836,56 @@ class TestLoadStreams:
         assert (len(snapshots), snapshots[-1].n_actors, warnings) == (10, 300, [])
         assert peak < 9_000_000
         assert (snapshots, warnings) == _loaded_by_library(config, text)
+
+
+# the bundled samples, each with three rows that warn added, sliced as the
+# README slices them
+_SAMPLE_LOADS = [
+    (
+        "events",
+        "disaster_events.csv",
+        "2009-02-07T12:00,POL5, POL5 \nx,POL5,SES5\n2009-02-07T13:00,POL5,SES5,zz\n",
+        {"breakpoints": [datetime(2009, 2, 7, 11, 50), datetime(2009, 2, 7, 16), datetime(2009, 2, 8)]},
+    ),
+    (
+        "publications",
+        "coauthorship_sample.jsonl",
+        "\n".join(
+            [_pub(pub_id="P0001"), _pub(pub_id="Q", authors=[]), "not json", _pub(pub_id="R", authors=[7, " Chen A "])]
+        ),
+        {"yearly": True},
+    ),
+]
+
+
+class TestLoadBuildsNoRecord:
+    """`load_snapshots` folds the decoders' (time, labels, weight) groups
+    into the store: it builds no InteractionEvent or PublicationRecord, and
+    the store interns each label it keeps."""
+
+    @pytest.fixture(params=_SAMPLE_LOADS, ids=["events", "publications"])
+    def sample(self, request):
+        kind, name, extra, mode = request.param
+        text = (resources.files("netevolve") / "data" / name).read_text("utf-8") + extra
+        return AnalysisConfig(name, kind=kind, **mode), text
+
+    def test_load_builds_no_record(self, sample, monkeypatch):
+        config, text = sample
+        expected = _loaded_by_library(config, text)
+        assert len(expected[1]) == 3
+
+        def refuse(record):
+            raise AssertionError(f"{type(record).__name__} built")
+
+        for record in (InteractionEvent, PublicationRecord):
+            monkeypatch.setattr(record, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="InteractionEvent built"):
+            InteractionEvent(1, "A", "B")
+        assert load_snapshots(config, text.encode()) == expected
+
+    def test_labels_are_one_object_across_loads(self, sample):
+        config, text = sample
+        first, _ = load_snapshots(config, text.encode())
+        second, _ = load_snapshots(config, text.encode())
+        pairs = zip(first[-1].sorted_actors(), second[-1].sorted_actors(), strict=True)
+        assert all(a is b for a, b in pairs)
