@@ -149,7 +149,7 @@ def _cmd_generate(args) -> int:
         snapshot = barabasi_albert(args.n, args.m, args.seed)
     events = [
         InteractionEvent(i, a, b, w)
-        for i, ((a, b), w) in enumerate(sorted(snapshot.edges.items()))
+        for i, ((a, b), w) in enumerate(snapshot.edges.items())
     ]
     _write_output(args.out, write_edge_events_text(events))
     return EXIT_OK

@@ -173,16 +173,18 @@ class GraphSnapshot:
             links[pair] = w
         self._store(label, names, range(len(names)), links)
 
-    def _store(self, label: str, names: Sequence[str], ids: Sequence[int], links: dict):
-        """Keep the graph on the actors `ids` (ascending) of the sorted label
-        table `names`, whose links map the id pair (i, j), i < j, to a weight.
-        The fold calls this on a bare instance."""
+    def _store(self, label: str, names: Sequence[str], ids: Iterable[int], links: dict):
+        """Keep the graph on the actors `ids`, in any order, of the label table
+        `names`, whose links map id pairs, in either order, to a weight. Only
+        here are actors ordered: by label, so an actor's id is its label's
+        rank. The fold calls this on a bare instance."""
+        ids = sorted(ids, key=names.__getitem__)
         rank = dict(zip(ids, range(len(ids))))
         half = [(rank[i], rank[j], w) for (i, j), w in links.items()]
         arcs = sorted(half + [(j, i, w) for i, j, w in half])  # both directions, row by row
         indptr = [bisect_left(arcs, (i,)) for i in range(len(ids) + 1)]
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_names", tuple(names[i] for i in ids))
+        object.__setattr__(self, "_names", tuple(map(names.__getitem__, ids)))
         object.__setattr__(self, "_indptr", array("q", indptr))
         object.__setattr__(self, "_indices", array("q", [j for _, j, _ in arcs]))
         object.__setattr__(self, "_weights", [w for _, _, w in arcs])
@@ -339,7 +341,7 @@ class _Interactions:
     decoded from one string share an object), its weight in `weights`, and
     its members' ids in the flat `members`, entry k's at
     `members[offsets[k]:offsets[k + 1]]`. Ids count labels in first-seen
-    order until `snapshots` maps them to label order. Every pair of an
+    order; each snapshot ranks its own actors by label. Every pair of an
     entry's members gains its weight."""
 
     def __init__(self):
@@ -365,18 +367,13 @@ class _Interactions:
         """One cumulative snapshot per breakpoint, as in
         `build_cumulative_snapshots`, whose checks of breakpoints and labels
         the caller has made."""
-        times, weights, offsets = self.times, self.weights, self.offsets
+        times, weights, members, offsets = self.times, self.weights, self.members, self.offsets
         _check_times(chain(breakpoints, times), "event times and breakpoints")
 
-        # ids in label order over the whole input; links are keyed by id pairs (i, j), i < j.
-        # Each label is interned once, so it is one string object across loads
-        names = sorted(map(sys.intern, self._ids))
-        rank = [0] * len(names)
-        for i, name in enumerate(names):
-            rank[self._ids[name]] = i
-        # a list of the ints `rank` holds: 8 bytes an id, as in the array,
-        # and its slices take no boxing
-        members = list(map(rank.__getitem__, self.members))
+        # first-seen ids, which each snapshot ranks by label; links are keyed
+        # by id pairs (i, j), i < j. Each label is interned once, so it is one
+        # string object across loads
+        names = list(map(sys.intern, self._ids))
         order = sorted(range(len(times)), key=times.__getitem__)  # stable: input order within a time
         links: Counter[tuple[int, int]] = Counter()
         present: set[int] = set()
@@ -396,7 +393,7 @@ class _Interactions:
             links.update(chain.from_iterable(map(combinations, unit, repeat(2))))
             done = due
             snapshot = GraphSnapshot.__new__(GraphSnapshot)  # built by the fold, not checked again
-            snapshot._store(label, names, sorted(present), links)
+            snapshot._store(label, names, present, links)
             snapshots.append(snapshot)
         return snapshots
 

@@ -58,7 +58,7 @@ class MetricsRow:
 
 @dataclass(frozen=True)
 class _PathPass:
-    """One all-sources sweep over a snapshot, indexed like `order`.
+    """One all-sources sweep over a snapshot, indexed by actor id.
 
     `betweenness` holds the raw Brandes sums over both endpoints (halve them
     for the undirected score). Per source, `reach` counts the actors it
@@ -66,7 +66,6 @@ class _PathPass:
     `ecc` is the largest of them. `kernel` names the implementation used.
     """
 
-    order: list[str]
     betweenness: list[float]
     reach: list[int]
     dist_sum: list[int]
@@ -236,13 +235,13 @@ def _frontier_pass(indptr, indices):
 
 def _all_sources(s: GraphSnapshot) -> _PathPass:
     """The one all-sources pass every path-based measure reads from."""
-    order, adj = s.sorted_actors(), s._rows()
+    adj = s._rows()
     giant = _giant(adj)
     if len(adj) >= _NUMPY_MIN_ACTORS and s.n_links:
         result = _frontier_pass(s._indptr, s._indices)
         if result is not None:
-            return _PathPass(order, *result, giant, "numpy")
-    return _PathPass(order, *_reference_pass(adj), giant, "python")
+            return _PathPass(*result, giant, "numpy")
+    return _PathPass(*_reference_pass(adj), giant, "python")
 
 
 def _degrees(s: GraphSnapshot) -> list[int]:
@@ -381,18 +380,18 @@ def betweenness(s: GraphSnapshot, normalized: bool = False) -> dict[str, float]:
     normalized variant divides by (N-1)(N-2)/2, the star-center maximum.
     Isolated actors score 0.
     """
-    return _betweenness(_all_sources(s), normalized)
+    return dict(zip(s._names, _betweenness(_all_sources(s), normalized)))
 
 
-def _betweenness(p: _PathPass, normalized: bool) -> dict[str, float]:
-    n = len(p.order)
+def _betweenness(p: _PathPass, normalized: bool) -> list[float]:
+    n = len(p.betweenness)
     scale = 2.0
     if normalized:
         denom = (n - 1) * (n - 2) / 2.0
         if denom <= 0:
-            return {v: 0.0 for v in p.order}
+            return [0.0] * n
         scale *= denom
-    return {v: score / scale for v, score in zip(p.order, p.betweenness)}
+    return [score / scale for score in p.betweenness]
 
 
 def closeness(s: GraphSnapshot) -> dict[str, float]:
@@ -402,22 +401,22 @@ def closeness(s: GraphSnapshot) -> dict[str, float]:
     share of the graph, (|C|-1)/(N-1), so values stay comparable across
     components of a fragmented graph; isolated actors score 0.
     """
-    return _closeness(_all_sources(s))
+    return dict(zip(s._names, _closeness(_all_sources(s))))
 
 
-def _closeness(p: _PathPass) -> dict[str, float]:
-    n = len(p.order)
-    out: dict[str, float] = {}
-    for v, reach, total in zip(p.order, p.reach, p.dist_sum):
+def _closeness(p: _PathPass) -> list[float]:
+    n = len(p.reach)
+    out: list[float] = []
+    for reach, total in zip(p.reach, p.dist_sum):
         others = reach - 1
-        out[v] = 0.0 if others == 0 else (others / (n - 1)) * (others / total)
+        out.append(0.0 if others == 0 else (others / (n - 1)) * (others / total))
     return out
 
 
 CENTRALIZATION_KINDS = ("degree", "betweenness", "closeness")
 
 
-def centralization(values: list[float], kind: str, n: int) -> float:
+def centralization(values: Sequence[float], kind: str, n: int) -> float:
     """Freeman centralization: sum of (c_max - c_i) over the theoretical
     maximum of that sum for `kind` on n actors.
 
@@ -466,11 +465,9 @@ def metrics_row(s: GraphSnapshot) -> MetricsRow:
         neighbor_mean = avg_neighbor_degree_mean(s)
     strength_mean = 2.0 * s.sum_links / n
     if n >= 3:
-        cent_deg = centralization(list(map(float, _degrees(s))), "degree", n)
-        btw = _betweenness(paths, normalized=True)
-        cent_btw = centralization(list(btw.values()), "betweenness", n)
-        close = _closeness(paths)
-        cent_close = centralization(list(close.values()), "closeness", n)
+        cent_deg = centralization(_degrees(s), "degree", n)
+        cent_btw = centralization(_betweenness(paths, normalized=True), "betweenness", n)
+        cent_close = centralization(_closeness(paths), "closeness", n)
     else:
         cent_deg = cent_btw = cent_close = None
     return MetricsRow(

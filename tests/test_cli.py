@@ -488,6 +488,7 @@ FAULT_INPUTS = {
     "header.csv": b"time,a,b\n",
     "loops.csv": b"time,a,b\n1,A,A\n2,B,B\n",
     "empty.jsonl": b"",
+    "empty.csv": b"",
     "tab-label.json": json.dumps(
         {
             "rows": [
@@ -566,6 +567,8 @@ FAULT_CONTRACT = [
     pytest.param(
         "generate", ["--model", "ws", "-n", "3", "--k", "4"], 2, "config", id="generate-ws-k-too-big"
     ),
+    pytest.param("generate", ["--model", "ws", "-n", "10"], 2, "config", id="generate-ws-no-k"),
+    pytest.param("generate", ["--model", "ba", "-n", "10"], 2, "config", id="generate-ba-no-m"),
 ] + [
     # an input with no interactions fails before slicing, whatever the mode
     pytest.param(
@@ -573,7 +576,10 @@ FAULT_CONTRACT = [
         id=f"{command}-no-interactions-{source}{''.join(mode)}",
     )
     for source, kind in [
-        ("header.csv", []), ("loops.csv", []), ("empty.jsonl", ["--kind", "publications"])
+        ("header.csv", []),
+        ("loops.csv", []),
+        ("empty.csv", []),
+        ("empty.jsonl", ["--kind", "publications"]),
     ]
     for command in ("analyze", "fit")
     for mode in ([], ["--yearly"], ["--breakpoints", "5"])
@@ -608,9 +614,11 @@ class TestExitCodes:
 
             return raiser
 
-        monkeypatch.setattr("netevolve.pipeline.metrics_row", fail(RuntimeError("boom")))
-        assert main(["analyze", "--input", DISASTER]) == 4
-        assert json.loads(capsys.readouterr().err) == {"stage": "metrics", "error": "boom"}
+        for target, stage in [("metrics_row", "metrics"), ("correlate_attachment", "evolution")]:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"netevolve.pipeline.{target}", fail(RuntimeError("boom")))
+                assert main(["analyze", "--input", DISASTER]) == 4
+            assert json.loads(capsys.readouterr().err) == {"stage": stage, "error": "boom"}
         monkeypatch.setattr("netevolve.cli.erdos_renyi", fail(TypeError("stray")))
         with pytest.raises(TypeError, match="stray"):
             main(["generate", "--model", "er", "-n", "5", "--p", "0.5"])

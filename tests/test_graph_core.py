@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import random
 import re
 from dataclasses import FrozenInstanceError, fields
@@ -27,6 +28,12 @@ from netevolve.generators import barabasi_albert
 from netevolve.metrics import _all_sources
 
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
+
+
+def _examples(default):
+    """The hypothesis examples of the two fold oracles: `FOLD_EXAMPLES` when
+    it is set, else `default`."""
+    return int(os.environ.get("FOLD_EXAMPLES", default))
 
 
 def events(*triples):
@@ -347,7 +354,7 @@ def _histories(draw):
 
 
 class TestBuildAgainstRescan:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=_examples(200), deadline=None)
     @given(_histories(), st.randoms(use_true_random=False))
     def test_matches_per_breakpoint_filter(self, history, rng):
         evs, pubs, breakpoints = history
@@ -358,6 +365,9 @@ class TestBuildAgainstRescan:
         snaps = build_cumulative_snapshots(evs, breakpoints, labels, publications=pubs)
         assert [s.label for s in snaps] == labels
         assert [(s.actors, s.edges) for s in snaps] == expected
+        for s in snaps:  # ids in label order, each row strictly ascending
+            assert list(s._names) == sorted(s._names)
+            assert all(list(row) == sorted(set(row)) for row in s._rows())
 
 
 @st.composite
@@ -393,7 +403,7 @@ def _assert_same_graph(folded, direct):
 
 
 class TestFoldMatchesDirectBuild:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=_examples(150), deadline=None)
     @given(_weighted_edges())
     def test_random_graphs(self, graph):
         _assert_same_graph(*_fold_and_direct(*graph))

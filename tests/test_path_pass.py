@@ -133,7 +133,8 @@ class TestDenseKernel:
     def test_agrees_with_reference(self, s, batch):
         _assert_agree(_frontier_at(s, batch), _reference_pass(s._rows()))
         paths = _all_sources(s)
-        assert {paths.order[i] for i in paths.giant} == giant_component(s).actors
+        order = s.sorted_actors()
+        assert {order[i] for i in paths.giant} == giant_component(s).actors
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_on_ba_graphs(self, seed):
@@ -216,8 +217,8 @@ CENTRALIZATION_WORST = 6.1e-16
 def _centralization_betweenness(scores):
     """centralization_betweenness as metrics_row computes it from raw scores."""
     n = len(scores)
-    paths = _PathPass([str(i) for i in range(n)], scores, [], [], [], [], "test")
-    return centralization(list(_betweenness(paths, normalized=True).values()), "betweenness", n)
+    paths = _PathPass(scores, [], [], [], [], "test")
+    return centralization(_betweenness(paths, normalized=True), "betweenness", n)
 
 
 def _assert_near_exact(got, exact, worst):
@@ -320,7 +321,7 @@ def _path_passes(s):
     giant = _giant(s._rows())
     results = [("python", _reference_pass(s._rows()))]
     results += [(f"numpy{b}", _frontier_at(s, b)) for b in (1, 3, 7, 64)]
-    return [_PathPass(s.sorted_actors(), *result, giant, kernel) for kernel, result in results]
+    return [_PathPass(*result, giant, kernel) for kernel, result in results]
 
 
 class TestExactMeasures:
@@ -353,7 +354,7 @@ class TestExactMeasures:
         distance = mean_distance_exact(s)
         n = s.n_actors
         for paths in _path_passes(s):
-            scores = list(_closeness(paths).values())
+            scores = _closeness(paths)
             for got, want in zip(scores, wf, strict=True):
                 _assert_near_exact(got, want, EXACT_WORST["closeness"])
             if n >= 3:
