@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import UndefinedMetricError
@@ -88,33 +89,35 @@ class SmallWorldThresholds:
 
 @dataclass(frozen=True)
 class SmallWorldVerdict:
-    """The four small-world flags; a None flag marks an undefined input and
-    makes the overall verdict None."""
+    """The four small-world flags and the overall `verdict`, a field set at
+    construction: None if any flag is None (an undefined input), else
+    whether all four hold."""
 
     label: str
     density_low: Optional[bool]
     clustering_high: Optional[bool]
     diameter_small: Optional[bool]
     scale_free: Optional[bool]
+    verdict: Optional[bool] = field(init=False)
 
-    @property
-    def verdict(self) -> Optional[bool]:
+    def __post_init__(self):
         flags = (self.density_low, self.clustering_high, self.diameter_small, self.scale_free)
-        if any(f is None for f in flags):
-            return None
-        return all(flags)
+        object.__setattr__(self, "verdict", None if None in flags else all(flags))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Product-moment correlation coefficient in [-1, 1].
 
-    Requires equal lengths >= 3 and nonzero variance on both sides.
+    Requires equal lengths >= 3, finite values (NaN or an infinity raises
+    ValueError) and nonzero variance on both sides.
     """
     if len(x) != len(y):
         raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 3:
         raise ValueError("need at least 3 paired observations")
+    if not all(map(math.isfinite, (*x, *y))):
+        raise ValueError("correlation needs finite values")
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
     sxx = math.fsum((v - mx) ** 2 for v in x)
@@ -127,26 +130,19 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; tied values share the mean of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    ordered = sorted(values)
+    return [(bisect_left(ordered, v) + bisect_right(ordered, v) + 1) / 2.0 for v in values]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Rank correlation: Pearson on average ranks (ties get mean rank).
 
     Invariant under strictly monotone transforms of either input; undefined
-    when either series is constant.
+    when either series is constant. NaN has no rank and raises ValueError;
+    an infinity ranks like any other value.
     """
+    if any(map(math.isnan, (*x, *y))):
+        raise ValueError("rank correlation needs values that are not NaN")
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
@@ -226,6 +222,21 @@ def proxy_series(
     ]
 
 
+def _correlate(proxy: str, kind: str, defined: Sequence[tuple[float, float]]) -> CorrelationPair:
+    """The correlation of one proxy with one centralization kind over the
+    periods where both are `defined`, as (proxy, centralization) values."""
+    n = len(defined)
+    if n < 3:
+        return CorrelationPair(proxy, kind, None, None, n, "insufficient-data")
+    xs, ys = zip(*defined)
+    method = "spearman" if "spearman" in (normality_gate(xs), normality_gate(ys)) else "pearson"
+    try:
+        coefficient = (spearman if method == "spearman" else pearson)(xs, ys)
+    except UndefinedMetricError:
+        return CorrelationPair(proxy, kind, None, method, n, "undefined-metric")
+    return CorrelationPair(proxy, kind, coefficient, method, n, "ok")
+
+
 def correlate_attachment(
     proxies: Sequence[ProxyRow], rows: Sequence[MetricsRow]
 ) -> CorrelationReport:
@@ -239,46 +250,18 @@ def correlate_attachment(
     """
     if [p.label for p in proxies] != [r.label for r in rows]:
         raise ValueError("proxy and metrics rows must align by period label")
-    pairs: list[CorrelationPair] = []
-    ranking: list[tuple[str, float]] = []
-    for proxy_name in PROXY_NAMES:
+    pairs = []
+    for proxy in PROXY_NAMES:
+        xs = [getattr(p, proxy) for p in proxies]
         for kind in CENTRALIZATION_KINDS:
-            xs: list[float] = []
-            ys: list[float] = []
-            for p, r in zip(proxies, rows):
-                pv = getattr(p, proxy_name)
-                cv = getattr(r, f"centralization_{kind}")
-                if pv is not None and cv is not None:
-                    xs.append(pv)
-                    ys.append(cv)
-            n = len(xs)
-            if n < 3:
-                pairs.append(
-                    CorrelationPair(proxy_name, kind, None, None, n, "insufficient-data")
-                )
-                continue
-            method = (
-                "spearman"
-                if "spearman" in (normality_gate(xs), normality_gate(ys))
-                else "pearson"
-            )
-            correlate = spearman if method == "spearman" else pearson
-            try:
-                coefficient = correlate(xs, ys)
-            except UndefinedMetricError:
-                pairs.append(
-                    CorrelationPair(proxy_name, kind, None, method, n, "undefined-metric")
-                )
-                continue
-            pairs.append(
-                CorrelationPair(proxy_name, kind, coefficient, method, n, "ok")
-            )
-            if kind == "degree":
-                ranking.append((proxy_name, coefficient))
-    ranked = tuple(
-        name for name, _ in sorted(ranking, key=lambda t: (-abs(t[1]), t[0]))
+            ys = [getattr(r, f"centralization_{kind}") for r in rows]
+            defined = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
+            pairs.append(_correlate(proxy, kind, defined))
+    ranked = sorted(
+        (p for p in pairs if p.status == "ok" and p.centralization == "degree"),
+        key=lambda p: (-abs(p.coefficient), p.proxy),
     )
-    return CorrelationReport(tuple(pairs), ranked)
+    return CorrelationReport(tuple(pairs), tuple(p.proxy for p in ranked))
 
 
 _EPSILON = 1e-9

@@ -81,8 +81,9 @@ class InteractionEvent:
 
     Actor labels are strings, trimmed of surrounding whitespace and
     interned, and must not be blank; the weight is an integer of at least 1. (a, b) and (b, a)
-    describe the same interaction. Self-loops (a == b) are representable so
-    that ingest layers can reject them with a warning instead of crashing.
+    describe the same interaction. Self-loops (a == b) are representable: the
+    file decoders reject them before any record exists, and
+    `build_cumulative_snapshots` drops them with a logged warning.
     """
 
     time: Timestamp

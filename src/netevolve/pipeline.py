@@ -235,11 +235,8 @@ def bundle_to_csv(bundle: ReportBundle) -> str:
 
 
 def bundle_to_json(bundle: ReportBundle) -> str:
-    """Full-precision JSON of the bundle's dataclass fields plus each verdict's flag."""
-    payload = asdict(bundle)
-    for verdict, fields in zip(bundle.verdicts, payload["verdicts"]):
-        fields["verdict"] = verdict.verdict
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Full-precision JSON of the bundle's dataclass fields."""
+    return json.dumps(asdict(bundle), indent=2, sort_keys=True) + "\n"
 
 
 def _g12(pairs: Iterable[tuple[float, float]]) -> Iterable[list[str]]:

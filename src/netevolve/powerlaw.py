@@ -52,9 +52,10 @@ def loglog_points(hist: Mapping[int, float]) -> list[tuple[float, float]]:
 def fit_powerlaw(hist: Mapping[int, float]) -> PowerLawFit:
     """Ordinary least squares on the log-log points of a degree histogram.
 
-    A perfectly flat histogram fits a horizontal line (exponent 0) with
-    r_squared 1; downstream classification treats a near-zero exponent as
-    non-scale-free. Deterministic and insensitive to input ordering.
+    A perfectly flat histogram fits a horizontal line (exponent 0.0, never
+    -0.0) with r_squared 1; downstream classification treats a near-zero
+    exponent as non-scale-free. Deterministic and insensitive to input
+    ordering.
     """
     points = loglog_points(hist)
     xs = [x for x, _ in points]
@@ -75,4 +76,4 @@ def fit_powerlaw(hist: Mapping[int, float]) -> PowerLawFit:
         ss_res = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
         r_squared = 1.0 - ss_res / syy
     r_squared = max(0.0, min(1.0, r_squared))
-    return PowerLawFit(-slope, intercept, r_squared, n)
+    return PowerLawFit(0.0 - slope, intercept, r_squared, n)  # -slope would give -0.0

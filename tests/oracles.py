@@ -16,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from netevolve import (
+    CorrelationPair,
+    CorrelationReport,
     InsufficientDataError,
     ParseError,
     PublicationRecord,
@@ -24,8 +26,12 @@ from netevolve import (
     avg_neighbor_degree_mean,
     degree_histogram,
     fit_powerlaw,
+    normality_gate,
     parse_timestamp,
+    pearson,
 )
+from netevolve.evolution import PROXY_NAMES
+from netevolve.metrics import CENTRALIZATION_KINDS
 
 
 def adjacency_sets(snapshot):
@@ -184,7 +190,7 @@ def pearson_brute(x, y):
     return cov / math.sqrt(var_x * var_y)
 
 
-def ranks_brute(values):
+def average_ranks_brute(values):
     """Rank of v = 1 + (# strictly smaller) + (# equal - 1)/2."""
     return [
         1
@@ -195,7 +201,49 @@ def ranks_brute(values):
 
 
 def spearman_brute(x, y):
-    return pearson_brute(ranks_brute(x), ranks_brute(y))
+    return pearson_brute(average_ranks_brute(x), average_ranks_brute(y))
+
+
+def correlate_attachment_reference(proxies, rows):
+    """The per-pair loop that `correlate_attachment` replaced, with a
+    `ranking` list kept beside the pairs. Spearman is the library's Pearson
+    on `average_ranks_brute`, which gives the library's ranks exactly, so
+    the report must equal the library's one field for field."""
+    if [p.label for p in proxies] != [r.label for r in rows]:
+        raise ValueError("proxy and metrics rows must align by period label")
+    pairs = []
+    ranking = []
+    for proxy_name in PROXY_NAMES:
+        for kind in CENTRALIZATION_KINDS:
+            xs = []
+            ys = []
+            for p, r in zip(proxies, rows):
+                pv = getattr(p, proxy_name)
+                cv = getattr(r, f"centralization_{kind}")
+                if pv is not None and cv is not None:
+                    xs.append(pv)
+                    ys.append(cv)
+            n = len(xs)
+            if n < 3:
+                pairs.append(CorrelationPair(proxy_name, kind, None, None, n, "insufficient-data"))
+                continue
+            method = (
+                "spearman"
+                if "spearman" in (normality_gate(xs), normality_gate(ys))
+                else "pearson"
+            )
+            if method == "spearman":
+                xs, ys = average_ranks_brute(xs), average_ranks_brute(ys)
+            try:
+                coefficient = pearson(xs, ys)
+            except UndefinedMetricError:
+                pairs.append(CorrelationPair(proxy_name, kind, None, method, n, "undefined-metric"))
+                continue
+            pairs.append(CorrelationPair(proxy_name, kind, coefficient, method, n, "ok"))
+            if kind == "degree":
+                ranking.append((proxy_name, coefficient))
+    ranked = tuple(name for name, _ in sorted(ranking, key=lambda t: (-abs(t[1]), t[0])))
+    return CorrelationReport(tuple(pairs), ranked)
 
 
 def loglog_fit_brute(hist):

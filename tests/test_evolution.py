@@ -1,9 +1,13 @@
 import math
+import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete, star
 from netevolve import (
@@ -23,8 +27,14 @@ from netevolve import (
     spearman,
     static_attributes,
 )
-from netevolve.evolution import ProxyRow, _normaltest_pvalue
-from oracles import pearson_brute, spearman_brute
+from netevolve.evolution import PROXY_NAMES, ProxyRow, _average_ranks, _normaltest_pvalue
+from netevolve.metrics import CENTRALIZATION_KINDS
+from oracles import (
+    average_ranks_brute,
+    correlate_attachment_reference,
+    pearson_brute,
+    spearman_brute,
+)
 
 # Published ten-period series the static-attribute scan must discriminate:
 # clustering barely moves while weighted density collapses as N grows.
@@ -65,6 +75,13 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(UndefinedMetricError):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pearson([bad, 1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="finite"):
+            pearson([1, 2, 3], [1, bad, 2])
 
     def test_affine_transform_gives_sign(self):
         rng = random.Random(4)
@@ -122,6 +139,16 @@ class TestSpearman:
     def test_constant_series_undefined(self):
         with pytest.raises(UndefinedMetricError):
             spearman([2, 2, 2], [1, 2, 3])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman([1, math.nan, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="NaN"):
+            spearman([1, 2, 3], [3, 2, math.nan])
+
+    def test_infinities_rank(self):
+        assert spearman([1, math.inf, 2], [1, 3, 2]) == 1.0
+        assert spearman([-math.inf, 0, math.inf], [3, 2, 1]) == -1.0
 
 
 class TestNormalityGate:
@@ -353,6 +380,59 @@ class TestCorrelateAttachment:
         assert correlate_attachment(proxies, rows) == correlate_attachment(proxies, rows)
 
 
+def _examples(default):
+    """The hypothesis examples of the evolution oracles: `EVOLUTION_EXAMPLES`
+    when it is set, else `default`."""
+    return int(os.environ.get("EVOLUTION_EXAMPLES", default))
+
+
+# A small pool makes repeated values and both signed zeros common.
+_POOL = [0.0, -0.0, 0.5, 1.0, -2.0]
+_NUMBERS = st.one_of(st.sampled_from(_POOL), st.floats(-1e3, 1e3))
+_VALUES = st.one_of(st.sampled_from([None, *_POOL]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _periods(draw):
+    """Aligned proxy and metrics rows over 3-30 periods. Each series is
+    drawn value by value, with None holes, or one in four is one value
+    repeated."""
+    n = draw(st.integers(3, 30))
+
+    def series():
+        if draw(st.integers(0, 3)) == 0:
+            return [draw(_VALUES)] * n
+        return draw(st.lists(_VALUES, min_size=n, max_size=n))
+
+    proxies = {name: series() for name in PROXY_NAMES}
+    centralization = {f"centralization_{kind}": series() for kind in CENTRALIZATION_KINDS}
+    proxy_rows = [
+        ProxyRow(f"p{i}", **{name: values[i] for name, values in proxies.items()})
+        for i in range(n)
+    ]
+    rows = [
+        MetricsRow(
+            label=f"p{i}", n_actors=10, n_links=9, sum_links=9,
+            **{name: values[i] for name, values in centralization.items()},
+        )
+        for i in range(n)
+    ]
+    return proxy_rows, rows
+
+
+class TestEvolutionOracles:
+    @settings(max_examples=_examples(200), deadline=None)
+    @given(st.lists(_NUMBERS, min_size=1, max_size=30))
+    def test_ranks_match_brute(self, values):
+        assert _average_ranks(values) == average_ranks_brute(values)
+
+    @settings(max_examples=_examples(200), deadline=None)
+    @given(_periods())
+    def test_report_matches_reference(self, periods):
+        proxies, rows = periods
+        assert correlate_attachment(proxies, rows) == correlate_attachment_reference(proxies, rows)
+
+
 class TestStaticAttributes:
     def test_published_clustering_series_is_static(self):
         rows = rows_from_series(clustering=CLUSTERING_SERIES)
@@ -481,6 +561,7 @@ class TestClassifySmallWorld:
                 verdict.scale_free,
             ]
             assert verdict.verdict == all(flags)
+            assert asdict(verdict)["verdict"] == verdict.verdict
 
     def test_thresholds_are_configurable(self):
         strict = SmallWorldThresholds(clustering_min=0.9)

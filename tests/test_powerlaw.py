@@ -54,6 +54,7 @@ class TestFitPowerlaw:
     def test_flat_histogram_degenerate_horizontal_fit(self):
         fit = fit_powerlaw({1: 10, 2: 10, 4: 10})
         assert fit.exponent == 0.0
+        assert math.copysign(1.0, fit.exponent) == 1.0  # 0.0, never -0.0
         assert fit.r_squared == 1.0
 
     def test_scale_invariance_of_slope(self):
