@@ -9,11 +9,13 @@ histogram) are exact integer sums.
 
 Diameter, average distance, betweenness and closeness all read one
 all-sources pass per snapshot (_all_sources), and only the giant-component
-search traverses the graph besides it. The pass runs on a batched numpy
-kernel for graphs with 64 actors or more and at least one link, and on the
-pure-Python reference otherwise; neither takes options. The kernel keeps
-distances, path counts and dependencies per (source, actor) slot of a
-batch of sources, and adds each batch into the betweenness sums once.
+search traverses the graph besides it. A snapshot with closed twins whose
+quotient has N*L below _NUMPY_MIN_WORK passes that quotient to the
+pure-Python reference. Any other snapshot runs on a batched numpy kernel
+when its own N*L reaches _NUMPY_MIN_WORK, and on the reference otherwise.
+Neither kernel takes options. The numpy kernel keeps distances, path counts
+and dependencies per (source, actor) slot of a batch of sources, and adds
+each batch into the betweenness sums once.
 
 Two density variants are reported side by side: the weighted form
 2W/(N(N-1)) over the total interaction count W (the headline figure for
@@ -24,7 +26,6 @@ collaboration logs, which may exceed 1) and the standard simple form
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
@@ -74,15 +75,27 @@ class _PathPass:
     kernel: str
 
 
-def _reference_pass(adj: list[array]) -> tuple[list[float], list[int], list[int], list[int]]:
+def _reference_pass(
+    adj: Sequence[Sequence[int]], w: Optional[list[int]] = None
+) -> tuple[list[float], list[int], list[int], list[int]]:
     """Pure-Python Brandes over every source, with per-source hop summaries.
 
     Python integers keep path counts exact, and each dependency receives its
     terms in reverse BFS order, so the scores are the reference bit pattern.
+    With class sizes `w` (see _all_sources), vertex v stands for w[v] actors:
+    sigma(v) counts paths from one actor of the source class to one of v, so
+    v passes on sigma(v)*w(v) of them (the source on one), and delta(v), the
+    dependency of one actor of v, takes sigma(v)/sigma(x)*(1 + delta(x))*w(x)
+    from each successor x. The source adds its dependencies once per actor;
+    reach and distance sums count w(v) per vertex, and leave the hop to the
+    source's own twins to the caller. Without `w` every size is 1, and
+    multiplying by 1 changes no bit.
     """
+    adj = [list(row) for row in adj]  # a list yields its ids faster than an array
     n = len(adj)
+    w = w or [1] * n
     scores = [0.0] * n
-    reach = [1] * n
+    reach = list(w)
     dist_sum = [0] * n
     ecc = [0] * n
     for src in range(n):
@@ -90,35 +103,45 @@ def _reference_pass(adj: list[array]) -> tuple[list[float], list[int], list[int]
             continue
         sigma = [0] * n
         dist = [-1] * n
+        preds = [None] * n
         sigma[src] = 1
         dist[src] = 0
         order = [src]
         for v in order:
             dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv1
-                    order.append(w)
-                if dist[w] == dv1:
-                    sigma[w] += sv
+            sv = sigma[v] * w[v] if dv1 > 1 else 1  # the source counts once
+            for x in adj[v]:
+                dx = dist[x]
+                if dx < 0:
+                    dist[x] = dv1
+                    order.append(x)
+                    sigma[x] = sv
+                    preds[x] = [v]
+                elif dx == dv1:
+                    sigma[x] += sv
+                    preds[x].append(v)
         delta = [0.0] * n
-        for w in order[:0:-1]:
-            dw = dist[w] - 1
-            for v in adj[w]:
-                if dist[v] == dw:
-                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            scores[w] += delta[w]
-        reach[src] = len(order)
-        dist_sum[src] = sum(dist) + n - len(order)
+        for x in order[:0:-1]:
+            sx = sigma[x]
+            cx = (1.0 + delta[x]) * w[x]
+            for v in preds[x]:
+                delta[v] += sigma[v] / sx * cx
+            scores[x] += delta[x] * w[src]
+        reach[src] = sum(w[v] for v in order)
+        dist_sum[src] = sum(dist[v] * w[v] for v in order)
         ecc[src] = dist[order[-1]]
     return scores, reach, dist_sum, ecc
 
 
 # float64 counts paths exactly only below 2**53.
 _SIGMA_EXACT = 2.0**53
-# Below this many actors the Python pass takes less time than importing numpy.
-_NUMPY_MIN_ACTORS = 64
+# The numpy kernel takes a snapshot of N actors and L links when N*L reaches
+# this, unless it has a closed-twin quotient below it. On uncompressed
+# snapshots the co-authorship sample ran slower all in Python (0.68-1.06 s
+# against 0.31-0.39 s); this sits in the measured gap between its 2004
+# (N*L = 40,981: 15.3 ms in Python, 3.6 in numpy) and 2005 (84,475: 30.6
+# against 6.2 ms).
+_NUMPY_MIN_WORK = 50_000
 # Arcs a level expands at once, which bounds the kernel's working set: a run
 # of slots holds at most this many plus one actor's degree. Blocks of 2**13
 # to 2**14 arcs ran fastest.
@@ -234,10 +257,32 @@ def _frontier_pass(indptr, indices):
 
 
 def _all_sources(s: GraphSnapshot) -> _PathPass:
-    """The one all-sources pass every path-based measure reads from."""
+    """The one all-sources pass every path-based measure reads from.
+
+    Closed twins (N[u] = N[v], such as co-authors who only ever publish as
+    one team) have the same distances and path counts to every other actor.
+    So a snapshot with twins whose quotient (one vertex per class, numbered
+    by its first actor and weighted by its size; Puzis et al. 2012, Sariyuce
+    et al. 2013) is small enough for the Python pass runs it there. Any
+    other snapshot passes its own rows or CSR arrays.
+    """
     adj = s._rows()
     giant = _giant(adj)
-    if len(adj) >= _NUMPY_MIN_ACTORS and s.n_links:
+    classes: dict[frozenset, int] = {}
+    of = [classes.setdefault(frozenset(row).union((v,)), len(classes)) for v, row in enumerate(adj)]
+    if len(classes) < len(adj):
+        # any actor of a class has every actor of each neighbouring class as a neighbour
+        members = dict(zip(of, range(len(of))))
+        quotient = [sorted({of[u] for u in adj[v]} - {c}) for c, v in members.items()]
+        if len(quotient) * sum(map(len, quotient)) // 2 < _NUMPY_MIN_WORK:
+            w = list(Counter(of).values())
+            scores, reach, dist_sum, ecc = _reference_pass(quotient, w)
+            # each actor takes its class's results, and one hop to each twin
+            dist_sum = [dist_sum[c] + w[c] - 1 for c in of]
+            ecc = [ecc[c] or min(w[c] - 1, 1) for c in of]
+            scores, reach = [scores[c] for c in of], [reach[c] for c in of]
+            return _PathPass(scores, reach, dist_sum, ecc, giant, "python")
+    if len(adj) * s.n_links >= _NUMPY_MIN_WORK:
         result = _frontier_pass(s._indptr, s._indices)
         if result is not None:
             return _PathPass(*result, giant, "numpy")

@@ -125,14 +125,16 @@ def test_python_pass_matches_networkx(s):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: barabasi_albert(150, 2, 3),
-        lambda: watts_strogatz(120, 6, 0.2, 4),
+        lambda: barabasi_albert(180, 2, 3),
+        lambda: watts_strogatz(150, 6, 0.2, 4),
         lambda: erdos_renyi(120, 0.08, 5),
     ],
     ids=["ba", "ws", "er"],
 )
 def test_dense_pass_matches_networkx(make):
-    """`dense` is the batched numpy kernel, as in tests/test_path_pass.py."""
+    """`dense` is the batched numpy kernel, as in tests/test_path_pass.py.
+    Each graph has N*L of at least 64,000 actor-links, past the 50,000 at
+    which the pass takes that kernel."""
     s = make()
     assert _all_sources(s).kernel == "numpy"
     _check_against_networkx(s)

@@ -1,21 +1,29 @@
 """The one all-sources pass: the numpy kernel against the pure-Python
-reference, its push and pull steps, the sigma precision guard, and the
-per-snapshot kernel choice; and every fractional measure of a snapshot
-against an exact rational oracle, through both kernels where it reads them.
+reference, its push and pull steps, the sigma precision guard, the
+closed-twin quotient and the per-snapshot kernel choice; and every
+fractional measure of a snapshot against an exact rational oracle, through
+both kernels where it reads them.
 
 In test names, `dense` is the batched numpy kernel: it keeps each block of
 64 sources as a dense b*N array of (source, actor) slots. The kernel takes
 no options, so tests patch its module values `_BATCH`, `_pushes` and
-`_BLOCK_ARCS` to run other batches, forced step directions and blocks.
+`_BLOCK_ARCS` to run other batches, forced step directions and blocks, and
+`_NUMPY_MIN_WORK` to send a snapshot's pass to either kernel.
 
 `EXACT_ORACLE_EXAMPLES` sets the number of hypothesis examples each exact
-oracle test draws (200 by default), and each property test of the numpy
+oracle test draws (200 by default), the test of the betweenness sum on
+large team graphs (30 by default), and each property test of the numpy
 kernel against the reference (150, 60 and 100 by default).
 """
 
+import hashlib
+import json
 import math
 import os
+import random
 from fractions import Fraction
+from importlib import resources
+from itertools import combinations
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +41,7 @@ from netevolve import (
     avg_neighbor_degree,
     avg_neighbor_degree_mean,
     betweenness,
+    cli,
     closeness,
     giant_component,
     metrics,
@@ -62,6 +71,9 @@ from oracles import (
     mean_distance_exact,
     neighbor_degree_exact,
 )
+
+
+DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
 
 
 def _examples(default):
@@ -106,6 +118,41 @@ def graphs(draw):
         edges = [(a, b, w) for (a, b), w in s.edges.items()]
     isolated = [f"z{i}" for i in range(draw(st.integers(0, 4)))]
     return GraphSnapshot.from_edge_list(kind, edges, extra_actors=isolated)
+
+
+@st.composite
+def teams(draw, most=7):
+    """Up to `most` teams of one to six actors, each a clique, so team-mates
+    are closed twins until a link sets one apart. Some links join one actor
+    to every member of a team, which keeps that team's twins; others join
+    two actors. With isolated actors."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=most))
+    team = [[f"t{j:02d}m{k}" for k in range(size)] for j, size in enumerate(sizes)]
+    actors = [v for members in team for v in members]
+    edges = [(a, b, 1) for members in team for a, b in combinations(members, 2)]
+    actor, whole = st.sampled_from(actors), st.integers(0, len(team) - 1)
+    for a, j in draw(st.lists(st.tuples(actor, whole), max_size=len(team) + 1)):
+        edges += [(a, b, 1) for b in team[j] if b != a]
+    pairs = draw(st.lists(st.tuples(actor, actor), max_size=len(team) // 2 + 1))
+    edges += [(a, b, 1) for a, b in pairs if a != b]
+    isolated = [f"z{i}" for i in range(draw(st.integers(0, 2)))]
+    return GraphSnapshot.from_edge_list("teams", edges, extra_actors=actors + isolated)
+
+
+def _twin_free(s):
+    """Whether no two actors of `s` have the same closed neighbourhood."""
+    closed = {frozenset(row).union((v,)) for v, row in enumerate(s._rows())}
+    return len(closed) == s.n_actors
+
+
+def _quotient_pass(s):
+    """`_all_sources(s)` through the Python kernel, which runs on the
+    closed-twin quotient when `s` has twins."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_NUMPY_MIN_WORK", math.inf)
+        paths = _all_sources(s)
+    assert paths.kernel == "python"
+    return paths
 
 
 def _frontier_at(s, batch, pushes=None):
@@ -210,6 +257,9 @@ class TestDenseKernel:
 # the raw scores (numpy, batches 7 and 64) and 6.05e-16 for
 # centralization_betweenness (numpy, batch 7). An exactly zero value came
 # out exactly zero every time. The bounds are ten times these, rounded up.
+# The Python pass on the closed-twin quotient, over 3,000 random graphs
+# like `teams` (2,918 of them with twins), gave at worst 3.9e-16 and
+# 4.1e-16, inside the same bounds.
 BETWEENNESS_WORST = 2.9e-16
 CENTRALIZATION_WORST = 6.1e-16
 
@@ -232,11 +282,15 @@ class TestExactBrandes:
     """Both kernels against Brandes in exact rational arithmetic."""
 
     @settings(max_examples=EXACT_EXAMPLES, deadline=None)
-    @given(graphs())
+    @given(st.one_of(graphs(), teams()))
     def test_kernels_match_exact_scores(self, s):
         exact = brandes_exact(s)
-        kernels = [_reference_pass(s._rows())[0]]
+        reference = _reference_pass(s._rows())
+        kernels = [reference[0]]
         kernels += [_frontier_at(s, batch)[0] for batch in (1, 3, 7, 64)]
+        paths = _quotient_pass(s)
+        assert [paths.reach, paths.dist_sum, paths.ecc] == list(reference[1:])
+        kernels.append(paths.betweenness)
         for scores in kernels:
             for got, want in zip(scores, exact, strict=True):
                 _assert_near_exact(got, want, BETWEENNESS_WORST)
@@ -258,7 +312,8 @@ class TestExactBrandes:
 # over 19 graphs of 300 to 800 actors (BA, WS and ER, the cases below among
 # them), on Python 3.11 and numpy 2.4 (x86-64): 0.0 for the numpy kernel and
 # 2.77e-16 for the reference pass (WS(600, 6, 0.2, 1)). The bound is ten
-# times this, rounded up.
+# times this, rounded up. The Python pass on the quotient, over 600 random
+# graphs like `teams(most=80)`, gave at worst 1.7e-16.
 BETWEENNESS_SUM_WORST = 2.8e-16
 
 
@@ -283,8 +338,21 @@ class TestBetweennessSum:
     def test_scores_sum_to_the_inner_actor_count(self, build):
         s = build()
         for scores, reach, dist_sum, _ in (_reference_pass(s._rows()), _frontier_pass(*_csr(s))):
-            exact = sum(dist_sum) - sum(r - 1 for r in reach)
-            assert abs(math.fsum(scores) - exact) <= 10 * BETWEENNESS_SUM_WORST * exact
+            self._assert_sum(scores, reach, dist_sum)
+
+    @settings(max_examples=_examples(30), deadline=None)
+    @given(teams(most=80))
+    def test_quotient_scores_sum_to_the_inner_actor_count(self, s):
+        # up to 80 teams of six: 480 actors, passed as a quotient of at most
+        # a few hundred classes, and through the numpy kernel uncompressed
+        paths = _quotient_pass(s)
+        self._assert_sum(paths.betweenness, paths.reach, paths.dist_sum)
+        self._assert_sum(*_frontier_pass(*_csr(s))[:3])
+
+    @staticmethod
+    def _assert_sum(scores, reach, dist_sum):
+        exact = sum(dist_sum) - sum(r - 1 for r in reach)
+        assert abs(math.fsum(scores) - exact) <= 10 * BETWEENNESS_SUM_WORST * exact
 
 
 # Worst relative errors against the exact oracles over 12,000 hypothesis
@@ -317,11 +385,13 @@ def _assert_exact_or_undefined(measure, s, exact, worst):
 
 def _path_passes(s):
     """The all-sources pass of `s` from the reference kernel and from the
-    numpy kernel at several batch sizes."""
+    numpy kernel at several batch sizes, and from the Python kernel on the
+    closed-twin quotient of `s`."""
     giant = _giant(s._rows())
     results = [("python", _reference_pass(s._rows()))]
     results += [(f"numpy{b}", _frontier_at(s, b)) for b in (1, 3, 7, 64)]
-    return [_PathPass(*result, giant, kernel) for kernel, result in results]
+    passes = [_PathPass(*result, giant, kernel) for kernel, result in results]
+    return [*passes, _quotient_pass(s)]
 
 
 class TestExactMeasures:
@@ -329,7 +399,7 @@ class TestExactMeasures:
     against exact rational arithmetic."""
 
     @settings(max_examples=EXACT_EXAMPLES, deadline=None)
-    @given(graphs())
+    @given(st.one_of(graphs(), teams()))
     @example(path_graph(4))
     @example(star(5))
     @example(complete(4))
@@ -401,7 +471,7 @@ class TestSigmaGuard:
         s = _layered()
         assert path_stats(s)[0] == 22
         assert 6**21 > 2**53
-        assert s.n_actors >= metrics._NUMPY_MIN_ACTORS and s.n_links > 0
+        assert s.n_actors * s.n_links >= metrics._NUMPY_MIN_WORK
 
     def test_overflowing_path_counts_fall_back_to_reference(self):
         s = _layered()
@@ -430,23 +500,47 @@ class TestSigmaGuard:
 
 
 class TestKernelChoice:
+    """A snapshot with closed twins whose quotient has N*L below 50,000
+    passes that quotient in Python; any other snapshot takes the numpy
+    kernel when its own N*L reaches 50,000."""
+
     def test_long_path_goes_to_numpy(self):
-        assert _all_sources(path_graph(200)).kernel == "numpy"
+        assert _all_sources(path_graph(250)).kernel == "numpy"
 
     def test_ba_graph_goes_dense(self):
         assert _all_sources(barabasi_albert(200, 3, 1)).kernel == "numpy"
 
     def test_small_graphs_stay_in_python(self):
         assert _all_sources(barabasi_albert(40, 3, 1)).kernel == "python"
-        assert _all_sources(path_graph(63)).kernel == "python"
-        assert _all_sources(path_graph(64)).kernel == "numpy"
+        assert _all_sources(path_graph(224)).kernel == "python"  # N*L = 49,952
+        assert _all_sources(path_graph(225)).kernel == "numpy"  # N*L = 50,400
 
     def test_linkless_graphs_stay_in_python(self):
         s = GraphSnapshot.from_edge_list("empty", [], extra_actors=[f"z{i}" for i in range(100)])
         assert _all_sources(s).kernel == "python"
 
+    def test_a_clique_passes_one_vertex_in_python(self):
+        # N*L = 7,781,250 on the clique, 0 on its one-vertex quotient
+        paths = _all_sources(complete(250))
+        assert paths.kernel == "python"
+        assert paths.betweenness == [0.0] * 250
+        assert (paths.reach, paths.dist_sum, paths.ecc) == ([250] * 250, [249] * 250, [1] * 250)
+
+    def test_twins_with_a_large_quotient_go_to_numpy_uncompressed(self):
+        # a path of 260 actors and one actor joined to both ends of its first
+        # link: that actor and p0 are twins, and the quotient is the path,
+        # N*L = 67,340
+        path = path_graph(260)
+        edges = [(a, b, 1) for a, b in path.edges] + [("x", "p0", 1), ("x", "p1", 1)]
+        s = GraphSnapshot.from_edge_list("path-with-twins", edges)
+        assert not _twin_free(s)
+        paths = _all_sources(s)
+        assert paths.kernel == "numpy"
+        assert (paths.betweenness, paths.reach, paths.dist_sum, paths.ecc) == _frontier_pass(*_csr(s))
+
     def test_public_views_match_reference_on_dense_graphs(self):
-        s = barabasi_albert(120, 3, 5)
+        s = barabasi_albert(150, 3, 5)
+        assert _all_sources(s).kernel == "numpy"
         order = s.sorted_actors()
         scores, reach, dist_sum, _ = _reference_pass(s._rows())
         btw = betweenness(s)
@@ -480,9 +574,63 @@ def test_analyze_runs_without_scipy(tmp_path):
     assert (tmp_path / "out.csv").read_text().count("\n") == 2
 
 
+def _digest(result):
+    """A short digest of a pass's (scores, reach, dist_sum, ecc), which
+    reads each score's exact bits."""
+    scores, *rest = result
+    text = repr(([x.hex() for x in scores], *map(list, rest)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _ba_period(cut):
+    """The cumulative period of BA(800, 3, 7) up to actor `cut`, as the
+    `ba_growth` benchmark cuts it."""
+    edges = [(a, b, 1) for a, b in barabasi_albert(800, 3, 7).edges if b < f"n{cut:06d}"]
+    return GraphSnapshot.from_edge_list(f"T{cut}", edges)
+
+
+# Digests of the unweighted pure-Python Brandes pass (one loop per source
+# that walks each actor's row, with no class sizes) on twin-free graphs.
+TWIN_FREE_DIGESTS = {
+    "ba300": (lambda: barabasi_albert(300, 2, 1), "631c67a0d5decd00"),
+    "er200": (lambda: erdos_renyi(200, 0.03, 2), "f51bfac16c15d7ff"),
+    "ws240": (lambda: watts_strogatz(240, 6, 0.2, 1), "27f708fb45dce2bb"),
+    "ba800-period1": (lambda: _ba_period(100), "945759e62c6f0b1e"),
+    "ba800-period2": (lambda: _ba_period(200), "45e410760f02cb8a"),
+    "ba800-period3": (lambda: _ba_period(300), "ce204c2776776fcf"),
+    "ba800-period4": (lambda: _ba_period(400), "7ec39951df42cff0"),
+    "ba800-period5": (lambda: _ba_period(500), "f69e12112c50d8c7"),
+    "ba800-period6": (lambda: _ba_period(600), "bff93c25f981e264"),
+    "ba800-period7": (lambda: _ba_period(700), "c2e93bb71c94d5af"),
+    "ba800-period8": (lambda: _ba_period(800), "edcd3c2fee2e6a5e"),
+}
+
+
+class TestTwinFreeUnchanged:
+    """A snapshot with no closed twins passes its own rows or CSR arrays
+    with no class sizes: the Python kernel gives the pinned bits of the
+    unweighted pass, and the numpy kernel those of `_frontier_pass` on the
+    snapshot's CSR arrays."""
+
+    @pytest.mark.parametrize("name", list(TWIN_FREE_DIGESTS))
+    def test_pass_is_the_uncompressed_kernel(self, name, monkeypatch):
+        build, digest = TWIN_FREE_DIGESTS[name]
+        s = build()
+        assert _twin_free(s)
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_WORK", math.inf)
+        python = _all_sources(s)
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_WORK", 0)
+        dense = _all_sources(s)
+        assert (python.kernel, dense.kernel) == ("python", "numpy")
+        assert _digest((python.betweenness, python.reach, python.dist_sum, python.ecc)) == digest
+        assert _digest(_reference_pass(s._rows())) == digest
+        assert (dense.betweenness, dense.reach, dense.dist_sum, dense.ecc) == _frontier_pass(*_csr(s))
+
+
 def test_small_analyze_never_imports_numpy(tmp_path):
-    """Snapshots below 64 actors stay in Python: with `sys.modules["numpy"]
-    = None`, any attempt to import numpy would raise ImportError."""
+    """A snapshot whose pass has N*L below 50,000 stays in Python, as all of
+    these, with 63 actors, do: with `sys.modules["numpy"] = None`, any
+    attempt to import numpy would raise ImportError."""
     s = barabasi_albert(63, 2, 4)
     events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(s.edges.items())]
     data = tmp_path / "small.csv"
@@ -498,3 +646,52 @@ def test_small_analyze_never_imports_numpy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert '"n_actors": 63' in result.stdout
+
+
+def _team_corpus(seed, years=24, teams=36, papers=1200):
+    """JSON Lines of papers by teams that start one after another over
+    `years` years. A paper is some of one team's members, and one paper in
+    twenty adds the first member of the next team."""
+    rng = random.Random(seed)
+    members = [[f"T{j:02d} {k}" for k in range(rng.randint(2, 7))] for j in range(teams)]
+    lines = []
+    for p in range(papers):
+        year = rng.randrange(years)
+        j = rng.randrange(1 + year * teams // years)
+        authors = rng.sample(members[j], rng.randint(1, len(members[j])))
+        if rng.random() < 0.05:
+            authors.append(members[(j + 1) % teams][0])
+        date = f"{2000 + year}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+        lines.append(json.dumps({"pub_id": f"P{p:05d}", "date": date, "authors": authors}))
+    return "\n".join(lines) + "\n"
+
+
+def test_paper_scale_runs_never_import_numpy(tmp_path):
+    """The README's disaster command and a 24-year team corpus pass every
+    period in Python: with `sys.modules["numpy"] = None`, any attempt to
+    import numpy would raise ImportError. The corpus's last period has 168
+    actors and 460 links, N*L = 77,280, and stays in Python only through
+    its closed-twin quotient. Each run writes the bundle a run with numpy at
+    hand writes."""
+    corpus = tmp_path / "teams.jsonl"
+    corpus.write_text(_team_corpus(24))
+    disaster = str(resources.files("netevolve") / "data" / "disaster_events.csv")
+    calls = [
+        ["analyze", "--input", disaster, "--breakpoints", DISASTER_BREAKPOINTS,
+         "--labels", "T1,T1-T2,T1-T3,T1-T4", "--format", "csv"],
+        ["analyze", "--input", str(corpus), "--kind", "publications", "--yearly",
+         "--format", "json"],
+    ]
+    blocked = [[*argv, "--out", str(tmp_path / f"blocked{i}")] for i, argv in enumerate(calls)]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from netevolve import cli\n"
+        f"print([cli.main(argv) for argv in {blocked!r}])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.stdout == "[0, 0]\n", result.stderr
+    for i, argv in enumerate(calls):
+        assert cli.main([*argv, "--out", str(tmp_path / f"normal{i}")]) == 0
+        assert (tmp_path / f"blocked{i}").read_bytes() == (tmp_path / f"normal{i}").read_bytes()
