@@ -9,13 +9,13 @@ histogram) are exact integer sums.
 
 Diameter, average distance, betweenness and closeness all read one
 all-sources pass per snapshot (_all_sources), and only the giant-component
-search traverses the graph besides it. A snapshot with closed twins whose
-quotient has N*L below _NUMPY_MIN_WORK passes that quotient to the
-pure-Python reference. Any other snapshot runs on a batched numpy kernel
-when its own N*L reaches _NUMPY_MIN_WORK, and on the reference otherwise.
-Neither kernel takes options. The numpy kernel keeps distances, path counts
-and dependencies per (source, actor) slot of a batch of sources, and adds
-each batch into the betweenness sums once.
+search traverses the graph besides it. The pass runs on a batched numpy
+kernel over the snapshot's own CSR when its closed-twin quotient has N*L at
+or above _NUMPY_MIN_WORK, and otherwise, or when a path count reaches 2**53,
+on the pure-Python reference over that quotient. Neither kernel takes
+options. The numpy kernel keeps distances, path counts and dependencies per
+(source, actor) slot of a batch of sources, and adds each batch into the
+betweenness sums once.
 
 Two density variants are reported side by side: the weighted form
 2W/(N(N-1)) over the total interaction count W (the headline figure for
@@ -91,7 +91,6 @@ def _reference_pass(
     source's own twins to the caller. Without `w` every size is 1, and
     multiplying by 1 changes no bit.
     """
-    adj = [list(row) for row in adj]  # a list yields its ids faster than an array
     n = len(adj)
     w = w or [1] * n
     scores = [0.0] * n
@@ -135,12 +134,12 @@ def _reference_pass(
 
 # float64 counts paths exactly only below 2**53.
 _SIGMA_EXACT = 2.0**53
-# The numpy kernel takes a snapshot of N actors and L links when N*L reaches
-# this, unless it has a closed-twin quotient below it. On uncompressed
-# snapshots the co-authorship sample ran slower all in Python (0.68-1.06 s
-# against 0.31-0.39 s); this sits in the measured gap between its 2004
-# (N*L = 40,981: 15.3 ms in Python, 3.6 in numpy) and 2005 (84,475: 30.6
-# against 6.2 ms).
+# The numpy kernel runs on a snapshot whose closed-twin quotient of N classes
+# and L links has N*L at or above this, and the Python reference on the
+# quotient below it. Measured on uncompressed snapshots: the co-authorship
+# sample ran slower all in Python (0.68-1.06 s against 0.31-0.39 s), and
+# this sits in the gap between its 2004 (N*L = 40,981: 15.3 ms in Python,
+# 3.6 in numpy) and 2005 (84,475: 30.6 against 6.2 ms).
 _NUMPY_MIN_WORK = 50_000
 # Arcs a level expands at once, which bounds the kernel's working set: a run
 # of slots holds at most this many plus one actor's degree. Blocks of 2**13
@@ -261,32 +260,29 @@ def _all_sources(s: GraphSnapshot) -> _PathPass:
 
     Closed twins (N[u] = N[v], such as co-authors who only ever publish as
     one team) have the same distances and path counts to every other actor.
-    So a snapshot with twins whose quotient (one vertex per class, numbered
-    by its first actor and weighted by its size; Puzis et al. 2012, Sariyuce
-    et al. 2013) is small enough for the Python pass runs it there. Any
-    other snapshot passes its own rows or CSR arrays.
+    So the pass reads the snapshot's quotient: one vertex per class, numbered
+    by its first actor and weighted by its size (Puzis et al. 2012, Sariyuce
+    et al. 2013); a twin-free snapshot is its own quotient, with sizes 1.
     """
     adj = s._rows()
     giant = _giant(adj)
     classes: dict[frozenset, int] = {}
     of = [classes.setdefault(frozenset(row).union((v,)), len(classes)) for v, row in enumerate(adj)]
-    if len(classes) < len(adj):
-        # any actor of a class has every actor of each neighbouring class as a neighbour
-        members = dict(zip(of, range(len(of))))
-        quotient = [sorted({of[u] for u in adj[v]} - {c}) for c, v in members.items()]
-        if len(quotient) * sum(map(len, quotient)) // 2 < _NUMPY_MIN_WORK:
-            w = list(Counter(of).values())
-            scores, reach, dist_sum, ecc = _reference_pass(quotient, w)
-            # each actor takes its class's results, and one hop to each twin
-            dist_sum = [dist_sum[c] + w[c] - 1 for c in of]
-            ecc = [ecc[c] or min(w[c] - 1, 1) for c in of]
-            scores, reach = [scores[c] for c in of], [reach[c] for c in of]
-            return _PathPass(scores, reach, dist_sum, ecc, giant, "python")
-    if len(adj) * s.n_links >= _NUMPY_MIN_WORK:
+    first = dict(zip(reversed(of), reversed(range(len(of)))))  # class -> its first actor
+    # a class's first actor neighbours every actor of each neighbouring class,
+    # so its row cut to first actors lists those classes in class order
+    quotient = [[of[u] for u in adj[first[c]] if first[of[u]] == u] for c in range(len(first))]
+    if len(quotient) * sum(map(len, quotient)) // 2 >= _NUMPY_MIN_WORK:
         result = _frontier_pass(s._indptr, s._indices)
         if result is not None:
             return _PathPass(*result, giant, "numpy")
-    return _PathPass(*_reference_pass(adj), giant, "python")
+    w = list(Counter(of).values())
+    scores, reach, dist_sum, ecc = _reference_pass(quotient, w)
+    # each actor takes its class's results, and one hop to each twin
+    dist_sum = [dist_sum[c] + w[c] - 1 for c in of]
+    ecc = [ecc[c] or min(w[c] - 1, 1) for c in of]
+    scores, reach = [scores[c] for c in of], [reach[c] for c in of]
+    return _PathPass(scores, reach, dist_sum, ecc, giant, "python")
 
 
 def _degrees(s: GraphSnapshot) -> list[int]:

@@ -1,9 +1,16 @@
+import os
 import random
 
 import pytest
 
 from netevolve import GraphSnapshot
 from netevolve.generators import barabasi_albert, erdos_renyi, watts_strogatz
+
+
+def examples(variable: str, default: int) -> int:
+    """The hypothesis examples a property test draws: the environment
+    variable `variable` when it is set, else `default`."""
+    return int(os.environ.get(variable, default))
 
 
 def star(n_leaves: int, label: str = "star") -> GraphSnapshot:

@@ -144,6 +144,16 @@ class TestAnalyze:
         assert main(["analyze", *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{golden}_report.csv").read_bytes()
 
+    @README_SAMPLES
+    def test_readme_samples_match_committed_bundles(self, tmp_path, args, golden):
+        # the goldens hold the README commands run from the repository root,
+        # with --input src/netevolve/data/<sample>; no other byte may differ
+        out = tmp_path / "bundle.json"
+        assert main(["analyze", *args, "--format", "json", "--out", str(out)]) == 0
+        readme_path = f"src/netevolve/data/{Path(args[1]).name}"
+        bundle = out.read_text().replace(json.dumps(args[1]), json.dumps(readme_path), 1)
+        assert bundle == (GOLDEN / f"{golden}_bundle.json").read_text()
+
     @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
     def test_proxies_match_per_snapshot_recomputation(self, config):
         data = Path(config.input_path).read_bytes()

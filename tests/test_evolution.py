@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, star
+from conftest import complete, examples, star
 from netevolve import (
     InsufficientDataError,
     MetricsRow,
@@ -380,12 +379,6 @@ class TestCorrelateAttachment:
         assert correlate_attachment(proxies, rows) == correlate_attachment(proxies, rows)
 
 
-def _examples(default):
-    """The hypothesis examples of the evolution oracles: `EVOLUTION_EXAMPLES`
-    when it is set, else `default`."""
-    return int(os.environ.get("EVOLUTION_EXAMPLES", default))
-
-
 # A small pool makes repeated values and both signed zeros common.
 _POOL = [0.0, -0.0, 0.5, 1.0, -2.0]
 _NUMBERS = st.one_of(st.sampled_from(_POOL), st.floats(-1e3, 1e3))
@@ -421,12 +414,12 @@ def _periods(draw):
 
 
 class TestEvolutionOracles:
-    @settings(max_examples=_examples(200), deadline=None)
+    @settings(max_examples=examples("EVOLUTION_EXAMPLES", 200), deadline=None)
     @given(st.lists(_NUMBERS, min_size=1, max_size=30))
     def test_ranks_match_brute(self, values):
         assert _average_ranks(values) == average_ranks_brute(values)
 
-    @settings(max_examples=_examples(200), deadline=None)
+    @settings(max_examples=examples("EVOLUTION_EXAMPLES", 200), deadline=None)
     @given(_periods())
     def test_report_matches_reference(self, periods):
         proxies, rows = periods

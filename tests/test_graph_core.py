@@ -1,6 +1,5 @@
 import json
 import logging
-import os
 import random
 import re
 from dataclasses import FrozenInstanceError, fields
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_snapshot
+from conftest import examples, random_snapshot
 from oracles import cumulative_snapshots_brute
 from netevolve import (
     AnalysisConfig,
@@ -28,12 +27,6 @@ from netevolve.generators import barabasi_albert
 from netevolve.metrics import _all_sources
 
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
-
-
-def _examples(default):
-    """The hypothesis examples of the two fold oracles: `FOLD_EXAMPLES` when
-    it is set, else `default`."""
-    return int(os.environ.get("FOLD_EXAMPLES", default))
 
 
 def events(*triples):
@@ -354,7 +347,7 @@ def _histories(draw):
 
 
 class TestBuildAgainstRescan:
-    @settings(max_examples=_examples(200), deadline=None)
+    @settings(max_examples=examples("FOLD_EXAMPLES", 200), deadline=None)
     @given(_histories(), st.randoms(use_true_random=False))
     def test_matches_per_breakpoint_filter(self, history, rng):
         evs, pubs, breakpoints = history
@@ -403,7 +396,7 @@ def _assert_same_graph(folded, direct):
 
 
 class TestFoldMatchesDirectBuild:
-    @settings(max_examples=_examples(150), deadline=None)
+    @settings(max_examples=examples("FOLD_EXAMPLES", 150), deadline=None)
     @given(_weighted_edges())
     def test_random_graphs(self, graph):
         _assert_same_graph(*_fold_and_direct(*graph))

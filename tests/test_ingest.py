@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 import random
 import re
 import tracemalloc
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from netevolve import (
     AnalysisConfig,
     InsufficientDataError,
@@ -28,12 +28,6 @@ from netevolve import (
 from netevolve.graph_core import InteractionEvent
 from netevolve.pipeline import _yearly_breakpoints
 from oracles import parse_publications_reference
-
-
-def _examples(default):
-    """The hypothesis examples of the decoder and load-route property tests:
-    `INGEST_EXAMPLES` when it is set, else `default`."""
-    return int(os.environ.get("INGEST_EXAMPLES", default))
 
 
 class TestParseTimestamp:
@@ -667,7 +661,7 @@ class TestDecoderMatchesReference:
     """`parse_publications_text` decodes each line once with the C scanner;
     the per-line `json.loads` decoder in oracles.py is the reference."""
 
-    @settings(max_examples=_examples(200), deadline=None)
+    @settings(max_examples=examples("INGEST_EXAMPLES", 200), deadline=None)
     @given(_jsonl_texts())
     def test_random_texts(self, text):
         _assert_decoded_alike(text)
@@ -795,7 +789,7 @@ class TestLoadStreams:
     must give what the library route gives: the same snapshots, the same
     warnings in order, or the same error."""
 
-    @settings(max_examples=_examples(300), deadline=None)
+    @settings(max_examples=examples("INGEST_EXAMPLES", 300), deadline=None)
     @given(_load_inputs())
     def test_stream_and_library_route_agree(self, case):
         config, text = case

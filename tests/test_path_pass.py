@@ -32,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assortativity_regression, complete, path_graph, star
+from conftest import assortativity_regression, complete, examples, path_graph, star
 from netevolve import (
     GraphSnapshot,
     UndefinedMetricError,
@@ -76,11 +76,7 @@ from oracles import (
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
 
 
-def _examples(default):
-    return int(os.environ.get("EXACT_ORACLE_EXAMPLES", default))
-
-
-EXACT_EXAMPLES = _examples(200)
+EXACT_EXAMPLES = examples("EXACT_ORACLE_EXAMPLES", 200)
 
 
 def _csr(s):
@@ -147,7 +143,7 @@ def _twin_free(s):
 
 def _quotient_pass(s):
     """`_all_sources(s)` through the Python kernel, which runs on the
-    closed-twin quotient when `s` has twins."""
+    closed-twin quotient of `s`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_NUMPY_MIN_WORK", math.inf)
         paths = _all_sources(s)
@@ -175,7 +171,7 @@ def _steps(s):
 
 
 class TestDenseKernel:
-    @settings(max_examples=_examples(150), deadline=None)
+    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 150), deadline=None)
     @given(graphs(), st.sampled_from([1, 3, 7, 64]))
     def test_agrees_with_reference(self, s, batch):
         _assert_agree(_frontier_at(s, batch), _reference_pass(s._rows()))
@@ -193,7 +189,7 @@ class TestDenseKernel:
         assert _frontier_pass(*_csr(s)) == _reference_pass(s._rows())
 
     @pytest.mark.parametrize("pushes", [True, False], ids=["push-only", "pull-only"])
-    @settings(max_examples=_examples(60), deadline=None)
+    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 60), deadline=None)
     @given(s=graphs(), batch=st.sampled_from([1, 3, 64]))
     def test_each_step_direction_alone_agrees(self, pushes, s, batch):
         result = _frontier_at(s, batch, lambda frontier_deg, unvisited_deg: pushes)
@@ -211,7 +207,7 @@ class TestDenseKernel:
         assert steps[0] is True
         assert steps[-1] is False
 
-    @settings(max_examples=_examples(100), deadline=None)
+    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 100), deadline=None)
     @given(graphs(), st.sampled_from([1, 3, 64]))
     def test_expansion_blocks_leave_results_unchanged(self, s, batch):
         # every level keeps its DAG edges in edge order, however it is cut
@@ -340,7 +336,7 @@ class TestBetweennessSum:
         for scores, reach, dist_sum, _ in (_reference_pass(s._rows()), _frontier_pass(*_csr(s))):
             self._assert_sum(scores, reach, dist_sum)
 
-    @settings(max_examples=_examples(30), deadline=None)
+    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 30), deadline=None)
     @given(teams(most=80))
     def test_quotient_scores_sum_to_the_inner_actor_count(self, s):
         # up to 80 teams of six: 480 actors, passed as a quotient of at most
@@ -498,11 +494,26 @@ class TestSigmaGuard:
         s = _layered(layers=21)  # at most 6**19 < 2**53 paths
         assert _all_sources(s).kernel == "numpy"
 
+    def test_twins_past_the_limit_fall_back_to_their_quotient(self):
+        # a chain of 230 two-actor cliques, each actor joined to both actors
+        # of the next: 460 actors and 1146 links (N*L = 527,160), whose
+        # quotient is a 230-vertex path (N*L = 52,670). So the numpy kernel
+        # runs, and 2**(k - 1) paths lead from one clique to the k-th next
+        edges = [(f"c{i:03d}a", f"c{i:03d}b", 1) for i in range(230)]
+        edges += [(f"c{i:03d}{x}", f"c{i + 1:03d}{y}", 1) for i in range(229) for x in "ab" for y in "ab"]
+        s = GraphSnapshot.from_edge_list("twin-chain", edges)
+        assert (s.n_actors, s.n_links) == (460, 1146)
+        assert _frontier_pass(*_csr(s)) is None
+        paths = _all_sources(s)
+        assert paths.kernel == "python"
+        reference = _reference_pass(s._rows())
+        assert (paths.betweenness, paths.reach, paths.dist_sum, paths.ecc) == reference
+
 
 class TestKernelChoice:
-    """A snapshot with closed twins whose quotient has N*L below 50,000
-    passes that quotient in Python; any other snapshot takes the numpy
-    kernel when its own N*L reaches 50,000."""
+    """A snapshot whose closed-twin quotient has N*L at or above 50,000
+    takes the numpy kernel on its own CSR; any other passes the quotient in
+    Python."""
 
     def test_long_path_goes_to_numpy(self):
         assert _all_sources(path_graph(250)).kernel == "numpy"
@@ -607,10 +618,9 @@ TWIN_FREE_DIGESTS = {
 
 
 class TestTwinFreeUnchanged:
-    """A snapshot with no closed twins passes its own rows or CSR arrays
-    with no class sizes: the Python kernel gives the pinned bits of the
-    unweighted pass, and the numpy kernel those of `_frontier_pass` on the
-    snapshot's CSR arrays."""
+    """A snapshot with no closed twins is its own quotient, with sizes 1:
+    the Python kernel gives the pinned bits of the unweighted pass, and the
+    numpy kernel those of `_frontier_pass` on the snapshot's CSR arrays."""
 
     @pytest.mark.parametrize("name", list(TWIN_FREE_DIGESTS))
     def test_pass_is_the_uncompressed_kernel(self, name, monkeypatch):
