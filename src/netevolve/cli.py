@@ -240,6 +240,10 @@ _FAULTS = (
 
 
 def main(argv=None) -> int:
+    # numpy's bundled OpenBLAS starts a worker thread per CPU when numpy is
+    # first imported, which doubles the import's time, and netevolve makes no
+    # BLAS call; a value the user exported still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

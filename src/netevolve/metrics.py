@@ -13,9 +13,9 @@ search traverses the graph besides it. The pass runs on a batched numpy
 kernel over the snapshot's own CSR when its closed-twin quotient has N*L at
 or above _NUMPY_MIN_WORK, and otherwise, or when a path count reaches 2**53,
 on the pure-Python reference over that quotient. Neither kernel takes
-options. The numpy kernel keeps distances, path counts and dependencies per
-(source, actor) slot of a batch of sources, and adds each batch into the
-betweenness sums once.
+options. The numpy kernel runs a batch of up to 64 sources as the bits of
+one word per actor, keeps path counts and dependencies per (actor, source)
+slot, and adds each batch into the betweenness sums once.
 
 Two density variants are reported side by side: the weighted form
 2W/(N(N-1)) over the total interaction count W (the headline figure for
@@ -136,122 +136,95 @@ def _reference_pass(
 _SIGMA_EXACT = 2.0**53
 # The numpy kernel runs on a snapshot whose closed-twin quotient of N classes
 # and L links has N*L at or above this, and the Python reference on the
-# quotient below it. Measured on uncompressed snapshots: the co-authorship
-# sample ran slower all in Python (0.68-1.06 s against 0.31-0.39 s), and
-# this sits in the gap between its 2004 (N*L = 40,981: 15.3 ms in Python,
-# 3.6 in numpy) and 2005 (84,475: 30.6 against 6.2 ms).
+# quotient below it. A run that sends no snapshot to numpy never imports it
+# (61-87 ms on a 2-CPU Xeon VM), and a lower value would import it on
+# paper-scale runs: the last periods of the seed-7 `pubs_yearly` benchmark
+# input have quotients of N*L up to 27,984 (8.7 ms in Python, 20 ms in numpy
+# on their 360 actors and 1262 links), and the disaster sample's last
+# period, 98 actors and 153 links, has N*L = 14,994 before any quotient.
 _NUMPY_MIN_WORK = 50_000
-# Arcs a level expands at once, which bounds the kernel's working set: a run
-# of slots holds at most this many plus one actor's degree. Blocks of 2**13
-# to 2**14 arcs ran fastest.
-_BLOCK_ARCS = 1 << 13
-# Sources the kernel runs side by side.
+# Sources the kernel runs side by side: one bit each of a 64-bit word, so at
+# most 64.
 _BATCH = 64
-
-
-def _pushes(frontier_deg: int, unvisited_deg: int) -> bool:
-    """Whether a level steps along the frontier's edges rather than along the
-    unvisited slots' edges: the smaller degree sum wins (Beamer, Asanovic &
-    Patterson 2012)."""
-    return frontier_deg <= unvisited_deg
 
 
 def _frontier_pass(indptr, indices):
     """Batched Brandes in numpy over a snapshot's CSR arrays (`_indptr`,
-    `_indices`, read without a copy) that touches only each level's frontier.
+    `_indices`, read without a copy), with a batch's sources as bits.
 
-    A batch of _BATCH sources is one flat array of (source, actor) slots, and
-    one `dist`, one `sigma` (path count) and one `delta` (dependency) buffer
-    over those slots serve every batch of the snapshot. Each forward level
-    steps along the frontier's edges (push) or along the unvisited slots'
-    edges (pull), as _pushes decides; a pull lists the unvisited slots with
-    one scan of `dist`. A step expands about _BLOCK_ARCS arcs at a time and
-    keeps only the shortest-path DAG edges of each run, as (tail slot, head
-    slot) pairs in edge order, so every `np.add.at` adds its terms in the
-    same order whatever the block. A level marks its new slots in `dist` and
-    lists them with one scan. Path counts forward and dependencies backward
-    take one `np.add.at` per level, and a batch adds its dependencies into
-    the scores once. The kernel takes no options. Returns the same tuple as
-    _reference_pass, or None when a path count reaches 2**53 and float64 can
-    no longer hold it exactly.
+    Bit j of an actor's uint64 words stands for source lo + j of the batch
+    (Then et al., VLDB 2014): `front` holds the sources whose BFS frontier
+    the actor is on, and `unseen` those that have not reached it. A level is
+    one `np.bitwise_or.reduceat` of the frontier words over the CSR rows,
+    masked by `unseen`. An arc from row v to u is a shortest-path DAG edge for
+    the sources `front[u] & next[v]`, and only those bits are unpacked, into
+    (tail slot, head slot) pairs in edge order; slot u*64 + j holds actor u
+    as seen from source lo + j. Path counts forward and dependencies backward
+    take one `np.add.at` per level over one `sigma` and one `delta` buffer of
+    slots, so each dependency adds its terms in the order of its successors'
+    ids, and a batch adds its dependencies into the scores once, summed over
+    its sources in source order. The kernel takes no options. Returns the
+    same tuple as _reference_pass, or None when a path count reaches 2**53
+    and float64 can no longer hold it exactly.
     """
     import numpy as np
+
+    def unpack(words):
+        """The bits of `words`, 64 per word, bit j of word i at 64*i + j."""
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
 
     indptr = np.frombuffer(indptr, dtype=np.int64)
     indices = np.frombuffer(indices, dtype=np.int64)
     n = len(indptr) - 1
     deg = np.diff(indptr)
-    starts = indptr[:-1]
-
-    def expand(slots, actors, keep):
-        """The edges out of `slots` whose far slot passes `keep`, as (near
-        slot, far slot) pairs in edge order."""
-        counts = deg.take(actors)
-        first = np.repeat(starts.take(actors) - np.cumsum(counts) + counts, counts)
-        near = np.repeat(slots, counts)
-        far = np.repeat(slots - actors, counts) + indices.take(np.arange(len(near)) + first)
-        edges = np.flatnonzero(keep(far))
-        return near.take(edges), far.take(edges)
-
-    def dag_edges(slots, actors, arcs, keep):
-        """`expand` over slots that own `arcs` arcs, one run of slots at a
-        time: a run starts at the slot that owns each _BLOCK_ARCS-th arc."""
-        if arcs <= _BLOCK_ARCS:
-            return expand(slots, actors, keep)
-        ends = range(_BLOCK_ARCS, arcs, _BLOCK_ARCS)
-        cuts = np.cumsum(deg.take(actors)).searchsorted(ends, "right")
-        bounds = pairwise([0, *cuts, len(slots)])
-        runs = [expand(slots[r0:r1], actors[r0:r1], keep) for r0, r1 in bounds]
-        return tuple(map(np.concatenate, zip(*runs)))
-
+    rows = np.repeat(np.arange(n), deg)  # the row of each arc
+    tail_slots, head_slots = indices * 64, rows * 64
+    # reduceat reads an empty row as the one word at its start (the next
+    # row's first arc, or the trailing 0), so isolated actors stay out of
+    # `unseen`
+    linked = np.where(deg > 0, ~np.uint64(0), np.uint64(0))
+    gathered = np.zeros(len(indices) + 1, dtype=np.uint64)
     scores = np.zeros(n)
     stats = np.zeros((3, n), dtype=np.int64)  # per source: reach, distance sum, eccentricity
-    dist_buffer = np.empty(min(_BATCH, n) * n, dtype=np.int32)
-    sigma_buffer, delta_buffer = np.empty((2, len(dist_buffer)))
+    sigma, delta = np.empty((2, n * 64))
     for lo in range(0, n, _BATCH):
         b = min(_BATCH, n - lo)
-        # slot j*n + v holds actor v as seen from source lo + j
-        sources, actors = np.arange(b) * (n + 1) + lo, np.arange(lo, lo + b)
-        dist, sigma, delta = dist_buffer[: b * n], sigma_buffer[: b * n], delta_buffer[: b * n]
-        dist.fill(-1)
+        sources = lo * 64 + np.arange(b) * 65  # slot (lo + j)*64 + j
+        front = np.zeros(n, dtype=np.uint64)
+        front[lo : lo + b] = np.uint64(1) << np.arange(b, dtype=np.uint64)
+        unseen = linked & ~front
         sigma.fill(0.0)
         delta.fill(0.0)
-        dist[sources], sigma[sources] = 0, 1.0
-        frontier = sources
+        sigma[sources] = 1.0
+        reach, dist_sum, ecc = stats[:, lo : lo + b]
+        reach += 1
         levels = []  # per level past the sources: the tail and head slots of its DAG edges
-        frontier_deg = int(deg.take(actors).sum())
-        unvisited_deg = b * len(indices) - frontier_deg
-        # a new slot is an unvisited one with an edge to the frontier
-        while frontier_deg and unvisited_deg:
-            depth = len(levels) + 1
-            if _pushes(frontier_deg, unvisited_deg):
-                tails, heads = dag_edges(
-                    frontier, actors, frontier_deg, lambda far: dist.take(far) < 0
-                )
-            else:
-                unvisited = np.flatnonzero(dist < 0)
-                heads, tails = dag_edges(
-                    unvisited, unvisited % n, unvisited_deg, lambda far: dist.take(far) == depth - 1
-                )
-            if not len(heads):
+        while True:
+            np.take(front, indices, out=gathered[:-1])
+            front = np.bitwise_or.reduceat(gathered, indptr[:-1]) & unseen
+            if not front.any():
                 break
-            dist[heads] = depth
-            frontier = np.flatnonzero(dist == depth)
+            unseen ^= front
+            dag = gathered[:-1] & front.take(rows)
+            arcs = np.flatnonzero(dag)
+            bits = np.flatnonzero(unpack(dag.take(arcs)).view(bool))
+            arcs, bits = arcs.take(bits >> 6), bits & 63
+            tails, heads = tail_slots.take(arcs) + bits, head_slots.take(arcs) + bits
             np.add.at(sigma, heads, sigma.take(tails))
             levels.append((tails, heads))
-            actors = frontier % n
-            frontier_deg = int(deg.take(actors).sum())
-            unvisited_deg -= frontier_deg
+            found = unpack(front).reshape(n, 64)[:, :b].sum(0, dtype=np.int64)  # per source
+            reach += found
+            dist_sum += len(levels) * found
+            ecc[found > 0] = len(levels)
         # a slot's count is final once its level is done, so one check sees them all
         if sigma.max() >= _SIGMA_EXACT:
             return None
-        hops = dist.reshape(b, n)  # -1 where unreached
-        stats[:, lo : lo + b] = (hops >= 0).sum(1), np.maximum(hops, 0).sum(1), hops.max(1)
         for tails, heads in reversed(levels):
             terms = sigma.take(tails) / sigma.take(heads) * (1.0 + delta.take(heads))
             np.add.at(delta, tails, terms)
         delta[sources] = 0.0
-        scores += delta.reshape(b, n).sum(0)
+        # as a (source, actor) array, whose sum over axis 0 adds source by source
+        scores += np.ascontiguousarray(delta.reshape(n, 64)[:, :b].T).sum(0)
     return scores.tolist(), *stats.tolist()
 
 
@@ -480,8 +453,9 @@ def centralization(values: Sequence[float], kind: str, n: int) -> float:
         denom = n - 1
     else:
         denom = (n - 1) * (n - 2) / (2 * n - 3)
-    # clamp: disconnected-graph closeness can nudge past the star maximum
-    return max(0.0, min(1.0, spread / denom))
+    # clamp: disconnected-graph closeness can nudge past the star maximum;
+    # every c_max - c is at least 0, so the spread needs no lower clamp
+    return min(1.0, spread / denom)
 
 
 def metrics_row(s: GraphSnapshot) -> MetricsRow:

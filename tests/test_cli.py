@@ -21,6 +21,9 @@ from netevolve.pipeline import (
     run_analysis,
 )
 from netevolve.evolution import SmallWorldThresholds
+from netevolve.generators import barabasi_albert
+from netevolve.graph_core import InteractionEvent
+from netevolve.ingest import write_edge_events_text
 from oracles import proxies_by_recomputation
 
 DISASTER = str(resources.files("netevolve") / "data" / "disaster_events.csv")
@@ -877,3 +880,34 @@ class TestIngestEdgeCases:
         text = self.ROWS + "nan,A0,Z9\ninf,A1,Z8\nnan,A2,Z7\n"
         code, _ = self._analyze(tmp_path, text)
         assert code == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("exported, threads", [(None, 1), ("2", 2)], ids=["default", "exported"])
+def test_analyze_starts_no_blas_threads(tmp_path, exported, threads):
+    """numpy's bundled OpenBLAS starts its worker threads when numpy is first
+    imported. `main` sets OPENBLAS_NUM_THREADS to 1 before that, unless the
+    user exported a value; importing the CLI sets nothing. BA(300, 3) takes
+    the numpy kernel."""
+    if len(os.sched_getaffinity(0)) < threads:
+        pytest.skip(f"OpenBLAS starts at most one thread per CPU, and {threads} are needed")
+    s = barabasi_albert(300, 3, 2)
+    events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(sorted(s.edges.items()))]
+    data = tmp_path / "ba.csv"
+    data.write_text(write_edge_events_text(events))
+    argv = ["analyze", "--input", str(data), "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import os, sys\n"
+        "from netevolve import cli\n"
+        "before = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+        f"status = cli.main({argv!r})\n"
+        "with open('/proc/self/status') as status_file:\n"
+        "    count = [line.split()[1] for line in status_file if line.startswith('Threads:')]\n"
+        "print(status, before, 'numpy' in sys.modules, *count)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.stdout == f"0 {exported} True {threads}\n", result.stderr

@@ -562,3 +562,23 @@ class TestClassifySmallWorld:
             self.academic_2010_row(), PowerLawFit(2.06, 3.2, 0.85, 30), strict
         )
         assert verdict.clustering_high is False
+
+    # Each threshold is a CLI flag, so a value can equal it exactly. Density
+    # must stay below --sw-density-max; clustering and r² may equal their
+    # floors --sw-clustering-min and --sw-r2-min.
+    def test_density_at_its_maximum_is_not_low(self):
+        row = self.academic_2010_row()
+        at = SmallWorldThresholds(density_max=row.density_simple)
+        verdict = classify_small_world(row, PowerLawFit(2.06, 3.2, 0.85, 30), at)
+        assert verdict.density_low is False
+        assert classify_small_world(row, None).density_low is True
+
+    def test_clustering_at_its_minimum_is_high(self):
+        row = self.academic_2010_row()
+        at = SmallWorldThresholds(clustering_min=row.clustering)
+        assert classify_small_world(row, None, at).clustering_high is True
+
+    def test_r_squared_at_its_minimum_passes(self):
+        fit = PowerLawFit(2.06, 3.2, 0.85, 30)
+        at = SmallWorldThresholds(r_squared_min=fit.r_squared)
+        assert classify_small_world(self.academic_2010_row(), fit, at).scale_free is True

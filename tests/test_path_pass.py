@@ -1,19 +1,19 @@
 """The one all-sources pass: the numpy kernel against the pure-Python
-reference, its push and pull steps, the sigma precision guard, the
-closed-twin quotient and the per-snapshot kernel choice; and every
-fractional measure of a snapshot against an exact rational oracle, through
-both kernels where it reads them.
+reference, its bitset levels around isolated actors and word boundaries,
+the sigma precision guard, the closed-twin quotient and the per-snapshot
+kernel choice; and every fractional measure of a snapshot against an exact
+rational oracle, through both kernels where it reads them.
 
-In test names, `dense` is the batched numpy kernel: it keeps each block of
-64 sources as a dense b*N array of (source, actor) slots. The kernel takes
-no options, so tests patch its module values `_BATCH`, `_pushes` and
-`_BLOCK_ARCS` to run other batches, forced step directions and blocks, and
-`_NUMPY_MIN_WORK` to send a snapshot's pass to either kernel.
+In test names, `dense` is the batched numpy kernel: it keeps a batch of up
+to 64 sources as the bits of one word per actor, and its path counts and
+dependencies as a dense N*64 array of (actor, source) slots. The kernel
+takes no options, so tests patch its module values `_BATCH` to run other
+batches and `_NUMPY_MIN_WORK` to send a snapshot's pass to either kernel.
 
 `EXACT_ORACLE_EXAMPLES` sets the number of hypothesis examples each exact
 oracle test draws (200 by default), the test of the betweenness sum on
-large team graphs (30 by default), and each property test of the numpy
-kernel against the reference (150, 60 and 100 by default).
+large team graphs (30 by default), and the property test of the numpy
+kernel against the reference (150 by default).
 """
 
 import hashlib
@@ -21,6 +21,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -151,23 +152,19 @@ def _quotient_pass(s):
     return paths
 
 
-def _frontier_at(s, batch, pushes=None):
-    """The numpy kernel on `s` with `batch` sources at a time and, when
-    given, `pushes` in place of its step rule."""
+def _frontier_at(s, batch):
+    """The numpy kernel on `s` with `batch` sources at a time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_BATCH", batch)
-        if pushes is not None:
-            mp.setattr(metrics, "_pushes", pushes)
         return _frontier_pass(*_csr(s))
 
 
-def _steps(s):
-    """Run the numpy kernel on `s` in one block with its own step rule; True
-    for each push, False for each pull."""
-    rule = metrics._pushes
-    steps = []
-    _frontier_at(s, len(s.actors), lambda f, u: steps.append(rule(f, u)) or steps[-1])
-    return steps
+def _linked_except(n, isolated):
+    """A path through actors a000 to a{n-1} that skips the ids in
+    `isolated`, which stay actors without links."""
+    linked = [f"a{i:03d}" for i in range(n) if i not in isolated]
+    edges = [(a, b, 1) for a, b in zip(linked, linked[1:])]
+    return GraphSnapshot.from_edge_list("gaps", edges, extra_actors=[f"a{i:03d}" for i in range(n)])
 
 
 class TestDenseKernel:
@@ -185,57 +182,40 @@ class TestDenseKernel:
         _assert_agree(_frontier_pass(*_csr(s)), _reference_pass(s._rows()))
 
     def test_isolated_actors_only(self):
-        s = GraphSnapshot.from_edge_list("isolated", [], extra_actors=[f"z{i}" for i in range(5)])
-        assert _frontier_pass(*_csr(s)) == _reference_pass(s._rows())
+        for n in (1, 5, 64, 65):
+            s = GraphSnapshot.from_edge_list("isolated", [], extra_actors=[f"z{i}" for i in range(n)])
+            assert _frontier_pass(*_csr(s)) == _reference_pass(s._rows())
 
-    @pytest.mark.parametrize("pushes", [True, False], ids=["push-only", "pull-only"])
-    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 60), deadline=None)
-    @given(s=graphs(), batch=st.sampled_from([1, 3, 64]))
-    def test_each_step_direction_alone_agrees(self, pushes, s, batch):
-        result = _frontier_at(s, batch, lambda frontier_deg, unvisited_deg: pushes)
-        _assert_agree(result, _reference_pass(s._rows()))
+    @pytest.mark.parametrize("batch", [1, 3, 7, 64])
+    def test_isolated_actors_between_and_after_rows(self, batch):
+        # an isolated actor's row is empty, so reduceat reads the next row's
+        # first arc there, or the one trailing 0 past the last arc when it
+        # sorts last; a kernel that clipped those reads to the last arc
+        # dropped that arc, and gave a reach of 5 where the reference has 47
+        s = erdos_renyi(120, 0.01, 0)
+        degrees = [len(row) for row in s._rows()]
+        assert degrees[0] == degrees[-1] == 0 and degrees[1] and degrees[-2]
+        result = _frontier_at(s, batch)
+        assert result == _reference_pass(s._rows())
+        assert max(result[1]) == 47
+        for isolated in ({0, 1, 2, 64, 65}, {63, 64, 128, 129, 130}):
+            gaps = _linked_except(131, isolated)
+            assert _frontier_at(gaps, batch) == _reference_pass(gaps._rows())
 
-    def test_a_path_pushes_until_its_ends(self):
-        # the frontier of a path has at most two slots per source, so only
-        # the last levels, where fewer unvisited edges remain, pull
-        steps = _steps(path_graph(200))
-        assert steps.count(False) * 20 < steps.count(True)
-
-    @pytest.mark.parametrize("s", [star(99), barabasi_albert(200, 3, 1)], ids=["star", "ba"])
-    def test_hubs_make_the_last_level_pull(self, s):
-        steps = _steps(s)
-        assert steps[0] is True
-        assert steps[-1] is False
-
-    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 100), deadline=None)
-    @given(graphs(), st.sampled_from([1, 3, 64]))
-    def test_expansion_blocks_leave_results_unchanged(self, s, batch):
-        # every level keeps its DAG edges in edge order, however it is cut
-        whole = _frontier_at(s, batch)
-        for block in (1, 7):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(metrics, "_BLOCK_ARCS", block)
-                assert _frontier_at(s, batch) == whole
-
-    @pytest.mark.parametrize(
-        "s, blocks",
-        [(barabasi_albert(150, 2, 0), (1, 7)), (barabasi_albert(800, 3, 1), (97, 2**20))],
-        ids=["ba150", "ba800"],
-    )
-    def test_blocks_split_wide_levels_alike(self, s, blocks, monkeypatch):
-        # the widest levels of BA(800, 3) expand over 10**5 arcs, many default
-        # blocks each; blocks of 1 and 7 arcs take too long there and run on
-        # BA(150, 2)
-        whole = _frontier_pass(*_csr(s))
-        for block in blocks:
-            monkeypatch.setattr(metrics, "_BLOCK_ARCS", block)
-            assert _frontier_pass(*_csr(s)) == whole
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("batch", [1, 3, 7, 64])
+    def test_sizes_around_the_word(self, n, batch):
+        # a batch of 64 sources fills one word per actor; 65 and 129 actors
+        # leave a last batch of one source (one actor alone is linkless, above)
+        for s in (erdos_renyi(n, 4 / n, n), path_graph(n)):
+            _assert_agree(_frontier_at(s, batch), _reference_pass(s._rows()))
 
     def test_peak_memory_stays_bounded(self):
         # tracemalloc peak on BA(800, 3): 8.19 MB when each level expanded
         # all of its arcs at once, 4.67 MB in runs, 4.46 MB since a pull
         # lists the unvisited slots with one scan, 4.31 MB since path counts
-        # and dependencies are kept per slot (Python 3.11, numpy 2.4)
+        # and dependencies are kept per slot, 4.05 MB since each level finds
+        # its DAG edges from the sources' bits (Python 3.11, numpy 2.4)
         s = barabasi_albert(800, 3, 1)
         _frontier_pass(*_csr(s))  # numpy is imported outside the trace
         tracemalloc.start()
@@ -484,6 +464,35 @@ class TestSigmaGuard:
         order = s.sorted_actors()
         assert all(v.startswith("L") for v in order[: metrics._BATCH])
         assert all(v.startswith("Z") for v in order[-2 * 6 :])
+        assert _frontier_pass(*_csr(s)) is None
+        paths = _all_sources(s)
+        assert paths.kernel == "python"
+        reference = _reference_pass(s._rows())
+        assert (paths.betweenness, paths.reach, paths.dist_sum, paths.ecc) == reference
+
+    def test_a_count_that_rounds_down_to_the_limit_falls_back(self):
+        # 53 diamonds in series and a 106-hop path beside them join d00 to
+        # d53: 265 actors and 318 links (N*L = 84,270, twin-free), and
+        # 2**53 + 1 shortest paths between the ends, which float64 rounds
+        # down to exactly 2**53; the guard must still see it
+        edges = [(f"d{i:02d}", f"d{i:02d}{x}", 1) for i in range(53) for x in "ab"]
+        edges += [(f"d{i:02d}{x}", f"d{i + 1:02d}", 1) for i in range(53) for x in "ab"]
+        path = ["d00", *(f"p{k:03d}" for k in range(105)), "d53"]
+        edges += [(a, b, 1) for a, b in zip(path, path[1:])]
+        s = GraphSnapshot.from_edge_list("diamonds", edges)
+        assert (s.n_actors, s.n_links) == (265, 318)
+        assert _twin_free(s)
+        order, rows = s.sorted_actors(), s._rows()
+        count = {order.index("d00"): 1}  # shortest paths from d00, level by level
+        level = list(count)
+        while level:
+            found = Counter()
+            for v in level:
+                found.update({x: count[v] for x in rows[v] if x not in count})
+            count.update(found)
+            level = list(found)
+        assert count[order.index("d53")] == 2**53 + 1
+        assert float(2**53 + 1) == 2.0**53
         assert _frontier_pass(*_csr(s)) is None
         paths = _all_sources(s)
         assert paths.kernel == "python"
