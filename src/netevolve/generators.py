@@ -126,10 +126,8 @@ def barabasi_albert(n: int, m: int, seed: int, label: str | None = None) -> Grap
         weighted.extend([i] * m)
     for new in range(m + 1, n):
         chosen: set[int] = set()
-        while len(chosen) < m:
-            candidate = weighted[rng.randrange(len(weighted))]
-            if candidate not in chosen:
-                chosen.add(candidate)
+        while len(chosen) < m:  # a repeat draw leaves the set as it is
+            chosen.add(weighted[rng.randrange(len(weighted))])
         for target in sorted(chosen):
             pairs.add((target, new))
             weighted.append(target)

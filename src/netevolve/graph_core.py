@@ -21,7 +21,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import datetime
 from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Sequence, Union
@@ -75,7 +75,20 @@ def _event(a: str, b: str, weight) -> tuple[str, str, int]:
     return a, b, weight
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse(self, name, value=None):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record(cls):
+    """`dataclass(frozen=True, slots=True)`: no `__dict__`, and pickle and
+    copy work. On Python 3.11 its `__setattr__` and `__delattr__` raise a
+    TypeError for a name that is not a field, so both refuse every name."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+@_record
 class InteractionEvent:
     """One timestamped, weighted, undirected interaction between two actors.
 
@@ -98,7 +111,7 @@ class InteractionEvent:
         object.__setattr__(self, "weight", weight)
 
 
-@dataclass(frozen=True)
+@_record
 class PublicationRecord:
     """One publication: an id, a date, and its author list.
 
@@ -109,9 +122,6 @@ class PublicationRecord:
     per joint publication.
     """
 
-    # not `slots=True`: with `frozen=True` it makes setting an unknown
-    # attribute a TypeError on Python 3.11, not FrozenInstanceError
-    __slots__ = ("pub_id", "date", "authors")
     pub_id: str
     date: Timestamp
     authors: tuple[str, ...]

@@ -54,8 +54,9 @@ def fit_powerlaw(hist: Mapping[int, float]) -> PowerLawFit:
 
     A perfectly flat histogram fits a horizontal line (exponent 0.0, never
     -0.0) with r_squared 1; downstream classification treats a near-zero
-    exponent as non-scale-free. Deterministic and insensitive to input
-    ordering.
+    exponent as non-scale-free. r_squared is clamped at 0, since rounding can
+    put a fit that explains nothing a hair below it. Deterministic and
+    insensitive to input ordering.
     """
     points = loglog_points(hist)
     xs = [x for x, _ in points]
@@ -74,6 +75,5 @@ def fit_powerlaw(hist: Mapping[int, float]) -> PowerLawFit:
         r_squared = 1.0
     else:
         ss_res = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-        r_squared = 1.0 - ss_res / syy
-    r_squared = max(0.0, min(1.0, r_squared))
+        r_squared = max(0.0, 1.0 - ss_res / syy)
     return PowerLawFit(0.0 - slope, intercept, r_squared, n)  # -slope would give -0.0

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -41,19 +42,73 @@ def run_cli(*args, env=None):
     )
 
 
-# the README's two sample commands, with the stem of their golden files
-README_SAMPLES = pytest.mark.parametrize(
-    "args, golden",
-    [
-        (
-            ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS,
-             "--labels", "T1,T1-T2,T1-T3,T1-T4"],
-            "disaster",
-        ),
-        (["--input", COAUTHORS, "--kind", "publications", "--yearly"], "coauthorship_yearly"),
-    ],
-    ids=["disaster", "coauthorship"],
-)
+def padded_records(data):
+    """CRLF line ends, a blank line after every fourth record, every third
+    record padded with spaces and tabs, and a copy of the first record
+    behind a form feed, which is not JSON whitespace: one warning, no
+    record."""
+    lines = data.removesuffix(b"\n").split(b"\n")
+    out = b""
+    for nr, line in enumerate(lines, 1):
+        pad = b"" if nr % 3 else b" \t"
+        out += pad + line + pad + b"\r\n" + (b"" if nr % 4 else b"\r\n")
+    return out + b"\f" + lines[0] + b"\r\n"
+
+
+def padded_labels(data):
+    """CRLF line ends, a blank line after every fourth row, every third a
+    label wrapped in spaces and tabs, and a space before every b label: the
+    labels trim to the same actors."""
+    header, *rows = data.removesuffix(b"\n").split(b"\n")
+    out = header + b"\r\n"
+    for i, row in enumerate(rows, 1):
+        time, a, b, *rest = row.split(b",")
+        if i % 3 == 0:
+            a = b" \t" + a + b"\t "
+        out += b",".join([time, a, b" " + b, *rest]) + b"\r\n" + (b"" if i % 4 else b"\r\n")
+    return out
+
+
+def cr_only(data):
+    """Every LF a bare CR, which the CSV decoder must end a line at too."""
+    return data.replace(b"\n", b"\r")
+
+
+DISASTER_ARGS = ["--breakpoints", DISASTER_BREAKPOINTS, "--labels", "T1,T1-T2,T1-T3,T1-T4"]
+COAUTHORS_ARGS = ["--kind", "publications", "--yearly"]
+# BA(800, 3) cut into 8 periods of about 300 links: up to 13 batches of 64
+# sources a period, whose widest levels find thousands of shortest-path DAG
+# edges from the sources' bits, which neither bundled sample reaches
+BA800 = ["--model", "ba", "-n", "800", "-m", "3", "--seed", "7"]
+BA800_ARGS = ["--breakpoints", "298,597,896,1196,1495,1794,2094,2393"]
+
+# every input whose analyze output is committed: its source (a bundled
+# sample, or `generate` arguments), the transform that copies a sample (None
+# reads the sample itself), its analyze arguments and the stem of its goldens.
+# The README's two samples come first; a transformed copy must give the
+# sample's report
+GOLDEN_INPUTS = {
+    "disaster": (DISASTER, None, DISASTER_ARGS, "disaster"),
+    "coauthorship": (COAUTHORS, None, COAUTHORS_ARGS, "coauthorship_yearly"),
+    "coauthorship-padded-crlf": (COAUTHORS, padded_records, COAUTHORS_ARGS, "coauthorship_yearly"),
+    "disaster-padded-crlf": (DISASTER, padded_labels, DISASTER_ARGS, "disaster"),
+    "disaster-cr": (DISASTER, cr_only, DISASTER_ARGS, "disaster"),
+    "ba800": (BA800, None, BA800_ARGS, "ba800_growth"),
+}
+
+
+def golden_input(case, tmp_path):
+    """The analyze arguments and the golden stem of one GOLDEN_INPUTS case;
+    a copy or a generated graph is written under tmp_path first."""
+    source, transform, args, golden = GOLDEN_INPUTS[case]
+    path = tmp_path / f"{case}.input"
+    if isinstance(source, list):
+        assert main(["generate", *source, "--out", str(path)]) == 0
+    elif transform is None:
+        path = source
+    else:
+        path.write_bytes(transform(Path(source).read_bytes()))
+    return ["--input", str(path), *args], golden
 
 
 def sample_configs():
@@ -141,21 +196,35 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2020", "2021"]
 
-    @README_SAMPLES
-    def test_readme_samples_match_committed_tables(self, tmp_path, args, golden):
+    @pytest.mark.parametrize("case", ["disaster", "coauthorship", "ba800"])
+    def test_readme_samples_match_committed_tables(self, tmp_path, case):
+        args, golden = golden_input(case, tmp_path)
         out = tmp_path / "report.csv"
         assert main(["analyze", *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{golden}_report.csv").read_bytes()
 
-    @README_SAMPLES
-    def test_readme_samples_match_committed_bundles(self, tmp_path, args, golden):
+    @pytest.mark.parametrize("case", ["disaster", "coauthorship"])
+    def test_readme_samples_match_committed_bundles(self, tmp_path, case):
         # the goldens hold the README commands run from the repository root,
         # with --input src/netevolve/data/<sample>; no other byte may differ
+        args, golden = golden_input(case, tmp_path)
         out = tmp_path / "bundle.json"
         assert main(["analyze", *args, "--format", "json", "--out", str(out)]) == 0
         readme_path = f"src/netevolve/data/{Path(args[1]).name}"
         bundle = out.read_text().replace(json.dumps(args[1]), json.dumps(readme_path), 1)
         assert bundle == (GOLDEN / f"{golden}_bundle.json").read_text()
+
+    def test_make_samples_reproduces_the_bundled_data(self, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_samples.py"
+        spec = importlib.util.spec_from_file_location("make_samples", script)
+        make_samples = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        spec.loader.exec_module(make_samples)
+        committed = make_samples.DATA_DIR
+        monkeypatch.setattr(make_samples, "DATA_DIR", tmp_path)
+        make_samples.main()
+        for name in ("disaster_events.csv", "coauthorship_sample.jsonl"):
+            assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
 
     @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
     def test_proxies_match_per_snapshot_recomputation(self, config):
@@ -297,8 +366,12 @@ class TestReport:
         assert "ranked_drivers:" in text
         assert "static[clustering]" in text
 
-    @README_SAMPLES
-    def test_readme_samples_match_committed_reports(self, tmp_path, args, golden):
+    @pytest.mark.parametrize(
+        "case",
+        ["disaster", "coauthorship", "coauthorship-padded-crlf", "disaster-padded-crlf", "disaster-cr"],
+    )
+    def test_readme_samples_match_committed_reports(self, tmp_path, case):
+        args, golden = golden_input(case, tmp_path)
         bundle_path = tmp_path / "bundle.json"
         assert main(["analyze", *args, "--format", "json", "--out", str(bundle_path)]) == 0
         out = tmp_path / "report.txt"

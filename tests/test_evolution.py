@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import complete, examples, star
 from netevolve import (
+    GraphSnapshot,
     InsufficientDataError,
     MetricsRow,
     PowerLawFit,
@@ -532,6 +533,16 @@ class TestClassifySmallWorld:
         verdict = classify_small_world(self.academic_2010_row(), None)
         assert verdict.scale_free is None
         assert verdict.verdict is None
+
+    def test_undefined_measures_leave_their_flags_undefined(self):
+        def flags(row):
+            v = classify_small_world(row, None)
+            return v.density_low, v.clustering_high, v.diameter_small, v.scale_free, v.verdict
+
+        # three isolated actors: density 0, and no clustering, diameter or fit
+        isolated = metrics_row(GraphSnapshot("x", ["a", "b", "c"], {}))
+        assert flags(isolated) == (True, None, None, None, None)
+        assert flags(MetricsRow("x", 1, 0, 0)) == (None,) * 5
 
     def test_verdict_is_conjunction_of_flags(self):
         rng = random.Random(31)

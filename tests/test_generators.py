@@ -110,6 +110,8 @@ class TestWattsStrogatz:
             watts_strogatz(10, 10, 0.1, seed=1)  # k >= n
         with pytest.raises(ValueError):
             watts_strogatz(10, 4, -0.1, seed=1)
+        with pytest.raises(ValueError, match="^need n >= 3$"):
+            watts_strogatz(2, 2, 0.1, seed=1)
 
 
 class TestBarabasiAlbert:
@@ -141,3 +143,5 @@ class TestBarabasiAlbert:
             barabasi_albert(10, 0, seed=1)
         with pytest.raises(ValueError):
             barabasi_albert(10, 10, seed=1)
+        with pytest.raises(ValueError, match="^need n >= 3$"):
+            barabasi_albert(2, 1, seed=1)

@@ -1,5 +1,7 @@
+import copy
 import json
 import logging
+import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError, fields
@@ -65,9 +67,6 @@ class TestInteractionEvent:
         assert [f.name for f in fields(InteractionEvent)] == ["time", "a", "b", "weight"]
         assert fields(InteractionEvent)[3].default == 1
         assert InteractionEvent(2, "A", "B").weight == 1
-        with pytest.raises(FrozenInstanceError):
-            event.a = "C"
-        assert not hasattr(event, "__dict__")
 
 
 class TestPublicationRecord:
@@ -87,15 +86,23 @@ class TestPublicationRecord:
         assert record != PublicationRecord("P", 2, ("A", "B"))
         assert record != PublicationRecord("P", 1, ("B", "A"))
 
-    def test_immutable(self):
-        record = PublicationRecord("P", 1, ("A",))
-        with pytest.raises(FrozenInstanceError):
-            record.pub_id = "Q"
-        with pytest.raises(FrozenInstanceError):
-            del record.authors
-        with pytest.raises(FrozenInstanceError):
-            record.extra = 1
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record",
+        [InteractionEvent(2, " A", "B", 3), PublicationRecord("P", 1, [" A", "B"])],
+        ids=["event", "publication"],
+    )
+    def test_immutable(self, record):
+        for name in (fields(record)[0].name, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, name)
         assert not hasattr(record, "__dict__")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+        assert copy.copy(record) == record == copy.deepcopy(record)
 
 
 class TestInternedLabels:

@@ -57,6 +57,16 @@ class TestFitPowerlaw:
         assert math.copysign(1.0, fit.exponent) == 1.0  # 0.0, never -0.0
         assert fit.r_squared == 1.0
 
+    def test_symmetric_histogram_fits_r_squared_zero(self):
+        # the line through these points is flat, and rounding leaves the raw
+        # r² at -2.2e-16, which the clamp raises to 0
+        assert fit_powerlaw({4: 4, 8: 1, 16: 4}).r_squared == 0.0
+
+    def test_degrees_equal_in_float_are_insufficient(self):
+        # two distinct degrees whose log10 both round to 17.0
+        with pytest.raises(InsufficientDataError, match="^all usable degrees are equal$"):
+            fit_powerlaw({10**17: 1, 10**17 + 1: 1})
+
     def test_scale_invariance_of_slope(self):
         rng = random.Random(3)
         for _ in range(20):

@@ -2,7 +2,8 @@
 inputs must give the bundle the seed copy in `perfbench/seedref` gives.
 
 Each case writes one clean input, and `analyze --format json` runs on it
-from `src/` and from the seed, with `NETEVOLVE_THREADS=1`. Each side runs
+from `src/` and from the seed. Only the seed reads `NETEVOLVE_THREADS`, the
+cap of its thread pool, so only the seed's side sets it to 1. Each side runs
 every case through `cli.main` in its own interpreter, since two `netevolve`
 packages cannot share one. The exit codes must be equal, and a bundle must
 pass perfbench's gate: labels, integers and list order exactly, floats to
