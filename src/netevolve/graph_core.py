@@ -21,7 +21,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from datetime import datetime
 from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Sequence, Union
@@ -79,12 +79,20 @@ def _refuse(self, name, value=None):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
+def _rebuild(self):
+    """Pickle and copy a record through its constructor, so a restored
+    record follows the label rule too."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _record(cls):
     """`dataclass(frozen=True, slots=True)`: no `__dict__`, and pickle and
-    copy work. On Python 3.11 its `__setattr__` and `__delattr__` raise a
+    copy rebuild the record through its constructor, the only way to make
+    one. On Python 3.11 its `__setattr__` and `__delattr__` raise a
     TypeError for a name that is not a field, so both refuse every name."""
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__ = cls.__delattr__ = _refuse
+    cls.__reduce__ = _rebuild
     return cls
 
 
@@ -149,9 +157,11 @@ def _author_names(values: list) -> dict[str, None]:
 class GraphSnapshot:
     """Immutable weighted undirected simple graph at one breakpoint.
 
-    `GraphSnapshot(label, actors, edges)` checks its input: every actor is
-    a string that is not blank, `edges` maps actor pairs, in either order,
-    to integer weights of at least 1, and every endpoint must be in `actors`
+    `GraphSnapshot(label, actors, edges)` checks its input and applies the
+    actor label rule: every actor and edge endpoint is a string, trimmed of
+    surrounding whitespace and interned, and no actor is blank. `edges` maps
+    actor pairs, in either order, to integer weights of at least 1, one
+    weight per pair once trimmed, and every endpoint must be in `actors`
     (which may also hold isolated actors). The graph is kept as integer
     CSR: actor i is `_names[i]`, the labels sorted, and its neighbors,
     ascending, and their edge weights sit at positions `_indptr[i]` to
@@ -166,13 +176,14 @@ class GraphSnapshot:
     sum_links: int  # total interaction count (sum of edge weights)
 
     def __init__(self, label: str, actors: Iterable[str], edges: Mapping[tuple[str, str], int]):
-        actors = set(actors)
-        if not all(map(_label, actors)):
+        actors = set(map(_label, actors))
+        if "" in actors:
             raise ValueError("empty actor label")
         names = sorted(actors)
         ids = {v: i for i, v in enumerate(names)}
         links: dict[tuple[int, int], int] = {}
         for (a, b), w in edges.items():
+            a, b = _label(a), _label(b)
             if a == b:
                 raise ValueError(f"self-loop on actor {a!r}")
             if a not in ids or b not in ids:

@@ -36,10 +36,11 @@ from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
 INPUT_KINDS = ("events", "publications")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
     """Everything run_analysis needs besides the input bytes, checked on
-    construction so that no fault in it waits for the input to be read.
+    construction so that no fault in it waits for the input to be read;
+    frozen, so no field changes after its checks.
 
     Exactly one slicing mode applies: explicit breakpoints, --yearly, or the
     default single period covering all events (labelled "all"). Labels name

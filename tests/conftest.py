@@ -7,10 +7,13 @@ from netevolve import GraphSnapshot
 from netevolve.generators import barabasi_albert, erdos_renyi, watts_strogatz
 
 
-def examples(variable: str, default: int) -> int:
-    """The hypothesis examples a property test draws: the environment
-    variable `variable` when it is set, else `default`."""
-    return int(os.environ.get(variable, default))
+LONG = bool(os.environ.get("LONG_TESTS"))  # on for any non-empty value
+
+
+def examples(tier1: int, long: int) -> int:
+    """The examples (or cases) a test draws: `long` when LONG_TESTS is on,
+    as in CI's `LONG_TESTS=1 pytest -m long`, else `tier1`."""
+    return long if LONG else tier1
 
 
 def star(n_leaves: int, label: str = "star") -> GraphSnapshot:

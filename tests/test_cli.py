@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, fields
 from importlib import resources
 from pathlib import Path
 
@@ -523,6 +523,13 @@ class TestIgnoredOptions:
             AnalysisConfig(input_path=DISASTER, breakpoints=[5, datetime.datetime(2009, 2, 8)])
         with pytest.raises(ValueError, match="at least one breakpoint"):
             AnalysisConfig(input_path=DISASTER, breakpoints=[])
+
+    def test_library_config_is_frozen(self):
+        # a field changed after the checks would reach run_analysis unchecked
+        config = AnalysisConfig(input_path=DISASTER)
+        for field in fields(config):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, field.name, "edges")
 
 
 class TestReadme:

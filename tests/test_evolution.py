@@ -414,13 +414,14 @@ def _periods(draw):
     return proxy_rows, rows
 
 
+@pytest.mark.long
 class TestEvolutionOracles:
-    @settings(max_examples=examples("EVOLUTION_EXAMPLES", 200), deadline=None)
+    @settings(max_examples=examples(200, 3000), deadline=None)
     @given(st.lists(_NUMBERS, min_size=1, max_size=30))
     def test_ranks_match_brute(self, values):
         assert _average_ranks(values) == average_ranks_brute(values)
 
-    @settings(max_examples=examples("EVOLUTION_EXAMPLES", 200), deadline=None)
+    @settings(max_examples=examples(200, 3000), deadline=None)
     @given(_periods())
     def test_report_matches_reference(self, periods):
         proxies, rows = periods

@@ -4,6 +4,7 @@ import logging
 import pickle
 import random
 import re
+import sys
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -89,20 +90,26 @@ class TestPublicationRecord:
 
 class TestRecords:
     @pytest.mark.parametrize(
-        "record",
-        [InteractionEvent(2, " A", "B", 3), PublicationRecord("P", 1, [" A", "B"])],
+        "record, labels",
+        [
+            # labels longer than one character: CPython shares one-character strings anyway
+            (InteractionEvent(2, " Ann", "Bob", 3), lambda r: (r.a, r.b)),
+            (PublicationRecord("P", 1, [" Ann", "Bob"]), lambda r: r.authors),
+        ],
         ids=["event", "publication"],
     )
-    def test_immutable(self, record):
+    def test_immutable(self, record, labels):
         for name in (fields(record)[0].name, "extra"):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, name, 1)
             with pytest.raises(FrozenInstanceError):
                 delattr(record, name)
         assert not hasattr(record, "__dict__")
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(record, protocol)) == record
-        assert copy.copy(record) == record == copy.deepcopy(record)
+        pickled = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in [*pickled, copy.copy(record), copy.deepcopy(record)]:
+            assert clone == record
+            # restored through the constructor, so its labels are interned
+            assert all(v is sys.intern(v) for v in labels(clone))
 
 
 class TestInternedLabels:
@@ -164,6 +171,27 @@ class TestSnapshotConstruction:
     def test_rejects_duplicate_edge_under_normalization(self):
         with pytest.raises(ValueError):
             GraphSnapshot("x", frozenset({"A", "B"}), {("A", "B"): 1, ("B", "A"): 2})
+
+    def test_trims_and_interns_labels(self):
+        s = GraphSnapshot("g", {" Ann", "Ann ", "Bob\t"}, {("Ann ", " Bob"): 2})
+        assert s.sorted_actors() == ["Ann", "Bob"]
+        assert s.edges == {("Ann", "Bob"): 2}
+        assert all(v is sys.intern(v) for v in s.sorted_actors())
+        assert s == GraphSnapshot.from_edge_list("g", [("Ann", "Bob", 2)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ({(" Ann", "Bob"): 1, ("Ann", "Bob "): 2}, "duplicate edge ('Ann', 'Bob')"),
+            ({(" Ann", "Ann"): 1}, "self-loop on actor 'Ann'"),
+            ({(" Ann", "Cy "): 1}, "edge endpoint not registered as actor: ('Ann', 'Cy')"),
+            ({("Ann", 7): 1}, "actor label 7 is not a string"),
+        ],
+        ids=["duplicate", "self-loop", "unregistered", "not-a-string"],
+    )
+    def test_endpoint_faults_after_trimming(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GraphSnapshot("g", {"Ann", " Bob"}, edges)
 
 
 class TestLibraryInputRules:
@@ -353,8 +381,9 @@ def _histories(draw):
     return evs, pubs, breakpoints
 
 
+@pytest.mark.long
 class TestBuildAgainstRescan:
-    @settings(max_examples=examples("FOLD_EXAMPLES", 200), deadline=None)
+    @settings(max_examples=examples(200, 3000), deadline=None)
     @given(_histories(), st.randoms(use_true_random=False))
     def test_matches_per_breakpoint_filter(self, history, rng):
         evs, pubs, breakpoints = history
@@ -402,8 +431,9 @@ def _assert_same_graph(folded, direct):
     assert repr(metrics_row(folded)) == repr(metrics_row(direct))
 
 
+@pytest.mark.long
 class TestFoldMatchesDirectBuild:
-    @settings(max_examples=examples("FOLD_EXAMPLES", 150), deadline=None)
+    @settings(max_examples=examples(150, 3000), deadline=None)
     @given(_weighted_edges())
     def test_random_graphs(self, graph):
         _assert_same_graph(*_fold_and_direct(*graph))

@@ -241,7 +241,8 @@ class TestRoundTrip:
         assert text == "time,a,b,weight\n1,A,B,2\n"
         assert "\r" not in text
 
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.long
+    @settings(max_examples=examples(200, 3000), deadline=None)
     @given(st.data())
     def test_written_events_parse_back_unchanged(self, data):
         # whole seconds: ISO 8601 text has no fractional offsets, and
@@ -657,11 +658,12 @@ def _assert_decoded_alike(text):
     assert _decoded(parse_publications_text, text) == _decoded(parse_publications_reference, text)
 
 
+@pytest.mark.long
 class TestDecoderMatchesReference:
     """`parse_publications_text` decodes each line once with the C scanner;
     the per-line `json.loads` decoder in oracles.py is the reference."""
 
-    @settings(max_examples=examples("INGEST_EXAMPLES", 200), deadline=None)
+    @settings(max_examples=examples(200, 3000), deadline=None)
     @given(_jsonl_texts())
     def test_random_texts(self, text):
         _assert_decoded_alike(text)
@@ -784,12 +786,13 @@ def _loaded_by_library(config, text):
     return snapshots, warnings
 
 
+@pytest.mark.long
 class TestLoadStreams:
     """`load_snapshots` streams records into the fold and keeps none; it
     must give what the library route gives: the same snapshots, the same
     warnings in order, or the same error."""
 
-    @settings(max_examples=examples("INGEST_EXAMPLES", 300), deadline=None)
+    @settings(max_examples=examples(300, 3000), deadline=None)
     @given(_load_inputs())
     def test_stream_and_library_route_agree(self, case):
         config, text = case

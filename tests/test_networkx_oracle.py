@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assortativity_regression
+from conftest import assortativity_regression, examples
 from netevolve import (
     GraphSnapshot,
     UndefinedMetricError,
@@ -116,7 +116,8 @@ def test_assortativity_regression_graph():
     _check_assortativity(s, row.assortativity)
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.long
+@settings(max_examples=examples(200, 3000), deadline=None)
 @given(linked_graphs())
 def test_python_pass_matches_networkx(s):
     _check_against_networkx(s)

@@ -10,10 +10,10 @@ dependencies as a dense N*64 array of (actor, source) slots. The kernel
 takes no options, so tests patch its module values `_BATCH` to run other
 batches and `_NUMPY_MIN_WORK` to send a snapshot's pass to either kernel.
 
-`EXACT_ORACLE_EXAMPLES` sets the number of hypothesis examples each exact
-oracle test draws (200 by default), the test of the betweenness sum on
-large team graphs (30 by default), and the property test of the numpy
-kernel against the reference (150 by default).
+The classes marked `long` hold the exact oracles, the betweenness sum on
+large team graphs and the property test of the numpy kernel against the
+reference; each `@settings` states its two hypothesis counts, tier-1 and
+`LONG_TESTS=1` (see conftest.py).
 """
 
 import hashlib
@@ -75,9 +75,6 @@ from oracles import (
 
 
 DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
-
-
-EXACT_EXAMPLES = examples("EXACT_ORACLE_EXAMPLES", 200)
 
 
 def _csr(s):
@@ -167,8 +164,9 @@ def _linked_except(n, isolated):
     return GraphSnapshot.from_edge_list("gaps", edges, extra_actors=[f"a{i:03d}" for i in range(n)])
 
 
+@pytest.mark.long
 class TestDenseKernel:
-    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 150), deadline=None)
+    @settings(max_examples=examples(150, 5000), deadline=None)
     @given(graphs(), st.sampled_from([1, 3, 7, 64]))
     def test_agrees_with_reference(self, s, batch):
         _assert_agree(_frontier_at(s, batch), _reference_pass(s._rows()))
@@ -254,10 +252,11 @@ def _assert_near_exact(got, exact, worst):
         assert abs(Fraction(got) - exact) <= 10 * worst * abs(exact)
 
 
+@pytest.mark.long
 class TestExactBrandes:
     """Both kernels against Brandes in exact rational arithmetic."""
 
-    @settings(max_examples=EXACT_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(200, 5000), deadline=None)
     @given(st.one_of(graphs(), teams()))
     def test_kernels_match_exact_scores(self, s):
         exact = brandes_exact(s)
@@ -293,6 +292,7 @@ class TestExactBrandes:
 BETWEENNESS_SUM_WORST = 2.8e-16
 
 
+@pytest.mark.long
 class TestBetweennessSum:
     """A shortest path of d steps passes d - 1 inner actors, so the raw
     scores sum to d - 1 over every ordered pair of actors joined by a path:
@@ -316,7 +316,7 @@ class TestBetweennessSum:
         for scores, reach, dist_sum, _ in (_reference_pass(s._rows()), _frontier_pass(*_csr(s))):
             self._assert_sum(scores, reach, dist_sum)
 
-    @settings(max_examples=examples("EXACT_ORACLE_EXAMPLES", 30), deadline=None)
+    @settings(max_examples=examples(30, 5000), deadline=None)
     @given(teams(most=80))
     def test_quotient_scores_sum_to_the_inner_actor_count(self, s):
         # up to 80 teams of six: 480 actors, passed as a quotient of at most
@@ -370,11 +370,12 @@ def _path_passes(s):
     return [*passes, _quotient_pass(s)]
 
 
+@pytest.mark.long
 class TestExactMeasures:
     """Clustering, closeness, distance, neighbour degree and assortativity
     against exact rational arithmetic."""
 
-    @settings(max_examples=EXACT_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(200, 5000), deadline=None)
     @given(st.one_of(graphs(), teams()))
     @example(path_graph(4))
     @example(star(5))

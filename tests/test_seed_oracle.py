@@ -21,8 +21,9 @@ rejected (`1_000` weights, NaN times):
   shortest paths between its end layers, so the numpy kernel hands that
   period to the Python pass.
 
-`SEED_ORACLE_CASES` sets the number of random inputs (17 by default); the
-three fixed ones always run.
+The module is marked `long`: it runs 17 random inputs, and 200 with
+`LONG_TESTS=1` (the `examples` call below; see conftest.py); the three
+fixed ones always run.
 
 Run from the repository root: PYTHONPATH=src python3 -m pytest -q
 tests/test_seed_oracle.py
@@ -38,14 +39,18 @@ from pathlib import Path
 
 import pytest
 
+from conftest import examples
+
 pytest.importorskip("scipy", reason="the seed imports scipy.stats")
+
+pytestmark = pytest.mark.long
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("perfbench_gate", ROOT / "perfbench" / "gate.py")
 gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
-RANDOM_CASES = int(os.environ.get("SEED_ORACLE_CASES", "17"))
+RANDOM_CASES = examples(17, 200)
 
 
 def _csv_log(rng):
