@@ -311,14 +311,16 @@ def classify_small_world(
     fit: Optional[PowerLawFit],
     thresholds: Optional[SmallWorldThresholds] = None,
 ) -> SmallWorldVerdict:
-    """Evaluate the four small-world flags for one period.
+    """Evaluate the four small-world flags for one period, with N actors, L
+    links and average degree k = 2L/N.
 
-    density_low: simple density below the cutoff. clustering_high: above the
-    absolute floor AND at least `clustering_random_factor` times the value a
-    random graph of the same density would show. diameter_small: within
-    `diameter_log_factor` * log(N)/log(average degree). scale_free: the fit
-    explains enough variance and has an exponent >= the floor. Undefined
-    inputs leave the affected flag (and the verdict) as None.
+    density_low: density_simple < density_max. clustering_high: clustering
+    >= clustering_min AND clustering >= clustering_random_factor *
+    density_simple, a multiple of the value a random graph of the same
+    density would show. diameter_small: diameter <= ceil(diameter_log_factor
+    * ln(N) / ln(max(k, 2))). scale_free: r_squared >= r_squared_min AND
+    exponent >= exponent_min. Undefined inputs leave the affected flag (and
+    the verdict) as None.
     """
     t = thresholds or SmallWorldThresholds()
     if row.density_simple is None:

@@ -1,19 +1,56 @@
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from netevolve import GraphSnapshot
+from netevolve import GraphSnapshot, cli
 from netevolve.generators import barabasi_albert, erdos_renyi, watts_strogatz
 
 
 LONG = bool(os.environ.get("LONG_TESTS"))  # on for any non-empty value
+ROOT = Path(__file__).resolve().parents[1]
+
+# the README's two bundled samples: each one's path from the repository root
+# and the slicing arguments of its `analyze` command
+SAMPLES = {
+    "disaster": (
+        "src/netevolve/data/disaster_events.csv",
+        [
+            "--breakpoints", "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00",
+            "--labels", "T1,T1-T2,T1-T3,T1-T4",
+        ],
+    ),
+    "coauthorship": ("src/netevolve/data/coauthorship_sample.jsonl", ["--kind", "publications", "--yearly"]),
+}
+DISASTER, COAUTHORS = (str(ROOT / path) for path, _ in SAMPLES.values())
 
 
 def examples(tier1: int, long: int) -> int:
     """The examples (or cases) a test draws: `long` when LONG_TESTS is on,
     as in CI's `LONG_TESTS=1 pytest -m long`, else `tier1`."""
     return long if LONG else tier1
+
+
+def sample_argv(name: str) -> list[str]:
+    """The README's `analyze` arguments for one sample, which is read by its
+    absolute path."""
+    path, args = SAMPLES[name]
+    return ["--input", str(ROOT / path), *args]
+
+
+def sample_config(name: str):
+    """The AnalysisConfig the README's `analyze` command builds for one sample."""
+    return cli._config_from_args(cli.build_parser().parse_args(["analyze", *sample_argv(name)]))
+
+
+def run_python(code: str, env=None) -> subprocess.CompletedProcess:
+    """Run `code` in a child interpreter that imports netevolve from where
+    this one does; `env` (default: this one's) gets that PYTHONPATH."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
 def star(n_leaves: int, label: str = "star") -> GraphSnapshot:

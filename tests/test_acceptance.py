@@ -9,12 +9,11 @@ import itertools
 import math
 import random
 import time
-from datetime import datetime
-from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from conftest import mixed_model_snapshot
+from conftest import mixed_model_snapshot, sample_config
 from netevolve import (
     GraphSnapshot,
     MetricsRow,
@@ -34,10 +33,8 @@ from netevolve import (
     static_attributes,
 )
 from netevolve.evolution import ProxyRow
-from netevolve.pipeline import AnalysisConfig, bundle_to_csv, bundle_to_json, run_analysis
+from netevolve.pipeline import bundle_to_csv, bundle_to_json, run_analysis
 from oracles import floyd_warshall_path_stats, pearson_brute, spearman_brute
-
-DISASTER = str(resources.files("netevolve") / "data" / "disaster_events.csv")
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -243,24 +240,9 @@ def test_criterion_8_correlation_routines():
 
 
 def test_criterion_9_determinism():
-    breakpoints = [
-        datetime.fromisoformat(b)
-        for b in (
-            "2009-02-07T11:50", "2009-02-07T13:05",
-            "2009-02-07T16:00", "2009-02-08T00:00",
-        )
-    ]
-    data = (resources.files("netevolve") / "data" / "disaster_events.csv").read_bytes()
-
-    def bundle():
-        config = AnalysisConfig(
-            input_path=DISASTER,
-            breakpoints=breakpoints,
-            labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
-        )
-        return run_analysis(config, data)
-
-    first, second = bundle(), bundle()
+    config = sample_config("disaster")
+    data = Path(config.input_path).read_bytes()
+    first, second = run_analysis(config, data), run_analysis(config, data)
     ok = (
         bundle_to_csv(first) == bundle_to_csv(second)
         and bundle_to_json(first) == bundle_to_json(second)

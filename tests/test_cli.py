@@ -2,16 +2,19 @@ import importlib.util
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from dataclasses import FrozenInstanceError, astuple, fields
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import netevolve.powerlaw
+from conftest import COAUTHORS, DISASTER, ROOT, SAMPLES, run_python, sample_argv, sample_config
 from netevolve.cli import main
 from netevolve.pipeline import (
     CSV_COLUMNS,
@@ -22,15 +25,11 @@ from netevolve.pipeline import (
     run_analysis,
 )
 from netevolve.evolution import SmallWorldThresholds
-from netevolve.generators import barabasi_albert
-from netevolve.graph_core import InteractionEvent
-from netevolve.ingest import write_edge_events_text
+from netevolve.generators import barabasi_albert, erdos_renyi, watts_strogatz
+from netevolve.ingest import parse_edge_events_text
 from oracles import proxies_by_recomputation
 
-DISASTER = str(resources.files("netevolve") / "data" / "disaster_events.csv")
-COAUTHORS = str(resources.files("netevolve") / "data" / "coauthorship_sample.jsonl")
-DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(*args, env=None):
@@ -74,54 +73,152 @@ def cr_only(data):
     return data.replace(b"\n", b"\r")
 
 
-DISASTER_ARGS = ["--breakpoints", DISASTER_BREAKPOINTS, "--labels", "T1,T1-T2,T1-T3,T1-T4"]
-COAUTHORS_ARGS = ["--kind", "publications", "--yearly"]
-# BA(800, 3) cut into 8 periods of about 300 links: up to 13 batches of 64
-# sources a period, whose widest levels find thousands of shortest-path DAG
-# edges from the sources' bits, which neither bundled sample reaches
-BA800 = ["--model", "ba", "-n", "800", "-m", "3", "--seed", "7"]
-BA800_ARGS = ["--breakpoints", "298,597,896,1196,1495,1794,2094,2393"]
+class Run(NamedTuple):
+    """One row of committed output. `input` is a bundled sample by its path
+    from the repository root, a (copy, sample) pair whose copy function
+    writes a changed copy of the sample, the arguments of a `generate` call
+    that writes the input, or None. Each command's arguments may name
+    "{input}" and "{out}", the run's output directory. `goldens` maps each
+    output, a file in "{out}" or "stdout" (all the commands' stdout), to the
+    golden in tests/golden it must equal byte for byte."""
 
-# every input whose analyze output is committed: its source (a bundled
-# sample, or `generate` arguments), the transform that copies a sample (None
-# reads the sample itself), its analyze arguments and the stem of its goldens.
-# The README's two samples come first; a transformed copy must give the
-# sample's report
-GOLDEN_INPUTS = {
-    "disaster": (DISASTER, None, DISASTER_ARGS, "disaster"),
-    "coauthorship": (COAUTHORS, None, COAUTHORS_ARGS, "coauthorship_yearly"),
-    "coauthorship-padded-crlf": (COAUTHORS, padded_records, COAUTHORS_ARGS, "coauthorship_yearly"),
-    "disaster-padded-crlf": (DISASTER, padded_labels, DISASTER_ARGS, "disaster"),
-    "disaster-cr": (DISASTER, cr_only, DISASTER_ARGS, "disaster"),
-    "ba800": (BA800, None, BA800_ARGS, "ba800_growth"),
-}
+    input: str | tuple | list | None
+    commands: list[list[str]]
+    goldens: dict[str, str]
 
 
-def golden_input(case, tmp_path):
-    """The analyze arguments and the golden stem of one GOLDEN_INPUTS case;
-    a copy or a generated graph is written under tmp_path first."""
-    source, transform, args, golden = GOLDEN_INPUTS[case]
-    path = tmp_path / f"{case}.input"
-    if isinstance(source, list):
-        assert main(["generate", *source, "--out", str(path)]) == 0
-    elif transform is None:
-        path = source
-    else:
-        path.write_bytes(transform(Path(source).read_bytes()))
-    return ["--input", str(path), *args], golden
-
-
-def sample_configs():
-    """The README's analyze settings for the two bundled samples."""
-    import datetime
-
-    disaster = AnalysisConfig(
-        input_path=DISASTER,
-        breakpoints=[datetime.datetime.fromisoformat(b) for b in DISASTER_BREAKPOINTS.split(",")],
-        labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
+def readme_commands(sample):
+    """The README's `analyze` command on a sample as a CSV table and as a
+    JSON bundle, and `report` on that bundle."""
+    path, args = SAMPLES[sample]
+    analyze = ["analyze", "--input", "{input}", *args]
+    return (
+        [*analyze, "--out", "{out}/table.csv"],
+        [*analyze, "--format", "json", "--out", "{out}/bundle.json"],
+        ["report", "--bundle", "{out}/bundle.json"],
     )
-    coauthors = AnalysisConfig(input_path=COAUTHORS, kind="publications", yearly=True)
-    return [disaster, coauthors]
+
+
+def sample_runs(sample, stem):
+    """The README's commands on a bundled sample, one row for each output:
+    the table, the bundle, and the report of that bundle."""
+    path = SAMPLES[sample][0]
+    table, bundle, report = readme_commands(sample)
+    return {
+        f"{sample}-table": Run(path, [table], {"table.csv": f"{stem}_report.csv"}),
+        f"{sample}-bundle": Run(path, [bundle], {"bundle.json": f"{stem}_bundle.json"}),
+        f"{sample}-report": Run(path, [bundle, report], {"stdout": f"{stem}_report.txt"}),
+    }
+
+
+def copy_run(sample, stem, copy):
+    """The README's commands on a copy of a sample. A copy's bundle names
+    the copy, so only its table and report are compared."""
+    return Run(
+        (copy, SAMPLES[sample][0]),
+        list(readme_commands(sample)),
+        {"table.csv": f"{stem}_report.csv", "stdout": f"{stem}_report.txt"},
+    )
+
+
+def generated(golden, *args):
+    """`generate` on 40 actors with seed 3, its edge-event CSV on stdout."""
+    return Run(None, [["generate", "-n", "40", "--seed", "3", *args]], {"stdout": golden})
+
+
+RUNS = {
+    **sample_runs("disaster", "disaster"),
+    **sample_runs("coauthorship", "coauthorship_yearly"),
+    "coauthorship-padded-crlf": copy_run("coauthorship", "coauthorship_yearly", padded_records),
+    "disaster-padded-crlf": copy_run("disaster", "disaster", padded_labels),
+    "disaster-cr": copy_run("disaster", "disaster", cr_only),
+    # BA(800, 3) cut into 8 periods of about 300 links: up to 13 batches of
+    # 64 sources a period, whose widest levels find thousands of
+    # shortest-path DAG edges from the sources' bits, which neither bundled
+    # sample reaches
+    "ba800": Run(
+        ["generate", "--model", "ba", "-n", "800", "-m", "3", "--seed", "7"],
+        [[
+            "analyze", "--input", "{input}", "--breakpoints", "298,597,896,1196,1495,1794,2094,2393",
+            "--out", "{out}/table.csv",
+        ]],
+        {"table.csv": "ba800_growth_report.csv"},
+    ),
+    "disaster-fit": Run(
+        SAMPLES["disaster"][0],
+        [["fit", "--input", "{input}", *SAMPLES["disaster"][1], "--out-prefix", "{out}/fit"]],
+        {
+            "stdout": "disaster_fit.txt",
+            **{
+                f"fit_{label}_{kind}.csv": f"disaster_fit_{label}_{kind}.csv"
+                for label in ("T1", "T1-T2", "T1-T3", "T1-T4")
+                for kind in ("points", "line")
+            },
+        },
+    ),
+    "generate-er": generated("generate_er.csv", "--model", "er", "--p", "0.1"),
+    "generate-ws-beta": generated("generate_ws_beta.csv", "--model", "ws", "--k", "4", "--beta", "0.2"),
+    "generate-ws": generated("generate_ws.csv", "--model", "ws", "--k", "4"),
+    "generate-ba": generated("generate_ba.csv", "--model", "ba", "-m", "2"),
+}
+# the library graph each `generate` row's golden must hold
+LIBRARY_GRAPHS = {
+    "generate-er": lambda: erdos_renyi(40, 0.1, 3),
+    "generate-ws-beta": lambda: watts_strogatz(40, 4, 0.2, 3),
+    "generate-ws": lambda: watts_strogatz(40, 4, 0.0, 3),
+    "generate-ba": lambda: barabasi_albert(40, 2, 3),
+}
+# the `netevolve` script pyproject.toml declares, as "module:function"
+SCRIPT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["netevolve"]
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_committed_output(run, tmp_path, monkeypatch, capsysbinary):
+    """Each row's commands, run in order through the declared `netevolve`
+    script from the repository root, write each output byte for byte as its
+    golden. A bundle names its input by the path the command gave, so the
+    samples' bundles name them as the README does."""
+    source, commands, goldens = RUNS[run]
+    script = pkgutil.resolve_name(SCRIPT)
+    monkeypatch.chdir(ROOT)
+
+    def netevolve(*argv):
+        monkeypatch.setattr(sys, "argv", ["netevolve", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            script()
+        assert exit_info.value.code == 0
+
+    path = tmp_path / "input"
+    if isinstance(source, list):
+        netevolve(*source, "--out", str(path))
+    elif isinstance(source, tuple):
+        copy, sample = source
+        path.write_bytes(copy((ROOT / sample).read_bytes()))
+    elif source is not None:
+        path = source
+    for argv in commands:
+        netevolve(*(arg.format(input=path, out=tmp_path) for arg in argv))
+    stdout = capsysbinary.readouterr().out
+    for output, golden in goldens.items():
+        got = stdout if output == "stdout" else (tmp_path / output).read_bytes()
+        assert got == (GOLDEN / golden).read_bytes(), golden
+
+
+@pytest.mark.parametrize("run", LIBRARY_GRAPHS)
+def test_generated_goldens_hold_the_library_graphs(run):
+    """A `generate` golden holds exactly the library generator's links, so
+    it cannot freeze a wrong graph."""
+    events, warnings = parse_edge_events_text((GOLDEN / RUNS[run].goldens["stdout"]).read_text())
+    assert warnings == []
+    edges = LIBRARY_GRAPHS[run]().edges
+    assert len(events) == len(edges)
+    assert {(e.a, e.b): e.weight for e in events} == edges
+
+
+def sample_bundle(name):
+    """The bundle of the README's `analyze` command on one sample."""
+    config = sample_config(name)
+    return run_analysis(config, Path(config.input_path).read_bytes())
 
 
 def count_fits(monkeypatch):
@@ -143,16 +240,7 @@ def count_fits(monkeypatch):
 class TestAnalyze:
     def test_disaster_sample_csv_layout(self, tmp_path):
         out = tmp_path / "report.csv"
-        code = main(
-            [
-                "analyze",
-                "--input", DISASTER,
-                "--breakpoints", DISASTER_BREAKPOINTS,
-                "--labels", "T1,T1-T2,T1-T3,T1-T4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+        assert main(["analyze", *sample_argv("disaster"), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5
         header = lines[0].split(",")
@@ -170,16 +258,7 @@ class TestAnalyze:
 
     def test_yearly_publications(self, tmp_path):
         out = tmp_path / "report.csv"
-        code = main(
-            [
-                "analyze",
-                "--input", COAUTHORS,
-                "--kind", "publications",
-                "--yearly",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+        assert main(["analyze", *sample_argv("coauthorship"), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         labels = [line.split(",")[0] for line in lines[1:]]
         assert labels == [str(year) for year in range(2001, 2011)]
@@ -196,26 +275,8 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2020", "2021"]
 
-    @pytest.mark.parametrize("case", ["disaster", "coauthorship", "ba800"])
-    def test_readme_samples_match_committed_tables(self, tmp_path, case):
-        args, golden = golden_input(case, tmp_path)
-        out = tmp_path / "report.csv"
-        assert main(["analyze", *args, "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"{golden}_report.csv").read_bytes()
-
-    @pytest.mark.parametrize("case", ["disaster", "coauthorship"])
-    def test_readme_samples_match_committed_bundles(self, tmp_path, case):
-        # the goldens hold the README commands run from the repository root,
-        # with --input src/netevolve/data/<sample>; no other byte may differ
-        args, golden = golden_input(case, tmp_path)
-        out = tmp_path / "bundle.json"
-        assert main(["analyze", *args, "--format", "json", "--out", str(out)]) == 0
-        readme_path = f"src/netevolve/data/{Path(args[1]).name}"
-        bundle = out.read_text().replace(json.dumps(args[1]), json.dumps(readme_path), 1)
-        assert bundle == (GOLDEN / f"{golden}_bundle.json").read_text()
-
     def test_make_samples_reproduces_the_bundled_data(self, tmp_path, monkeypatch):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "make_samples.py"
+        script = ROOT / "scripts" / "make_samples.py"
         spec = importlib.util.spec_from_file_location("make_samples", script)
         make_samples = importlib.util.module_from_spec(spec)
         monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
@@ -226,8 +287,9 @@ class TestAnalyze:
         for name in ("disaster_events.csv", "coauthorship_sample.jsonl"):
             assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
 
-    @pytest.mark.parametrize("config", sample_configs(), ids=["disaster", "coauthorship"])
-    def test_proxies_match_per_snapshot_recomputation(self, config):
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_proxies_match_per_snapshot_recomputation(self, sample):
+        config = sample_config(sample)
         data = Path(config.input_path).read_bytes()
         snapshots, _ = load_snapshots(config, data)
         proxies = run_analysis(config, data).proxies
@@ -235,23 +297,13 @@ class TestAnalyze:
 
     def test_fit_powerlaw_runs_once_per_period(self, monkeypatch):
         calls = count_fits(monkeypatch)
-        config = sample_configs()[1]
-        bundle = run_analysis(config, Path(config.input_path).read_bytes())
+        bundle = sample_bundle("coauthorship")
         assert len(bundle.rows) == 10
         assert len(calls) == len(bundle.rows)
 
     def test_json_output_has_provenance_digest(self, tmp_path):
         out = tmp_path / "report.json"
-        code = main(
-            [
-                "analyze",
-                "--input", DISASTER,
-                "--breakpoints", DISASTER_BREAKPOINTS,
-                "--format", "json",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+        assert main(["analyze", *sample_argv("disaster"), "--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["provenance"]["input_digest"]) == 64
         assert len(payload["rows"]) == 4
@@ -325,8 +377,7 @@ class TestFit:
 
     def test_fits_each_histogram_once(self, tmp_path, monkeypatch):
         calls = count_fits(monkeypatch)
-        args = ["fit", "--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS]
-        assert main([*args, "--out-prefix", str(tmp_path / "fit")]) == 0
+        assert main(["fit", *sample_argv("disaster"), "--out-prefix", str(tmp_path / "fit")]) == 0
         assert len(calls) == 4
 
     def test_label_with_path_separator_is_config_error(self, tmp_path, capsys):
@@ -351,36 +402,15 @@ class TestFit:
 class TestReport:
     def test_renders_saved_bundle(self, tmp_path):
         bundle_path = tmp_path / "bundle.json"
-        main(
-            [
-                "analyze",
-                "--input", DISASTER,
-                "--breakpoints", DISASTER_BREAKPOINTS,
-                "--format", "json",
-                "--out", str(bundle_path),
-            ]
-        )
+        main(["analyze", *sample_argv("disaster"), "--format", "json", "--out", str(bundle_path)])
         out = tmp_path / "report.txt"
         assert main(["report", "--bundle", str(bundle_path), "--out", str(out)]) == 0
         text = out.read_text()
         assert "ranked_drivers:" in text
         assert "static[clustering]" in text
 
-    @pytest.mark.parametrize(
-        "case",
-        ["disaster", "coauthorship", "coauthorship-padded-crlf", "disaster-padded-crlf", "disaster-cr"],
-    )
-    def test_readme_samples_match_committed_reports(self, tmp_path, case):
-        args, golden = golden_input(case, tmp_path)
-        bundle_path = tmp_path / "bundle.json"
-        assert main(["analyze", *args, "--format", "json", "--out", str(bundle_path)]) == 0
-        out = tmp_path / "report.txt"
-        assert main(["report", "--bundle", str(bundle_path), "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"{golden}_report.txt").read_bytes()
-
     def test_row_without_clustering_is_parse_error(self, tmp_path, capsys):
-        config = sample_configs()[0]
-        bundle = json.loads(bundle_to_json(run_analysis(config, Path(DISASTER).read_bytes())))
+        bundle = json.loads(bundle_to_json(sample_bundle("disaster")))
         del bundle["rows"][0]["clustering"]
         bundle_path = tmp_path / "bundle.json"
         bundle_path.write_text(json.dumps(bundle))
@@ -399,8 +429,7 @@ class TestReport:
         ],
     )
     def test_unequal_period_lists_are_parse_error(self, tmp_path, capsys, field, reason):
-        config = sample_configs()[0]
-        bundle = json.loads(bundle_to_json(run_analysis(config, Path(DISASTER).read_bytes())))
+        bundle = json.loads(bundle_to_json(sample_bundle("disaster")))
         del bundle[field][-1]
         bundle_path = tmp_path / "bundle.json"
         bundle_path.write_text(json.dumps(bundle))
@@ -414,8 +443,7 @@ class TestReport:
 
     @pytest.mark.parametrize("separator", ["\t", "\r", "\n"])
     def test_label_with_a_table_separator_is_parse_error(self, tmp_path, capsys, separator):
-        config = sample_configs()[0]
-        bundle = json.loads(bundle_to_json(run_analysis(config, Path(DISASTER).read_bytes())))
+        bundle = json.loads(bundle_to_json(sample_bundle("disaster")))
         bundle["rows"][0]["label"] = f"a{separator}b"
         bundle_path = tmp_path / "bundle.json"
         bundle_path.write_text(json.dumps(bundle))
@@ -453,8 +481,8 @@ class TestReport:
 
     def test_reads_bundle_from_stdin(self, tmp_path, monkeypatch, capsys):
         bundle_path = tmp_path / "bundle.json"
-        args = ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS, "--format", "json"]
-        assert main(["analyze", *args, "--out", str(bundle_path)]) == 0
+        args = ["analyze", *sample_argv("disaster"), "--format", "json", "--out", str(bundle_path)]
+        assert main(args) == 0
         assert main(["report", "--bundle", str(bundle_path)]) == 0
         from_file = capsys.readouterr().out
         stdin = io.TextIOWrapper(io.BytesIO(bundle_path.read_bytes()))
@@ -829,36 +857,17 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def _bundle(self):
-        import datetime
-
-        config = AnalysisConfig(
-            input_path=DISASTER,
-            breakpoints=[
-                datetime.datetime.fromisoformat(b) for b in DISASTER_BREAKPOINTS.split(",")
-            ],
-            labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
-        )
-        return run_analysis(config, Path(DISASTER).read_bytes())
-
     def test_repeat_runs_byte_identical(self):
-        a, b = self._bundle(), self._bundle()
+        a, b = sample_bundle("disaster"), sample_bundle("disaster")
         assert bundle_to_csv(a) == bundle_to_csv(b)
         assert bundle_to_json(a) == bundle_to_json(b)
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["--input", DISASTER, "--breakpoints", DISASTER_BREAKPOINTS],
-            ["--input", COAUTHORS, "--kind", "publications", "--yearly"],
-        ],
-        ids=["disaster", "coauthorship"],
-    )
-    def test_bytes_identical_across_hash_seeds(self, args):
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_bytes_identical_across_hash_seeds(self, sample):
         outputs = []
         for seed in ("0", "1"):
             result = run_cli(
-                "analyze", *args, "--format", "json",
+                "analyze", *sample_argv(sample), "--format", "json",
                 env={**os.environ, "PYTHONHASHSEED": seed},
             )
             assert result.returncode == 0, result.stderr
@@ -971,10 +980,8 @@ def test_analyze_starts_no_blas_threads(tmp_path, exported, threads):
     the numpy kernel."""
     if len(os.sched_getaffinity(0)) < threads:
         pytest.skip(f"OpenBLAS starts at most one thread per CPU, and {threads} are needed")
-    s = barabasi_albert(300, 3, 2)
-    events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(sorted(s.edges.items()))]
     data = tmp_path / "ba.csv"
-    data.write_text(write_edge_events_text(events))
+    assert main(["generate", "--model", "ba", "-n", "300", "-m", "3", "--seed", "2", "--out", str(data)]) == 0
     argv = ["analyze", "--input", str(data), "--out", str(tmp_path / "out.csv")]
     code = (
         "import os, sys\n"
@@ -988,6 +995,5 @@ def test_analyze_starts_no_blas_threads(tmp_path, exported, threads):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if exported is not None:
         env["OPENBLAS_NUM_THREADS"] = exported
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = run_python(code, env)
     assert result.stdout == f"0 {exported} True {threads}\n", result.stderr

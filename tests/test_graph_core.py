@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples, random_snapshot
+from conftest import examples, random_snapshot, sample_config
 from oracles import cumulative_snapshots_brute
 from netevolve import (
-    AnalysisConfig,
     GraphSnapshot,
     InteractionEvent,
     PublicationRecord,
@@ -28,8 +27,6 @@ from netevolve import (
 )
 from netevolve.generators import barabasi_albert
 from netevolve.metrics import _all_sources
-
-DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
 
 
 def events(*triples):
@@ -457,18 +454,9 @@ class TestDisasterSample:
 
     @pytest.fixture
     def disaster_snapshots(self):
-        import importlib.resources as resources
-
-        path = resources.files("netevolve") / "data" / "disaster_events.csv"
-        config = AnalysisConfig(
-            input_path=str(path),
-            breakpoints=[
-                __import__("datetime").datetime.fromisoformat(b)
-                for b in DISASTER_BREAKPOINTS.split(",")
-            ],
-            labels=["T1", "T1-T2", "T1-T3", "T1-T4"],
-        )
-        snapshots, warnings = load_snapshots(config, path.read_bytes())
+        config = sample_config("disaster")
+        with open(config.input_path, "rb") as handle:
+            snapshots, warnings = load_snapshots(config, handle.read())
         assert not warnings
         return snapshots
 

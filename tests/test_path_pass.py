@@ -19,21 +19,17 @@ reference; each `@settings` states its two hypothesis counts, tier-1 and
 import hashlib
 import json
 import math
-import os
 import random
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assortativity_regression, complete, examples, path_graph, star
+from conftest import assortativity_regression, complete, examples, path_graph, run_python, sample_argv, star
 from netevolve import (
     GraphSnapshot,
     UndefinedMetricError,
@@ -50,8 +46,7 @@ from netevolve import (
     transitivity,
 )
 from netevolve.generators import barabasi_albert, erdos_renyi, watts_strogatz
-from netevolve.graph_core import InteractionEvent, _giant
-from netevolve.ingest import write_edge_events_text
+from netevolve.graph_core import _giant
 from netevolve.metrics import (
     _all_sources,
     _betweenness,
@@ -72,9 +67,6 @@ from oracles import (
     mean_distance_exact,
     neighbor_degree_exact,
 )
-
-
-DISASTER_BREAKPOINTS = "2009-02-07T11:50,2009-02-07T13:05,2009-02-07T16:00,2009-02-08T00:00"
 
 
 def _csr(s):
@@ -575,10 +567,8 @@ class TestKernelChoice:
 def test_analyze_runs_without_scipy(tmp_path):
     """`analyze` on a graph that takes the numpy kernel never imports scipy:
     with `sys.modules["scipy"] = None`, any attempt would raise ImportError."""
-    s = barabasi_albert(200, 3, 2)
-    events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(sorted(s.edges.items()))]
     data = tmp_path / "ba.csv"
-    data.write_text(write_edge_events_text(events))
+    assert cli.main(["generate", "--model", "ba", "-n", "200", "-m", "3", "--seed", "2", "--out", str(data)]) == 0
     argv = ["analyze", "--input", str(data), "--out", str(tmp_path / "out.csv")]
     code = (
         "import sys\n"
@@ -587,11 +577,8 @@ def test_analyze_runs_without_scipy(tmp_path):
         f"status = cli.main({argv!r})\n"
         "print(status, 'numpy' in sys.modules, [m for m in sys.modules if m.startswith('scipy.')])\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout == "0 True []\n"
+    result = run_python(code)
+    assert result.stdout == "0 True []\n", result.stderr
     assert (tmp_path / "out.csv").read_text().count("\n") == 2
 
 
@@ -651,10 +638,8 @@ def test_small_analyze_never_imports_numpy(tmp_path):
     """A snapshot whose pass has N*L below 50,000 stays in Python, as all of
     these, with 63 actors, do: with `sys.modules["numpy"] = None`, any
     attempt to import numpy would raise ImportError."""
-    s = barabasi_albert(63, 2, 4)
-    events = [InteractionEvent(i, a, b, w) for i, ((a, b), w) in enumerate(s.edges.items())]
     data = tmp_path / "small.csv"
-    data.write_text(write_edge_events_text(events))
+    assert cli.main(["generate", "--model", "ba", "-n", "63", "-m", "2", "--seed", "4", "--out", str(data)]) == 0
     argv = ["analyze", "--input", str(data), "--breakpoints", "40,200", "--format", "json"]
     code = (
         "import sys\n"
@@ -662,8 +647,7 @@ def test_small_analyze_never_imports_numpy(tmp_path):
         "from netevolve import cli\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert '"n_actors": 63' in result.stdout
 
@@ -695,10 +679,8 @@ def test_paper_scale_runs_never_import_numpy(tmp_path):
     hand writes."""
     corpus = tmp_path / "teams.jsonl"
     corpus.write_text(_team_corpus(24))
-    disaster = str(resources.files("netevolve") / "data" / "disaster_events.csv")
     calls = [
-        ["analyze", "--input", disaster, "--breakpoints", DISASTER_BREAKPOINTS,
-         "--labels", "T1,T1-T2,T1-T3,T1-T4", "--format", "csv"],
+        ["analyze", *sample_argv("disaster"), "--format", "csv"],
         ["analyze", "--input", str(corpus), "--kind", "publications", "--yearly",
          "--format", "json"],
     ]
@@ -709,8 +691,7 @@ def test_paper_scale_runs_never_import_numpy(tmp_path):
         "from netevolve import cli\n"
         f"print([cli.main(argv) for argv in {blocked!r}])\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = run_python(code)
     assert result.stdout == "[0, 0]\n", result.stderr
     for i, argv in enumerate(calls):
         assert cli.main([*argv, "--out", str(tmp_path / f"normal{i}")]) == 0
