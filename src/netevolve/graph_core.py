@@ -15,7 +15,6 @@ reduction) is independent of the order events arrived in.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from array import array
@@ -27,8 +26,6 @@ from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 Timestamp = Union[datetime, int, float]
-
-logger = logging.getLogger(__name__)
 
 
 def _time_category(t: Timestamp) -> str:
@@ -346,7 +343,10 @@ def build_cumulative_snapshots(
     def groups():
         for ev in events:
             if ev.a == ev.b:
-                logger.warning("dropping self-loop interaction on %r at %s", ev.a, ev.time)
+                import logging  # only this warning logs, so the CLI never imports it
+                logging.getLogger(__name__).warning(
+                    "dropping self-loop interaction on %r at %s", ev.a, ev.time
+                )
             else:
                 yield ev.time, (ev.a, ev.b), ev.weight
         for pub in publications:
@@ -354,6 +354,8 @@ def build_cumulative_snapshots(
 
     store = _Interactions()
     store.add(groups())
+    # no decoder checked these times, and the store reads only one of them
+    _check_times(chain(breakpoints, store.times), "event times and breakpoints")
     return store.snapshots(breakpoints, labels)
 
 
@@ -388,9 +390,11 @@ class _Interactions:
     def snapshots(self, breakpoints: Sequence[Timestamp], labels: Sequence[str]) -> list[GraphSnapshot]:
         """One cumulative snapshot per breakpoint, as in
         `build_cumulative_snapshots`, whose checks of breakpoints and labels
-        the caller has made."""
+        the caller has made. Every time added must be finite and of one kind,
+        as the decoders and `build_cumulative_snapshots` check, so one stored
+        time stands for them all against the breakpoints."""
         times, weights, members, offsets = self.times, self.weights, self.members, self.offsets
-        _check_times(chain(breakpoints, times), "event times and breakpoints")
+        _check_times(chain(breakpoints, times[:1]), "event times and breakpoints")
 
         # first-seen ids, which each snapshot ranks by label; links are keyed
         # by id pairs (i, j), i < j. Each label is interned once, so it is one

@@ -89,12 +89,16 @@ class ReportBundle:
 
 def _yearly_breakpoints(times: Sequence[Timestamp]) -> tuple[list[Timestamp], list[str]]:
     """Year-end breakpoints for every calendar year the times span; years of
-    offset-aware times are UTC years."""
-    if not all(isinstance(t, datetime) for t in times):
+    offset-aware times are UTC years, which must lie in 1-9999. The times
+    must be of one kind, as the decoders check, so the first names it."""
+    if not isinstance(times[0], datetime):
         raise ValueError("--yearly requires date-typed event times")
     tz = timezone.utc if times[0].tzinfo is not None else None
-    years = {(t if tz is None else t.astimezone(tz)).year for t in times}
-    span = range(min(years), max(years) + 1)
+    try:
+        first, last = (t if tz is None else t.astimezone(tz) for t in (min(times), max(times)))
+    except OverflowError:
+        raise ValueError("--yearly requires dates within UTC years 1 to 9999") from None
+    span = range(first.year, last.year + 1)
     breakpoints = [datetime(y, 12, 31, 23, 59, 59, 999999, tzinfo=tz) for y in span]
     return breakpoints, [str(y) for y in span]
 

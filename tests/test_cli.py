@@ -264,16 +264,21 @@ class TestAnalyze:
         assert labels == [str(year) for year in range(2001, 2011)]
 
     def test_yearly_offset_aware_dates_use_utc_years(self, tmp_path):
+        # p3 falls in 2019 and p4 in 2022 as UTC instants, though not as
+        # local dates
         source = tmp_path / "pubs.jsonl"
         source.write_text(
             '{"pub_id": "p1", "date": "2020-06-01T00:00+00:00", "authors": ["A", "B"]}\n'
             '{"pub_id": "p2", "date": "2021-06-01T00:00+00:00", "authors": ["B", "C"]}\n'
+            '{"pub_id": "p3", "date": "2020-01-01T01:00+03:00", "authors": ["C", "D"]}\n'
+            '{"pub_id": "p4", "date": "2021-12-31T22:00-05:00", "authors": ["D", "E"]}\n'
         )
         out = tmp_path / "report.csv"
         args = ["analyze", "--input", str(source), "--kind", "publications", "--yearly"]
         assert main([*args, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert [line.split(",")[0] for line in lines[1:]] == ["2020", "2021"]
+        rows = [line.split(",")[:3] for line in lines[1:]]
+        assert rows == [["2019", "2", "1"], ["2020", "4", "2"], ["2021", "4", "3"], ["2022", "5", "4"]]
 
     def test_make_samples_reproduces_the_bundled_data(self, tmp_path, monkeypatch):
         script = ROOT / "scripts" / "make_samples.py"
@@ -602,6 +607,9 @@ FAULT_INPUTS = {
     "pair.csv": b"time,a,b\n1,A,B\n",
     "triangle.csv": b"time,a,b\n1,A,B\n2,B,C\n3,C,A\n",
     "solo.jsonl": b'{"pub_id": "P1", "date": "2005-01-01", "authors": ["A"]}\n',
+    # UTC instants in year 0 and year 10000
+    "utc-year-0.jsonl": b'{"pub_id":"p1","date":"0001-01-01T00:30+01:00","authors":["A","B"]}\n',
+    "utc-year-10000.jsonl": b'{"pub_id":"p1","date":"9999-12-31T23:30-01:00","authors":["A","B"]}\n',
     "object.json": b"{}",
     "list.json": b"[1, 2]",
     "text.json": b"not json",
@@ -648,6 +656,18 @@ FAULT_CONTRACT = [
     pytest.param(
         "analyze", ["--input", "pair.csv", "--yearly"], 2, "ingest", id="analyze-yearly-numeric"
     ),
+    pytest.param(
+        "analyze", ["--input", DISASTER, "--breakpoints", "5"], 2, "ingest",
+        id="analyze-breakpoints-of-another-kind",
+    ),
+] + [
+    pytest.param(
+        command, ["--input", source, "--kind", "publications", "--yearly"], 2, "ingest",
+        id=f"{command}-yearly-{source.removesuffix('.jsonl')}",
+    )
+    for source in ("utc-year-0.jsonl", "utc-year-10000.jsonl")
+    for command in ("analyze", "fit")
+] + [
     pytest.param(
         "analyze", ["--input", "solo.jsonl", "--kind", "publications"], 4, "metrics",
         id="analyze-single-author",
@@ -760,6 +780,30 @@ class TestExitCodes:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (
+                ["--input", DISASTER, "--breakpoints", "5"],
+                "event times and breakpoints mix naive date and numeric times",
+            ),
+            (["--input", "pair.csv", "--yearly"], "--yearly requires date-typed event times"),
+            (
+                ["--input", "utc-year-10000.jsonl", "--kind", "publications", "--yearly"],
+                "--yearly requires dates within UTC years 1 to 9999",
+            ),
+        ],
+        ids=["breakpoints-of-another-kind", "yearly-numeric", "yearly-utc-year-10000"],
+    )
+    def test_slicing_faults_name_the_times(self, tmp_path, monkeypatch, capsys, args, error):
+        """Periods that the event times cannot be sliced into are found once
+        the input is read, and the error says why."""
+        for name, data in FAULT_INPUTS.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", *args]) == 2
+        assert json.loads(capsys.readouterr().err) == {"stage": "ingest", "error": error}
 
     def test_degenerate_snapshot_is_analysis_error(self, tmp_path, capsys):
         source = tmp_path / "tiny.csv"

@@ -1,14 +1,12 @@
 import math
 import random
-import subprocess
-import sys
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, examples, star
+from conftest import complete, examples, run_python, star
 from netevolve import (
     GraphSnapshot,
     InsufficientDataError,
@@ -206,12 +204,10 @@ class TestNormaltestPvalue:
         with pytest.raises(ValueError):
             _normaltest_pvalue([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 
-    def test_import_loads_neither_numpy_nor_scipy(self):
-        code = "import sys, netevolve.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
+    def test_import_loads_neither_numpy_nor_scipy_nor_logging(self):
+        code = "import sys, netevolve.cli; print(sorted({'numpy', 'scipy', 'logging'} & set(sys.modules)))"
+        result = run_python(code)
+        assert result.stdout == "[]\n", result.stderr
 
 
 def proxies_of(snapshots):
