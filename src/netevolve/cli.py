@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .errors import InsufficientDataError, ParseError, PipelineError, UndefinedMetricError
 from .evolution import SmallWorldThresholds
@@ -87,11 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as handle:
-        return handle.read()
+def _open_input(path: str):
+    """The input as a binary stream for a `with`: the file, or stdin's for
+    `-`, which the `with` leaves open."""
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -128,7 +128,8 @@ def _cmd_analyze(args) -> int:
         exponent_min=args.sw_exponent_min,
     )
     config = _config_from_args(args, rel_tolerance=args.rel_tolerance, thresholds=thresholds)
-    bundle = run_analysis(config, _read_input(args.input))
+    with _open_input(args.input) as stream:
+        bundle = run_analysis(config, stream)
     text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
     _write_output(args.out, text)
     return EXIT_OK
@@ -160,7 +161,8 @@ def _cmd_fit(args) -> int:
     for label in config.labels or ():
         if any(sep and sep in label for sep in (os.sep, os.altsep)):
             raise ValueError(f"fit label {label!r} must not contain a path separator")
-    snapshots, _ = load_snapshots(config, _read_input(args.input))
+    with _open_input(args.input) as stream:
+        snapshots, _ = load_snapshots(config, stream)
     hists = [degree_histogram(snapshot) for snapshot in snapshots]
     fits = [fit_powerlaw(hist) for hist in hists]  # all before any output, so a fault leaves none
     for snapshot, hist, fit in zip(snapshots, hists, fits):
@@ -175,7 +177,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = _read_input(args.bundle)
+    with _open_input(args.bundle) as stream:
+        data = stream.read()
     try:
         text = _render_report(json.loads(data.decode("utf-8"), object_hook=_Fields))
     except UnicodeDecodeError as exc:
@@ -231,7 +234,6 @@ def _emit_error(stage: str, message: str) -> None:
 # exiting 4 when no row matches; any other exception propagates.
 _FAULTS = (
     (ParseError, "parse", EXIT_PARSE),
-    (UnicodeDecodeError, "parse", EXIT_PARSE),
     (OSError, "io", EXIT_PARSE),
     (UndefinedMetricError, "analysis", EXIT_ANALYSIS),
     (InsufficientDataError, "analysis", EXIT_ANALYSIS),

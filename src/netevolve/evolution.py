@@ -174,7 +174,8 @@ def _normaltest_pvalue(x: Sequence[float]) -> float:
         raise ValueError("the normality test needs at least 8 observations")
     mean = math.fsum(x) / n
     m2, m3, m4 = (math.fsum((v - mean) ** k for v in x) / n for k in (2, 3, 4))
-    if m2 <= (sys.float_info.epsilon * mean) ** 2:
+    # a spread whose square underflows is none: m2**1.5 and m2 * m2 divide below
+    if m2 <= (sys.float_info.epsilon * mean) ** 2 or m2 * m2 == 0.0:
         return math.nan
     # skewness z-score
     y = m3 / m2**1.5 * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2)))

@@ -1,9 +1,11 @@
 """Parsing of decoded edge-event CSV and publication JSON Lines text.
 
-Each format has one decoder, a stream that hands on each record as its line
-is read, as a (time, actor labels, weight) group: `pipeline.load_snapshots`
-folds the groups as it reads, and `parse_edge_events_text` and
-`parse_publications_text` build a record of each and collect them in a list.
+Each format has one decoder, a stream that reads its text as an iterable
+of chunks and hands on each record as its line is read, as a (time, actor
+labels, weight) group: `pipeline.load_snapshots` feeds it the chunks it
+decodes from the input and folds the groups as it reads, and
+`parse_edge_events_text` and `parse_publications_text` feed it one text and
+build a record of each group.
 
 Edge events use a `time,a,b,weight` CSV (weight optional, default 1).
 Publications are one JSON object per line: {"pub_id", "date", "authors"}.
@@ -43,7 +45,7 @@ _MAX_BAD_FRACTION = 0.10
 # where an unbounded cache grew to 12.8 MB and saved no parse.
 _CACHED_TIMES = 1024
 # Characters the line readers split at a time, so no copy or list of lines
-# spans the whole text.
+# spans a long text.
 _BLOCK = 65536
 
 
@@ -121,35 +123,52 @@ def _decode_event(row: list[str], parse_time) -> tuple[Timestamp, tuple[str, str
     return time, (a, b), weight
 
 
-_LINE_END = re.compile("\r\n?|\n")
+def _pieces(chunks: Iterable[str]):
+    """The text of `chunks`, each cut into pieces of at most _BLOCK
+    characters, so that no copy of a piece is wider than a block."""
+    for chunk in chunks:
+        for start in range(0, len(chunk), _BLOCK):
+            yield chunk[start : start + _BLOCK]
 
 
-def _lines(text: str):
-    """The lines of `text` with their ends (LF, CRLF or a bare CR) as
-    `io.StringIO(text, newline="")` reads them, read a block at a time so
-    that its wide copy is of one block, not of the text."""
-    start = 0
-    while end := _LINE_END.search(text, start + _BLOCK):  # a block ends at a line end
-        yield from io.StringIO(text[start : end.end()], newline="")
-        start = end.end()
-    yield from io.StringIO(text[start:], newline="")
+def _lines(chunks: Iterable[str]):
+    """The lines of the text of `chunks`, with their ends (LF, CRLF or a
+    bare CR), as `io.StringIO(text, newline="")` reads them; a line split
+    across chunks is joined, and a CR that ends a piece waits for the next
+    to show whether an LF follows it."""
+    rest: list[str] = []  # a line that no piece has ended yet
+    for piece in _pieces(chunks):
+        if "\n" not in piece and piece.find("\r", 0, len(piece) - 1) < 0:
+            rest.append(piece)
+            continue
+        *lines, last = io.StringIO("".join(rest) + piece, newline="")
+        yield from lines
+        if last.endswith("\n"):
+            yield last
+            last = ""
+        rest = [last]
+    yield from io.StringIO("".join(rest), newline="")
 
 
-def _lf_lines(text: str):
-    """The pieces of `text.split("\\n")`, split a block at a time."""
-    start = 0
-    while (cut := text.find("\n", start + _BLOCK)) >= 0:
-        yield from text[start:cut].split("\n")
-        start = cut + 1
-    yield from text[start:].split("\n")
+def _lf_lines(chunks: Iterable[str]):
+    """The pieces of `"".join(chunks).split("\\n")`, split a piece at a time."""
+    rest: list[str] = []  # a line that no piece has ended yet
+    for piece in _pieces(chunks):
+        *lines, last = piece.split("\n")
+        if lines:
+            lines[0] = "".join(rest) + lines[0]
+            rest = []
+            yield from lines
+        rest.append(last)
+    yield "".join(rest)
 
 
-def _edge_events(text: str, source: str, warnings: list[str]):
+def _edge_events(chunks: Iterable[str], source: str, warnings: list[str]):
     """The stream behind `parse_edge_events_text`: an iterator of the
-    events as (time, (a, b), weight), each decoded as its row is read, that
-    appends each warning to `warnings`. The header is read and checked on
-    the call."""
-    reader = csv.reader(_lines(text))
+    events of the text of `chunks` as (time, (a, b), weight), each decoded
+    as its row is read, that appends each warning to `warnings`. The header
+    is read and checked on the call."""
+    reader = csv.reader(_lines(chunks))
 
     def rows():
         """Each row that is not blank, with its line number, as it is read."""
@@ -177,7 +196,7 @@ def parse_edge_events_text(
     end in LF, CRLF or CR. Warnings cite physical line numbers, blank lines
     included."""
     warnings: list[str] = []
-    events = [InteractionEvent(t, a, b, w) for t, (a, b), w in _edge_events(text, source, warnings)]
+    events = [InteractionEvent(t, a, b, w) for t, (a, b), w in _edge_events((text,), source, warnings)]
     return events, warnings
 
 
@@ -215,10 +234,10 @@ def _json_text(value, field: str) -> str:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _publications(text: str, source: str, warnings: list[str]):
+def _publications(chunks: Iterable[str], source: str, warnings: list[str]):
     """The stream behind `parse_publications_text`: an iterator of the
-    records as (date, author names, 1, pub_id), each decoded as it is read,
-    that appends each warning to `warnings`."""
+    records of the text of `chunks` as (date, author names, 1, pub_id), each
+    decoded as it is read, that appends each warning to `warnings`."""
     seen_ids: set[str] = set()
     parse_time = lru_cache(_CACHED_TIMES)(parse_timestamp)
 
@@ -255,7 +274,7 @@ def _publications(text: str, source: str, warnings: list[str]):
 
     # records end at LF only: str.splitlines would also break at characters
     # such as U+2028 and U+0085, which JSON strings may hold raw
-    lines = ((n, line) for n, line in enumerate(_lf_lines(text), 1) if line.strip())
+    lines = ((n, line) for n, line in enumerate(_lf_lines(chunks), 1) if line.strip())
     return _parse_records(lines, decode, source, "record", warnings)
 
 
@@ -270,5 +289,5 @@ def parse_publications_text(
     duplicate pub_id are skipped with a warning.
     """
     warnings: list[str] = []
-    stream = _publications(text, source, warnings)
+    stream = _publications((text,), source, warnings)
     return [PublicationRecord(pub_id, date, names) for date, names, _, pub_id in stream], warnings

@@ -7,6 +7,7 @@ static-attribute scan, bundled with input provenance.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -14,9 +15,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
-from .errors import InsufficientDataError, PipelineError
+from .errors import InsufficientDataError, ParseError, PipelineError
 from .evolution import (
     CorrelationReport,
     ProxyRow,
@@ -34,11 +35,13 @@ from .metrics import MetricsRow, degree_histogram, metrics_row
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
 
 INPUT_KINDS = ("events", "publications")
+# Bytes the loader asks of the input stream per read
+_READ = 65536
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Everything run_analysis needs besides the input bytes, checked on
+    """Everything run_analysis needs besides the input stream, checked on
     construction so that no fault in it waits for the input to be read;
     frozen, so no field changes after its checks.
 
@@ -114,19 +117,49 @@ def _per_period(
     return row, fit, classify_small_world(row, fit, thresholds)
 
 
-def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnapshot], list[str]]:
-    """The one route from an input file's bytes to snapshots: decode them
-    (UTF-8, with or without a byte-order mark), parse them per config.kind
-    and slice them. The decoder's (time, actor labels, weight) groups stream
-    into a compact store; no record is built. Returns (snapshots, ingest
-    warnings); any failure is a PipelineError at stage "ingest", caused by
-    an InsufficientDataError when the input holds no interaction at all,
-    whatever the slicing mode."""
+def _text(stream: BinaryIO, digest) -> Iterator[str]:
+    """The text of the readable binary `stream`, UTF-8 with or without a
+    byte-order mark, decoded as it is read in blocks of at most _READ bytes
+    (a read may return fewer; only an empty one ends the input), each of
+    which updates `digest` unless it is None. A byte that is not UTF-8
+    raises ParseError, worded as `data.decode("utf-8-sig")` words it for the
+    whole input, after the text before it."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    head = b""  # the first three bytes, which hold the byte-order mark if any
+    read = 0
+    while True:
+        block = stream.read(_READ)
+        if digest is not None:
+            digest.update(block)
+        head += block[: 3 - len(head)]
+        read += len(block)
+        try:
+            text = decoder.decode(block, final=not block)
+            if not block:
+                # the decoder keeps one or two bytes of a byte-order mark
+                # even at the end; the whole input then is those bytes
+                decoder.getstate()[0].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            yield exc.object[: exc.start].decode("utf-8")
+            # exc.object ends at the last byte read, and the whole input's
+            # positions count from past its byte-order mark
+            at = read - len(exc.object) - 3 * (head == codecs.BOM_UTF8) + exc.start
+            if exc.end - exc.start == 1:
+                where = f"byte 0x{exc.object[exc.start]:02x} in position {at}"
+            else:
+                where = f"bytes in position {at}-{at + exc.end - exc.start - 1}"
+            raise ParseError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
+        yield text
+        if not block:
+            return
+
+
+def _load(config: AnalysisConfig, stream: BinaryIO, digest) -> tuple[list[GraphSnapshot], list[str]]:
+    """`load_snapshots`, updating `digest` with every byte of the input."""
     try:
-        text = data.decode("utf-8-sig")
         store, warnings = _Interactions(), []
         decode = _edge_events if config.kind == "events" else _publications
-        store.add(decode(text, config.input_path, warnings))
+        store.add(decode(_text(stream, digest), config.input_path, warnings))
         times = store.times
         if not times:
             raise InsufficientDataError("input contains no interactions to slice")
@@ -144,13 +177,26 @@ def load_snapshots(config: AnalysisConfig, data: bytes) -> tuple[list[GraphSnaps
     return snapshots, warnings
 
 
-def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
-    """Run the full pipeline on the input's bytes, which config.input_path
-    only names; deterministic for fixed bytes and config. Any stage failure
+def load_snapshots(config: AnalysisConfig, stream: BinaryIO) -> tuple[list[GraphSnapshot], list[str]]:
+    """The one route from an input to snapshots: read the readable binary
+    `stream` (an open file, or stdin's buffer) in blocks of at most 64 KiB,
+    decode them (UTF-8, with or without a byte-order mark), parse the text
+    per config.kind and slice it. Neither the input's bytes nor its text is
+    held whole: the decoder's (time, actor labels, weight) groups stream
+    into a compact store, and no record is built. Returns (snapshots,
+    ingest warnings); any failure, reading included, is a PipelineError at
+    stage "ingest", caused by an InsufficientDataError when the input holds
+    no interaction at all, whatever the slicing mode."""
+    return _load(config, stream, None)
+
+
+def run_analysis(config: AnalysisConfig, stream: BinaryIO) -> ReportBundle:
+    """Run the full pipeline on the readable binary `stream`, which
+    config.input_path only names; deterministic for fixed input bytes and
+    config. The digest is taken as the blocks are read. Any stage failure
     is wrapped in PipelineError naming the stage."""
-    digest = hashlib.sha256(data).hexdigest()
-    snapshots, warnings = load_snapshots(config, data)
-    del data  # the metrics need not hold the input
+    digest = hashlib.sha256()
+    snapshots, warnings = _load(config, stream, digest)
 
     try:
         per_period = [_per_period(s, config.thresholds) for s in snapshots]
@@ -169,7 +215,7 @@ def run_analysis(config: AnalysisConfig, data: bytes) -> ReportBundle:
         raise PipelineError("evolution", str(exc)) from exc
 
     provenance = {
-        "input_digest": digest,
+        "input_digest": digest.hexdigest(),
         "input_path": config.input_path,
         "kind": config.kind,
         "config": {

@@ -5,6 +5,7 @@ All expected values are either published table values, hand arithmetic, or
 recomputed in-test by an independent brute-force oracle.
 """
 
+import io
 import itertools
 import math
 import random
@@ -242,7 +243,7 @@ def test_criterion_8_correlation_routines():
 def test_criterion_9_determinism():
     config = sample_config("disaster")
     data = Path(config.input_path).read_bytes()
-    first, second = run_analysis(config, data), run_analysis(config, data)
+    first, second = (run_analysis(config, io.BytesIO(data)) for _ in range(2))
     ok = (
         bundle_to_csv(first) == bundle_to_csv(second)
         and bundle_to_json(first) == bundle_to_json(second)

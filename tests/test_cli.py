@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tomllib
+from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, astuple, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -218,7 +220,8 @@ def test_generated_goldens_hold_the_library_graphs(run):
 def sample_bundle(name):
     """The bundle of the README's `analyze` command on one sample."""
     config = sample_config(name)
-    return run_analysis(config, Path(config.input_path).read_bytes())
+    with open(config.input_path, "rb") as stream:
+        return run_analysis(config, stream)
 
 
 def count_fits(monkeypatch):
@@ -296,8 +299,8 @@ class TestAnalyze:
     def test_proxies_match_per_snapshot_recomputation(self, sample):
         config = sample_config(sample)
         data = Path(config.input_path).read_bytes()
-        snapshots, _ = load_snapshots(config, data)
-        proxies = run_analysis(config, data).proxies
+        snapshots, _ = load_snapshots(config, io.BytesIO(data))
+        proxies = run_analysis(config, io.BytesIO(data)).proxies
         assert [astuple(p) for p in proxies] == proxies_by_recomputation(snapshots)
 
     def test_fit_powerlaw_runs_once_per_period(self, monkeypatch):
@@ -314,6 +317,18 @@ class TestAnalyze:
         assert len(payload["rows"]) == 4
         assert payload["rows"][3]["n_actors"] == 98
 
+    def test_reads_input_from_a_pipe(self):
+        """`--input -` reads stdin as it arrives; a pipe cannot seek."""
+        path, args = SAMPLES["coauthorship"]
+        result = subprocess.run(
+            [sys.executable, "-m", "netevolve", "analyze", "--input", "-", *args],
+            input=(ROOT / path).read_bytes(),
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN / "coauthorship_yearly_report.csv").read_bytes()
+
     def test_digest_tracks_input_bytes(self, tmp_path):
         import datetime
 
@@ -325,7 +340,7 @@ class TestAnalyze:
             config = AnalysisConfig(
                 input_path=path, breakpoints=[datetime.datetime(2009, 2, 8)]
             )
-            bundle = run_analysis(config, Path(path).read_bytes())
+            bundle = run_analysis(config, io.BytesIO(Path(path).read_bytes()))
             digests.append(bundle.provenance["input_digest"])
         assert digests[0] != digests[1]
 
@@ -615,6 +630,8 @@ FAULT_INPUTS = {
     "text.json": b"not json",
     "latin1.json": '{"rows": "\xf6"}'.encode("latin-1"),
     "header.csv": b"time,a,b\n",
+    # a bad header, then a byte that is not UTF-8
+    "header-then-bad-byte.csv": b"time,a\n1,A,B\n2,B,\xff\n",
     "loops.csv": b"time,a,b\n1,A,A\n2,B,B\n",
     "empty.jsonl": b"",
     "empty.csv": b"",
@@ -636,6 +653,19 @@ FAULT_CONTRACT = [
     pytest.param("analyze", ["--input", "missing.csv"], 3, "io", id="analyze-missing"),
     pytest.param("analyze", ["--input", "latin1.csv"], 3, "ingest", id="analyze-not-utf-8"),
     pytest.param("analyze", ["--input", "bad.csv"], 3, "ingest", id="analyze-bad-rows"),
+] + [
+    # the input is decoded as it is read, so a fault before an undecodable
+    # byte is found first
+    pytest.param(
+        command, ["--input", "header-then-bad-byte.csv"], 3,
+        {
+            "stage": "ingest",
+            "error": "header-then-bad-byte.csv: expected header time,a,b[,weight], got ['time', 'a']",
+        },
+        id=f"{command}-bad-header-before-bad-byte",
+    )
+    for command in ("analyze", "fit")
+] + [
     pytest.param("analyze", ["--input", "mixed.csv"], 3, "ingest", id="analyze-mixed-times"),
     pytest.param(
         "analyze", ["--input", DISASTER, "--breakpoints", "5,2009-01-01"], 2, "config",
@@ -732,8 +762,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, args, code, stage", FAULT_CONTRACT)
     def test_fault_contract(self, tmp_path, monkeypatch, capsys, command, args, code, stage):
-        """Each fault exits with its documented code and stage, and writes
-        nothing: no output file and nothing on stdout."""
+        """Each fault exits with its documented code and stage, or the whole
+        error where a row pins its message, and writes nothing: no output
+        file and nothing on stdout."""
         for name, data in FAULT_INPUTS.items():
             (tmp_path / name).write_bytes(data)
         monkeypatch.chdir(tmp_path)
@@ -742,8 +773,49 @@ class TestExitCodes:
         assert main([command, *out, *args]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["stage"] == stage
+        error = json.loads(captured.err)
+        assert (error if isinstance(stage, dict) else error["stage"]) == stage
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "time,a,b\n1,A,Bj\xf6rk\n".encode("latin-1"),
+            b"time,a,b\n" + b"".join(b"%d,A,B\n" % i for i in range(10_000)) + b"x,A,\xe2\x82B\n",
+            b"\xef\xbb\xbftime,a,b\n1,A,\xffB\n",
+            "time,a,b\n1,A,B\n2,B,C\u20ac".encode()[:-1],
+            b"\xef\xbb",
+        ],
+        ids=["first-block", "past-64-KiB", "after-byte-order-mark", "truncated-at-end", "cut-byte-order-mark"],
+    )
+    def test_decode_faults_keep_their_message(self, tmp_path, capsys, command, data):
+        """An input read in blocks names its first undecodable bytes as
+        decoding the whole input names them."""
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8-sig")
+        source = tmp_path / "in.csv"
+        source.write_bytes(data)
+        out = ["--out-prefix" if command == "fit" else "--out", str(tmp_path / "out")]
+        assert main([command, "--input", str(source), *out]) == 3
+        assert json.loads(capsys.readouterr().err) == {"stage": "ingest", "error": str(whole.value)}
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    def test_read_error_partway_is_an_ingest_fault(self, tmp_path, monkeypatch, capsys, command):
+        class Stream:
+            blocks = [b"time,a,b\n1,A,B\n"]
+
+            def read(self, size):
+                if not self.blocks:
+                    raise OSError(errno.EIO, "Input/output error")
+                return self.blocks.pop()
+
+        monkeypatch.setattr("netevolve.cli._open_input", lambda path: nullcontext(Stream()))
+        out = ["--out-prefix" if command == "fit" else "--out", str(tmp_path / "out")]
+        assert main([command, "--input", "in.csv", *out]) == 3
+        error = {"stage": "ingest", "error": "[Errno 5] Input/output error"}
+        assert json.loads(capsys.readouterr().err) == error
+        assert list(tmp_path.iterdir()) == []
 
     def test_unlisted_faults(self, monkeypatch, capsys):
         """A stage failure whose cause has no fault row exits 4 at that stage;

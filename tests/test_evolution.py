@@ -200,6 +200,16 @@ class TestNormaltestPvalue:
         assert math.isnan(_normaltest_pvalue([2.5] * 30))
         assert normality_gate([2.5] * 30) == "pearson"
 
+    @pytest.mark.parametrize(
+        "series",
+        [[0.0] * 25 + [2.379264640374309e-124], [0.0] * 7 + [1e-100], [0.0] * 7 + [1e-160]],
+        ids=["m2-cubed-underflows", "m2-squared-underflows", "m2-subnormal"],
+    )
+    def test_underflowing_spread_never_rejects(self, series):
+        # each spread is above the constant-series guard, but its m2 squared
+        # is 0.0; scipy.stats.normaltest gives NaN for the first
+        assert math.isnan(_normaltest_pvalue(series))
+
     def test_needs_eight_points(self):
         with pytest.raises(ValueError):
             _normaltest_pvalue([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])

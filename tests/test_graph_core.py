@@ -456,7 +456,7 @@ class TestDisasterSample:
     def disaster_snapshots(self):
         config = sample_config("disaster")
         with open(config.input_path, "rb") as handle:
-            snapshots, warnings = load_snapshots(config, handle.read())
+            snapshots, warnings = load_snapshots(config, handle)
         assert not warnings
         return snapshots
 

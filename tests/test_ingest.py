@@ -1,3 +1,5 @@
+import codecs
+import io
 import itertools
 import json
 import random
@@ -26,6 +28,7 @@ from netevolve import (
     write_edge_events_text,
 )
 from netevolve.graph_core import InteractionEvent
+from netevolve.ingest import _lf_lines, _lines
 from netevolve.pipeline import _yearly_breakpoints
 from oracles import parse_publications_reference
 
@@ -222,6 +225,20 @@ class TestParseEdgeEvents:
         assert snaps_a == snaps_b
 
 
+class TestLineReaders:
+    """The line readers take the text as chunks and join a line that chunks
+    split, wherever they split it: a CR at a chunk's end waits for the next."""
+
+    TEXT = 'a\r\nb\rc\n\n"q\r\nr",s\r\r\nt\r'
+
+    def test_every_split_reads_the_lines_of_the_whole_text(self):
+        text = self.TEXT
+        for i, j in itertools.combinations_with_replacement(range(len(text) + 1), 2):
+            chunks = (text[:i], text[i:j], text[j:])
+            assert list(_lines(chunks)) == list(io.StringIO(text, newline=""))
+            assert list(_lf_lines(chunks)) == text.split("\n")
+
+
 class TestRoundTrip:
     def test_snapshot_events_round_trip_preserves_metrics(self):
         from netevolve.generators import barabasi_albert
@@ -352,7 +369,7 @@ def _parse(kind: str, rows: list[str], route: str = "parse"):
         return parse(text, f"f.{kind}")
     config = AnalysisConfig(f"f.{kind}", kind="events" if kind == "csv" else "publications")
     try:
-        return load_snapshots(config, text.encode())
+        return load_snapshots(config, io.BytesIO(text.encode()))
     except PipelineError as exc:
         raise exc.__cause__ from None
 
@@ -725,7 +742,8 @@ def _load_inputs(draw):
     takes, sliced in any mode."""
     kind = draw(st.sampled_from(["events", "publications"]))
     main, other = draw(st.permutations(list(_TIMES)))[:2]
-    names = st.sampled_from(["A", "B", "C", " D ", "E"])
+    # multi-byte characters, and a label that CSV must quote
+    names = st.sampled_from(["A", "B", "C", " D ", "E", "Zoë", '"F, 李\r\nG"'])
 
     def row(times):
         time = draw(st.sampled_from(times))
@@ -751,11 +769,28 @@ def _load_inputs(draw):
     return config, ending.join(header + lines) + draw(st.sampled_from(["", ending]))
 
 
-def _loaded(config, text):
-    """`load_snapshots` on `text`: (snapshots, warnings), or the type and
-    text of the error that its ingest-stage PipelineError wraps."""
+class _Reads:
+    """A binary stream of `data` whose read(n) returns at most the next of
+    `sizes` bytes (cycling), that records each n asked in `asked`, and that
+    refuses a read of the whole stream."""
+
+    def __init__(self, data: bytes, sizes=(1 << 20,)):
+        self.data, self.at, self.sizes, self.asked = data, 0, itertools.cycle(sizes), []
+
+    def read(self, n=-1):
+        assert n is not None and n >= 0, f"read({n})"
+        self.asked.append(n)
+        block = self.data[self.at : self.at + min(n, next(self.sizes))]
+        self.at += len(block)
+        return block
+
+
+def _loaded(config, stream):
+    """`load_snapshots` on the binary `stream`: (snapshots, warnings), or
+    the type and text of the error that its ingest-stage PipelineError
+    wraps."""
     try:
-        return load_snapshots(config, text.encode())
+        return load_snapshots(config, stream)
     except PipelineError as exc:
         assert exc.stage == "ingest"
         return type(exc.__cause__).__name__, str(exc.__cause__)
@@ -796,7 +831,16 @@ class TestLoadStreams:
     @given(_load_inputs())
     def test_stream_and_library_route_agree(self, case):
         config, text = case
-        assert _loaded(config, text) == _loaded_by_library(config, text)
+        assert _loaded(config, io.BytesIO(text.encode())) == _loaded_by_library(config, text)
+
+    @settings(max_examples=examples(300, 3000), deadline=None)
+    @given(_load_inputs(), st.booleans(), st.lists(st.integers(1, 7), min_size=1, max_size=8))
+    def test_reads_of_any_size_agree(self, case, bom, sizes):
+        # reads of 1 to 7 bytes end blocks inside a multi-byte character, the
+        # byte-order mark, a CRLF pair and a quoted field
+        config, text = case
+        data = codecs.BOM_UTF8 * bom + text.encode()
+        assert _loaded(config, _Reads(data, sizes)) == _loaded_by_library(config, text)
 
     @pytest.mark.parametrize(
         "kind, text, error",
@@ -809,30 +853,67 @@ class TestLoadStreams:
     )
     def test_faults_found_at_the_end_of_the_stream(self, kind, text, error):
         config = AnalysisConfig("f.in", kind=kind)
-        assert _loaded(config, text) == ("ParseError", error) == _loaded_by_library(config, text)
+        loaded = _loaded(config, io.BytesIO(text.encode()))
+        assert loaded == ("ParseError", error) == _loaded_by_library(config, text)
 
     def test_load_keeps_no_record(self):
-        # 20,000 publications by 300 authors, 1.82 MB. tracemalloc peak of
-        # load_snapshots: 11.1 MB when it held every line, record and
-        # (time, authors, weight) group at once; 7.2 MB streamed through
-        # the compact store
-        lines = []
-        for i in range(20_000):
-            authors = [f"Author {(i * 7 + k * 131) % 300}" for k in range(1 + i % 4)]
-            date = f"{2000 + i // 2000}-{1 + i % 12:02d}-{1 + i % 28:02d}"
-            lines.append(json.dumps({"pub_id": f"P{i:06d}", "date": date, "authors": authors}))
-        text = "\n".join(lines) + "\n"
-        config = AnalysisConfig("corpus.jsonl", kind="publications", yearly=True)
+        # tracemalloc peak of load_snapshots: 11.1 MB when it held every
+        # line, record and (time, authors, weight) group at once; 7.2 MB
+        # streamed through the compact store
+        config, text = _corpus()
         data = text.encode()
         tracemalloc.start()
         try:
-            snapshots, warnings = load_snapshots(config, data)
+            snapshots, warnings = load_snapshots(config, io.BytesIO(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (len(snapshots), snapshots[-1].n_actors, warnings) == (10, 300, [])
         assert peak < 9_000_000
         assert (snapshots, warnings) == _loaded_by_library(config, text)
+
+
+def _corpus():
+    """(config, text) of 20,000 publications by 300 authors in 10 years,
+    1.82 MB, sliced yearly."""
+    lines = []
+    for i in range(20_000):
+        authors = [f"Author {(i * 7 + k * 131) % 300}" for k in range(1 + i % 4)]
+        date = f"{2000 + i // 2000}-{1 + i % 12:02d}-{1 + i % 28:02d}"
+        lines.append(json.dumps({"pub_id": f"P{i:06d}", "date": date, "authors": authors}))
+    return AnalysisConfig("corpus.jsonl", kind="publications", yearly=True), "\n".join(lines) + "\n"
+
+
+class TestLoadReadsBlocks:
+    """`load_snapshots` reads its stream 64 KiB at a time and holds no whole
+    copy of the input, neither its bytes nor its text."""
+
+    def test_load_holds_no_copy_of_the_input(self):
+        # tracemalloc peak of load_snapshots on the 1.82 MB corpus: 6.73 MB
+        # when it took the input's bytes and decoded them whole, 5.02 MB
+        # read in blocks
+        config, text = _corpus()
+        stream = io.BytesIO(text.encode())
+        tracemalloc.start()
+        try:
+            snapshots, warnings = load_snapshots(config, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(snapshots), warnings) == (10, [])
+        assert peak < 6_000_000
+
+    @pytest.mark.parametrize("kind", ["events", "publications"])
+    def test_no_read_asks_for_more_than_64_KiB(self, kind):
+        if kind == "events":
+            rows = (f"{i},a{i % 97},b{i % 89},{1 + i % 3}\n" for i in range(20_000))
+            text = "time,a,b,weight\n" + "".join(rows)
+        else:
+            text = _corpus()[1]
+        config = AnalysisConfig("f.in", kind=kind, yearly=kind == "publications")
+        stream = _Reads(text.encode())
+        assert _loaded(config, stream) == _loaded_by_library(config, text)
+        assert len(stream.asked) > 4 and max(stream.asked) <= 65536
 
 
 # the bundled samples, each with three rows that warn added, sliced as the
@@ -878,11 +959,11 @@ class TestLoadBuildsNoRecord:
             monkeypatch.setattr(record, "__post_init__", refuse)
         with pytest.raises(AssertionError, match="InteractionEvent built"):
             InteractionEvent(1, "A", "B")
-        assert load_snapshots(config, text.encode()) == expected
+        assert load_snapshots(config, io.BytesIO(text.encode())) == expected
 
     def test_labels_are_one_object_across_loads(self, sample):
         config, text = sample
-        first, _ = load_snapshots(config, text.encode())
-        second, _ = load_snapshots(config, text.encode())
+        first, _ = load_snapshots(config, io.BytesIO(text.encode()))
+        second, _ = load_snapshots(config, io.BytesIO(text.encode()))
         pairs = zip(first[-1].sorted_actors(), second[-1].sorted_actors(), strict=True)
         assert all(a is b for a, b in pairs)
