@@ -34,7 +34,7 @@ def _pair_from_index(idx: int, n: int) -> tuple[int, int]:
     return n - 2 - k, n - 1 - offset
 
 
-def erdos_renyi(n: int, p: float, seed: int, label: str | None = None) -> GraphSnapshot:
+def erdos_renyi(n: int, p: float, seed: int) -> GraphSnapshot:
     """Each of the n(n-1)/2 pairs is an edge independently with probability p.
 
     Sampled with geometric index skipping, so only O(edges) draws are made;
@@ -58,12 +58,10 @@ def erdos_renyi(n: int, p: float, seed: int, label: str | None = None) -> GraphS
             if idx >= total:
                 break
             pairs.add(_pair_from_index(idx, n))
-    return _snapshot(label or f"er-n{n}-s{seed}", n, pairs)
+    return _snapshot(f"er-n{n}-s{seed}", n, pairs)
 
 
-def watts_strogatz(
-    n: int, k: int, beta: float, seed: int, label: str | None = None
-) -> GraphSnapshot:
+def watts_strogatz(n: int, k: int, beta: float, seed: int) -> GraphSnapshot:
     """Ring lattice with k nearest neighbors, each lattice edge rewired with
     probability beta to a uniform non-duplicate, non-self target.
 
@@ -100,10 +98,10 @@ def watts_strogatz(
                 adjacency[i].add(target)
                 adjacency[target].add(i)
     pairs = {(i, j) for i in range(n) for j in adjacency[i] if i < j}
-    return _snapshot(label or f"ws-n{n}-s{seed}", n, pairs)
+    return _snapshot(f"ws-n{n}-s{seed}", n, pairs)
 
 
-def barabasi_albert(n: int, m: int, seed: int, label: str | None = None) -> GraphSnapshot:
+def barabasi_albert(n: int, m: int, seed: int) -> GraphSnapshot:
     """Growth with preferential attachment: start from a clique on m+1 nodes,
     then attach each arriving node to m distinct existing nodes chosen with
     probability proportional to current degree.
@@ -132,5 +130,5 @@ def barabasi_albert(n: int, m: int, seed: int, label: str | None = None) -> Grap
             pairs.add((target, new))
             weighted.append(target)
         weighted.extend([new] * m)
-    return _snapshot(label or f"ba-n{n}-s{seed}", n, pairs)
+    return _snapshot(f"ba-n{n}-s{seed}", n, pairs)
 

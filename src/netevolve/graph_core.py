@@ -31,6 +31,8 @@ Timestamp = Union[datetime, int, float]
 def _time_category(t: Timestamp) -> str:
     if isinstance(t, datetime):
         return "offset-aware date" if t.tzinfo is not None else "naive date"
+    if not isinstance(t, (int, float)) or isinstance(t, bool):
+        raise ValueError(f"time {t!r} is not an int, a float or a datetime")
     if isinstance(t, float) and not math.isfinite(t):
         return "non-finite"
     return "numeric"
@@ -289,10 +291,12 @@ def _check_times(times: Iterable[Timestamp], what: str) -> None:
 
 
 def check_labels(labels: Sequence[str]) -> None:
-    """Raise ValueError unless every period label is distinct, not blank and
-    free of tabs, CRs and LFs: a label names its period's output, so a repeat
-    would overwrite another period, and it is one cell of the tab-separated
-    report."""
+    """Raise ValueError unless the period labels are a sequence of strings,
+    not one string, each distinct, not blank and free of tabs, CRs and LFs:
+    a label names its period's output, so a repeat would overwrite another
+    period, and it is one cell of the tab-separated report."""
+    if isinstance(labels, str) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"period labels must be a sequence of strings, got {labels!r}")
     if not all(label.strip() for label in labels):
         raise ValueError(f"period labels must not be blank, got {list(labels)!r}")
     if any(c in label for label in labels for c in "\t\r\n"):
@@ -302,10 +306,12 @@ def check_labels(labels: Sequence[str]) -> None:
 
 
 def check_breakpoints(breakpoints: Sequence[Timestamp], labels: Sequence[str] | None) -> None:
-    """Raise ValueError unless there is at least one breakpoint, the
-    breakpoints are finite, of one time kind and strictly increasing, and
-    the labels, unless None, name them one to one and pass `check_labels`.
-    """
+    """Raise ValueError unless the breakpoints are a sequence of at least
+    one time, not one string, finite, of one kind and strictly increasing,
+    and the labels, unless None, name them one to one and pass
+    `check_labels`."""
+    if isinstance(breakpoints, str):
+        raise ValueError(f"breakpoints must be a sequence of times, got {breakpoints!r}")
     if not breakpoints:
         raise ValueError("at least one breakpoint is required")
     if labels is not None and len(labels) != len(breakpoints):

@@ -1,11 +1,12 @@
-"""Parsing of decoded edge-event CSV and publication JSON Lines text.
+"""Parsing of edge-event CSV and publication JSON Lines input.
 
-Each format has one decoder, a stream that reads its text as an iterable
-of chunks and hands on each record as its line is read, as a (time, actor
-labels, weight) group: `pipeline.load_snapshots` feeds it the chunks it
-decodes from the input and folds the groups as it reads, and
-`parse_edge_events_text` and `parse_publications_text` feed it one text and
-build a record of each group.
+Each format has one decoder, a stream that reads the input's UTF-8 bytes as
+an iterable of blocks, splits them into lines, decodes each line and hands
+on each record as its line is read, as a (time, actor labels, weight)
+group: `pipeline.load_snapshots` feeds it the blocks it reads from the
+input and folds the groups as it reads, and `parse_edge_events_text` and
+`parse_publications_text` feed it the bytes of one text and build a record
+of each group.
 
 Edge events use a `time,a,b,weight` CSV (weight optional, default 1).
 Publications are one JSON object per line: {"pub_id", "date", "authors"}.
@@ -23,6 +24,7 @@ trimmed and not blank; the store interns each label once.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -30,7 +32,8 @@ import math
 import re
 from datetime import date, datetime
 from functools import lru_cache, partial
-from typing import Iterable
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 from .graph_core import InteractionEvent, PublicationRecord, Timestamp
@@ -44,8 +47,8 @@ _MAX_BAD_FRACTION = 0.10
 # saved), while on a 100,000-row log of distinct times it holds about 0.2 MB
 # where an unbounded cache grew to 12.8 MB and saved no parse.
 _CACHED_TIMES = 1024
-# Characters the line readers split at a time, so no copy or list of lines
-# spans a long text.
+# Bytes load reads at a time, and characters the text parsers encode at a
+# time, so that no copy or list of lines spans a long input.
 _BLOCK = 65536
 
 
@@ -123,52 +126,57 @@ def _decode_event(row: list[str], parse_time) -> tuple[Timestamp, tuple[str, str
     return time, (a, b), weight
 
 
-def _pieces(chunks: Iterable[str]):
-    """The text of `chunks`, each cut into pieces of at most _BLOCK
-    characters, so that no copy of a piece is wider than a block."""
-    for chunk in chunks:
-        for start in range(0, len(chunk), _BLOCK):
-            yield chunk[start : start + _BLOCK]
+def _utf8(text: str) -> Iterator[bytes]:
+    """The UTF-8 bytes of `text`, _BLOCK characters at a time, after a
+    byte-order mark that `_lines` drops, so that a U+FEFF that starts the
+    text is kept; a lone surrogate encodes as "surrogatepass" decodes it."""
+    yield codecs.BOM_UTF8
+    for start in range(0, len(text), _BLOCK):
+        yield text[start : start + _BLOCK].encode("utf-8", "surrogatepass")
 
 
-def _lines(chunks: Iterable[str]):
-    """The lines of the text of `chunks`, with their ends (LF, CRLF or a
-    bare CR), as `io.StringIO(text, newline="")` reads them; a line split
-    across chunks is joined, and a CR that ends a piece waits for the next
-    to show whether an LF follows it."""
-    rest: list[str] = []  # a line that no piece has ended yet
-    for piece in _pieces(chunks):
-        if "\n" not in piece and piece.find("\r", 0, len(piece) - 1) < 0:
-            rest.append(piece)
+def _lines(blocks: Iterable[bytes], crlf: bool, errors: str = "strict") -> Iterator[str]:
+    """The lines of the bytes of `blocks`, with their ends, each decoded from
+    UTF-8 with `errors` once it is whole: split at LF, CRLF or a bare CR if
+    `crlf`, as `bytes.splitlines(keepends=True)` splits, else at LF only. A
+    line that blocks split is joined, a CR that ends a block waits for the
+    next, and a byte-order mark that starts the input is dropped. A byte
+    that is not UTF-8 raises ParseError after the lines before its own,
+    worded as `data.decode("utf-8-sig")` words it for the whole input."""
+    split = bytes.splitlines if crlf else lambda data, ends: io.BytesIO(data).readlines()
+    rest: list[bytes] = []  # a line that no block has ended yet
+    at = -1  # the input's bytes before `rest`, past its byte-order mark; -1 before any
+    for block in chain(blocks, (None,)):  # None ends the last line
+        if block is not None and b"\n" not in block and (not crlf or block.find(b"\r", 0, -1) < 0):
+            rest.append(block)
             continue
-        *lines, last = io.StringIO("".join(rest) + piece, newline="")
-        yield from lines
-        if last.endswith("\n"):
-            yield last
-            last = ""
-        rest = [last]
-    yield from io.StringIO("".join(rest), newline="")
+        data = b"".join(rest) + (block or b"")
+        if at < 0:
+            data, at = data.removeprefix(codecs.BOM_UTF8), 0
+        lines = split(data, True)
+        # the last line waits unless an LF or the input's end ends it
+        rest = [lines.pop()] if block is not None and not lines[-1].endswith(b"\n") else []
+        try:
+            yield from map(bytes.decode, lines, repeat("utf-8"), repeat(errors))
+        except UnicodeDecodeError as exc:
+            # every line end is ASCII, so a line decodes as it does in the
+            # whole input; the lines before the one that failed decoded, so
+            # none of them equals it
+            at += sum(map(len, lines[: lines.index(exc.object)])) + exc.start
+            if exc.end - exc.start == 1:
+                where = f"byte 0x{exc.object[exc.start]:02x} in position {at}"
+            else:
+                where = f"bytes in position {at}-{at + exc.end - exc.start - 1}"
+            raise ParseError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
+        at += len(data) - sum(map(len, rest))
 
 
-def _lf_lines(chunks: Iterable[str]):
-    """The pieces of `"".join(chunks).split("\\n")`, split a piece at a time."""
-    rest: list[str] = []  # a line that no piece has ended yet
-    for piece in _pieces(chunks):
-        *lines, last = piece.split("\n")
-        if lines:
-            lines[0] = "".join(rest) + lines[0]
-            rest = []
-            yield from lines
-        rest.append(last)
-    yield "".join(rest)
-
-
-def _edge_events(chunks: Iterable[str], source: str, warnings: list[str]):
+def _edge_events(blocks: Iterable[bytes], source: str, warnings: list[str], errors: str = "strict"):
     """The stream behind `parse_edge_events_text`: an iterator of the
-    events of the text of `chunks` as (time, (a, b), weight), each decoded
-    as its row is read, that appends each warning to `warnings`. The header
-    is read and checked on the call."""
-    reader = csv.reader(_lines(chunks))
+    events of the UTF-8 bytes of `blocks`, decoded with `errors`, as (time,
+    (a, b), weight), each decoded as its row is read, that appends each
+    warning to `warnings`. The header is read and checked on the call."""
+    reader = csv.reader(_lines(blocks, True, errors))
 
     def rows():
         """Each row that is not blank, with its line number, as it is read."""
@@ -196,7 +204,8 @@ def parse_edge_events_text(
     end in LF, CRLF or CR. Warnings cite physical line numbers, blank lines
     included."""
     warnings: list[str] = []
-    events = [InteractionEvent(t, a, b, w) for t, (a, b), w in _edge_events((text,), source, warnings)]
+    stream = _edge_events(_utf8(text), source, warnings, "surrogatepass")
+    events = [InteractionEvent(t, a, b, w) for t, (a, b), w in stream]
     return events, warnings
 
 
@@ -234,23 +243,25 @@ def _json_text(value, field: str) -> str:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _publications(chunks: Iterable[str], source: str, warnings: list[str]):
+def _publications(blocks: Iterable[bytes], source: str, warnings: list[str], errors: str = "strict"):
     """The stream behind `parse_publications_text`: an iterator of the
-    records of the text of `chunks` as (date, author names, 1, pub_id), each
-    decoded as it is read, that appends each warning to `warnings`."""
+    records of the UTF-8 bytes of `blocks`, decoded with `errors`, as (date,
+    author names, 1, pub_id), each decoded as it is read, that appends each
+    warning to `warnings`."""
     seen_ids: set[str] = set()
     parse_time = lru_cache(_CACHED_TIMES)(parse_timestamp)
 
     def decode(line: str) -> tuple[Timestamp, dict[str, None], int, str]:
         # the C scanner reads the line between JSON whitespace; a line it does
-        # not take whole goes to json.loads, which raises with its own text
+        # not take whole goes to json.loads, which raises with its own text,
+        # given without the LF that would count as a second line of it
         value = line.strip(" \t\n\r")
         try:
             obj, end = _scan_json(value, 0)
         except (StopIteration, ValueError):
             end = -1
         if end != len(value):
-            obj = json.loads(line)
+            obj = json.loads(line.removesuffix("\n"))
         try:
             pub_id = _json_text(obj["pub_id"], "pub_id").strip()
             if not pub_id:
@@ -272,9 +283,8 @@ def _publications(chunks: Iterable[str], source: str, warnings: list[str]):
         seen_ids.add(pub_id)
         return date, names, 1, pub_id
 
-    # records end at LF only: str.splitlines would also break at characters
-    # such as U+2028 and U+0085, which JSON strings may hold raw
-    lines = ((n, line) for n, line in enumerate(_lf_lines(chunks), 1) if line.strip())
+    # records end at LF only: a bare CR between two tokens is JSON whitespace
+    lines = ((n, line) for n, line in enumerate(_lines(blocks, False, errors), 1) if line.strip())
     return _parse_records(lines, decode, source, "record", warnings)
 
 
@@ -289,5 +299,5 @@ def parse_publications_text(
     duplicate pub_id are skipped with a warning.
     """
     warnings: list[str] = []
-    stream = _publications((text,), source, warnings)
+    stream = _publications(_utf8(text), source, warnings, "surrogatepass")
     return [PublicationRecord(pub_id, date, names) for date, names, _, pub_id in stream], warnings

@@ -7,7 +7,6 @@ static-attribute scan, bundled with input provenance.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import io
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
-from .errors import InsufficientDataError, ParseError, PipelineError
+from .errors import InsufficientDataError, PipelineError
 from .evolution import (
     CorrelationReport,
     ProxyRow,
@@ -30,13 +29,11 @@ from .evolution import (
     static_attributes,
 )
 from .graph_core import GraphSnapshot, Timestamp, _Interactions, check_breakpoints
-from .ingest import _edge_events, _publications, format_timestamp
+from .ingest import _BLOCK, _edge_events, _publications, format_timestamp
 from .metrics import MetricsRow, degree_histogram, metrics_row
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
 
 INPUT_KINDS = ("events", "publications")
-# Bytes the loader asks of the input stream per read
-_READ = 65536
 
 
 @dataclass(frozen=True)
@@ -117,41 +114,14 @@ def _per_period(
     return row, fit, classify_small_world(row, fit, thresholds)
 
 
-def _text(stream: BinaryIO, digest) -> Iterator[str]:
-    """The text of the readable binary `stream`, UTF-8 with or without a
-    byte-order mark, decoded as it is read in blocks of at most _READ bytes
-    (a read may return fewer; only an empty one ends the input), each of
-    which updates `digest` unless it is None. A byte that is not UTF-8
-    raises ParseError, worded as `data.decode("utf-8-sig")` words it for the
-    whole input, after the text before it."""
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
-    head = b""  # the first three bytes, which hold the byte-order mark if any
-    read = 0
-    while True:
-        block = stream.read(_READ)
+def _blocks(stream: BinaryIO, digest) -> Iterator[bytes]:
+    """The bytes of the readable binary `stream`, read in blocks of at most
+    _BLOCK bytes (a read may return fewer; only an empty one ends the
+    input), each of which updates `digest` unless it is None."""
+    while block := stream.read(_BLOCK):
         if digest is not None:
             digest.update(block)
-        head += block[: 3 - len(head)]
-        read += len(block)
-        try:
-            text = decoder.decode(block, final=not block)
-            if not block:
-                # the decoder keeps one or two bytes of a byte-order mark
-                # even at the end; the whole input then is those bytes
-                decoder.getstate()[0].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            yield exc.object[: exc.start].decode("utf-8")
-            # exc.object ends at the last byte read, and the whole input's
-            # positions count from past its byte-order mark
-            at = read - len(exc.object) - 3 * (head == codecs.BOM_UTF8) + exc.start
-            if exc.end - exc.start == 1:
-                where = f"byte 0x{exc.object[exc.start]:02x} in position {at}"
-            else:
-                where = f"bytes in position {at}-{at + exc.end - exc.start - 1}"
-            raise ParseError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
-        yield text
-        if not block:
-            return
+        yield block
 
 
 def _load(config: AnalysisConfig, stream: BinaryIO, digest) -> tuple[list[GraphSnapshot], list[str]]:
@@ -159,7 +129,7 @@ def _load(config: AnalysisConfig, stream: BinaryIO, digest) -> tuple[list[GraphS
     try:
         store, warnings = _Interactions(), []
         decode = _edge_events if config.kind == "events" else _publications
-        store.add(decode(_text(stream, digest), config.input_path, warnings))
+        store.add(decode(_blocks(stream, digest), config.input_path, warnings))
         times = store.times
         if not times:
             raise InsufficientDataError("input contains no interactions to slice")
@@ -170,7 +140,6 @@ def _load(config: AnalysisConfig, stream: BinaryIO, digest) -> tuple[list[GraphS
             breakpoints, labels = _yearly_breakpoints(times)
         else:
             breakpoints, labels = [max(times)], ["all"]
-        check_breakpoints(breakpoints, labels)
         snapshots = store.snapshots(breakpoints, labels)
     except Exception as exc:
         raise PipelineError("ingest", str(exc)) from exc
@@ -180,13 +149,14 @@ def _load(config: AnalysisConfig, stream: BinaryIO, digest) -> tuple[list[GraphS
 def load_snapshots(config: AnalysisConfig, stream: BinaryIO) -> tuple[list[GraphSnapshot], list[str]]:
     """The one route from an input to snapshots: read the readable binary
     `stream` (an open file, or stdin's buffer) in blocks of at most 64 KiB,
-    decode them (UTF-8, with or without a byte-order mark), parse the text
-    per config.kind and slice it. Neither the input's bytes nor its text is
-    held whole: the decoder's (time, actor labels, weight) groups stream
-    into a compact store, and no record is built. Returns (snapshots,
-    ingest warnings); any failure, reading included, is a PipelineError at
-    stage "ingest", caused by an InsufficientDataError when the input holds
-    no interaction at all, whatever the slicing mode."""
+    split them into lines, decode each line (UTF-8, with or without a
+    byte-order mark), parse the lines per config.kind and slice them.
+    Neither the input's bytes nor its text is held whole: the decoder's
+    (time, actor labels, weight) groups stream into a compact store, and no
+    record is built. Returns (snapshots, ingest warnings); any failure,
+    reading included, is a PipelineError at stage "ingest", caused by an
+    InsufficientDataError when the input holds no interaction at all,
+    whatever the slicing mode."""
     return _load(config, stream, None)
 
 

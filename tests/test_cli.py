@@ -572,6 +572,20 @@ class TestIgnoredOptions:
         with pytest.raises(ValueError, match="at least one breakpoint"):
             AnalysisConfig(input_path=DISASTER, breakpoints=[])
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"breakpoints": [1, "2"]}, "time '2' is not an int, a float or a datetime"),
+            ({"breakpoints": "12"}, "breakpoints must be a sequence of times, got '12'"),
+            ({"breakpoints": [1, 2], "labels": [1, 2]}, "period labels must be a sequence of strings, got [1, 2]"),
+            ({"breakpoints": [1, 2], "labels": "ab"}, "period labels must be a sequence of strings, got 'ab'"),
+        ],
+        ids=["string-breakpoint", "string-breakpoints", "int-labels", "string-labels"],
+    )
+    def test_library_config_rejects_slicing_values_of_the_wrong_type(self, options, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnalysisConfig(input_path=DISASTER, **options)
+
     def test_library_config_is_frozen(self):
         # a field changed after the checks would reach run_analysis unchecked
         config = AnalysisConfig(input_path=DISASTER)
@@ -615,6 +629,8 @@ class TestReadme:
         assert [(s.n_actors, s.n_links, s.sum_links) for s in by_year] == [(3, 3, 3), (5, 4, 4)]
 
 
+_LINE_ENDS = [("cr", b"\r"), ("crlf", b"\r\n"), ("lf", b"\n")]
+
 FAULT_INPUTS = {
     "latin1.csv": "time,a,b\n1,A,Bj\xf6rk\n".encode("latin-1"),
     "bad.csv": b"time,a,b\nbad,A,B\nworse,B,C\n",
@@ -635,6 +651,17 @@ FAULT_INPUTS = {
     "loops.csv": b"time,a,b\n1,A,A\n2,B,B\n",
     "empty.jsonl": b"",
     "empty.csv": b"",
+    # a bare CR, a CRLF or an LF ends the bad header before the bad byte
+    **{f"header-then-bad-byte-{name}.csv": b"x,A,B" + end + b"\xff\n" for name, end in _LINE_ENDS},
+    "numeric-label.json": json.dumps(
+        {
+            "rows": [{"label": 1, "n_actors": 2, "n_links": 1, "sum_links": 1, "clustering": 0.0, "diameter": 1}],
+            "fits": [None],
+            "verdicts": [{"verdict": False}],
+            "correlations": {"ranked_drivers": []},
+            "static_checks": [],
+        }
+    ).encode(),
     "tab-label.json": json.dumps(
         {
             "rows": [
@@ -664,6 +691,17 @@ FAULT_CONTRACT = [
         },
         id=f"{command}-bad-header-before-bad-byte",
     )
+    for command in ("analyze", "fit")
+] + [
+    pytest.param(
+        command, ["--input", f"header-then-bad-byte-{name}.csv"], 3,
+        {
+            "stage": "ingest",
+            "error": f"header-then-bad-byte-{name}.csv: expected header time,a,b[,weight], got ['x', 'A', 'B']",
+        },
+        id=f"{command}-bad-header-before-bad-byte-{name}",
+    )
+    for name, _ in _LINE_ENDS
     for command in ("analyze", "fit")
 ] + [
     pytest.param("analyze", ["--input", "mixed.csv"], 3, "ingest", id="analyze-mixed-times"),
@@ -734,6 +772,7 @@ FAULT_CONTRACT = [
     pytest.param("report", ["--bundle", "latin1.json"], 3, "parse", id="report-not-utf-8"),
     pytest.param("report", ["--bundle", "missing.json"], 3, "io", id="report-missing"),
     pytest.param("report", ["--bundle", "tab-label.json"], 3, "parse", id="report-label-tab"),
+    pytest.param("report", ["--bundle", "numeric-label.json"], 3, "parse", id="report-numeric-label"),
     pytest.param("generate", ["--model", "er", "-n", "5"], 2, "config", id="generate-er-no-p"),
     pytest.param(
         "generate", ["--model", "ws", "-n", "3", "--k", "4"], 2, "config", id="generate-ws-k-too-big"
@@ -786,8 +825,12 @@ class TestExitCodes:
             b"\xef\xbb\xbftime,a,b\n1,A,\xffB\n",
             "time,a,b\n1,A,B\n2,B,C\u20ac".encode()[:-1],
             b"\xef\xbb",
+            b'time,a,b\r1,"A\xff',
         ],
-        ids=["first-block", "past-64-KiB", "after-byte-order-mark", "truncated-at-end", "cut-byte-order-mark"],
+        ids=[
+            "first-block", "past-64-KiB", "after-byte-order-mark", "truncated-at-end", "cut-byte-order-mark",
+            "in-a-quoted-field-after-a-cr",
+        ],
     )
     def test_decode_faults_keep_their_message(self, tmp_path, capsys, command, data):
         """An input read in blocks names its first undecodable bytes as

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -209,6 +210,17 @@ class TestNormaltestPvalue:
         # each spread is above the constant-series guard, but its m2 squared
         # is 0.0; scipy.stats.normaltest gives NaN for the first
         assert math.isnan(_normaltest_pvalue(series))
+
+    def test_zero_kurtosis_denominator_never_rejects(self):
+        # the kurtosis transform's 1 + k * sqrt(2 / (a - 4)) is exactly 0.0
+        # here, and would divide (1 - 2 / a) by zero
+        series = [0.0] * 25 + [1.0] * 24 + [1.5176726195888306]
+        assert math.isnan(_normaltest_pvalue(series))
+        assert normality_gate(series) == "pearson"
+        stats = pytest.importorskip("scipy.stats")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy warns of its division by zero
+            assert math.isnan(stats.normaltest(series).pvalue)
 
     def test_needs_eight_points(self):
         with pytest.raises(ValueError):

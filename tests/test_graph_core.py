@@ -314,6 +314,22 @@ class TestBuildCumulativeSnapshots:
         with pytest.raises(ValueError, match="must not hold a tab, CR or LF"):
             build_cumulative_snapshots([], [1, 2], [f"a{separator}b", "c"])
 
+    @pytest.mark.parametrize(
+        "evs, breakpoints, labels, message",
+        [
+            (events(("x", "A", "B")), [5], ["p"], "time 'x' is not an int, a float or a datetime"),
+            (events((True, "A", "B")), [5], ["p"], "time True is not an int, a float or a datetime"),
+            ([], [None], ["p"], "time None is not an int, a float or a datetime"),
+            ([], "12", ["a", "b"], "breakpoints must be a sequence of times, got '12'"),
+            ([], [1, 2], [1, 2], "period labels must be a sequence of strings, got [1, 2]"),
+            ([], [1, 2], "ab", "period labels must be a sequence of strings, got 'ab'"),
+        ],
+        ids=["string-time", "bool-time", "none-breakpoint", "string-breakpoints", "int-labels", "string-labels"],
+    )
+    def test_slicing_inputs_of_the_wrong_type_rejected(self, evs, breakpoints, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_cumulative_snapshots(evs, breakpoints, labels)
+
     def test_self_loop_event_warns_but_not_fatal(self, caplog):
         evs = events((1, "A", "B"), (2, "C", "C"))
         with caplog.at_level(logging.WARNING, logger="netevolve.graph_core"):

@@ -28,7 +28,7 @@ from netevolve import (
     write_edge_events_text,
 )
 from netevolve.graph_core import InteractionEvent
-from netevolve.ingest import _lf_lines, _lines
+from netevolve.ingest import _lines
 from netevolve.pipeline import _yearly_breakpoints
 from oracles import parse_publications_reference
 
@@ -160,6 +160,15 @@ class TestParseEdgeEvents:
         with pytest.raises(ParseError):
             parse_edge_events_text("from,to,when\n1,A,B\n")
 
+    def test_leading_byte_order_mark_character_stays_in_the_header(self):
+        # a text is not bytes: only an input's byte-order mark is dropped
+        message = "<string>: expected header time,a,b[,weight], got " + repr(["\ufefftime", "a", "b"])
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_edge_events_text("\ufefftime,a,b\n1,A,B\n")
+
+    def test_lone_surrogate_label_parses(self):
+        assert parse_edge_events_text("time,a,b\n1,\ud800,B\n") == ([InteractionEvent(1, "\ud800", "B")], [])
+
     def test_reader_error_names_its_line(self):
         text = "time,a,b\n1,A,B\n\n2,A," + "B" * 200_000 + "\n3,B,C\n"
         with pytest.raises(ParseError, match=r"^f\.csv:4: field larger than field limit"):
@@ -226,17 +235,19 @@ class TestParseEdgeEvents:
 
 
 class TestLineReaders:
-    """The line readers take the text as chunks and join a line that chunks
-    split, wherever they split it: a CR at a chunk's end waits for the next."""
+    """The line reader takes the bytes as blocks and joins a line that blocks
+    split, wherever they split it: a CR at a block's end waits for the next,
+    and a byte-order mark split across blocks is still the input's."""
 
-    TEXT = 'a\r\nb\rc\n\n"q\r\nr",s\r\r\nt\r'
+    TEXT = 'a\r\nb\rc\n\n"q\r\nr",s\r\r\nt\u20ac\r'
 
     def test_every_split_reads_the_lines_of_the_whole_text(self):
         text = self.TEXT
-        for i, j in itertools.combinations_with_replacement(range(len(text) + 1), 2):
-            chunks = (text[:i], text[i:j], text[j:])
-            assert list(_lines(chunks)) == list(io.StringIO(text, newline=""))
-            assert list(_lf_lines(chunks)) == text.split("\n")
+        for data in (text.encode(), codecs.BOM_UTF8 + text.encode()):
+            for i, j in itertools.combinations_with_replacement(range(len(data) + 1), 2):
+                blocks = (data[:i], data[i:j], data[j:])
+                assert list(_lines(blocks, True)) == list(io.StringIO(text, newline=""))
+                assert list(_lines(blocks, False)) == list(io.StringIO(text, newline="\n"))
 
 
 class TestRoundTrip:
