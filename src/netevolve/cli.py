@@ -38,7 +38,9 @@ EXIT_ANALYSIS = 4
 
 def _add_slicing_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", default="-", help="input file, or - for stdin")
-    parser.add_argument("--kind", choices=INPUT_KINDS, default=AnalysisConfig.kind)
+    parser.add_argument(
+        "--kind", choices=INPUT_KINDS, default=AnalysisConfig._field_defaults["kind"]
+    )
     parser.add_argument(
         "--breakpoints",
         help="comma-separated period breakpoints (ISO dates or numbers, inclusive)",
@@ -60,12 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_slicing_args(analyze)
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument("--out", default="-", help="output file, or - for stdout")
-    analyze.add_argument("--rel-tolerance", type=float, default=AnalysisConfig.rel_tolerance)
-    sw = SmallWorldThresholds
-    analyze.add_argument("--sw-density-max", type=float, default=sw.density_max)
-    analyze.add_argument("--sw-clustering-min", type=float, default=sw.clustering_min)
-    analyze.add_argument("--sw-r2-min", type=float, default=sw.r_squared_min)
-    analyze.add_argument("--sw-exponent-min", type=float, default=sw.exponent_min)
+    analyze.add_argument(
+        "--rel-tolerance", type=float, default=AnalysisConfig._field_defaults["rel_tolerance"]
+    )
+    sw = SmallWorldThresholds._field_defaults
+    analyze.add_argument("--sw-density-max", type=float, default=sw["density_max"])
+    analyze.add_argument("--sw-clustering-min", type=float, default=sw["clustering_min"])
+    analyze.add_argument("--sw-r2-min", type=float, default=sw["r_squared_min"])
+    analyze.add_argument("--sw-exponent-min", type=float, default=sw["exponent_min"])
 
     gen = sub.add_parser("generate", help="emit a synthetic graph as edge-event CSV")
     gen.add_argument("--model", choices=("er", "ws", "ba"), required=True)
@@ -191,7 +195,7 @@ def _cmd_report(args) -> int:
 
 
 class _Fields(dict):
-    """A JSON object read like the dataclass it renders; a missing key is a KeyError."""
+    """A JSON object read like the NamedTuple it renders; a missing key is a KeyError."""
 
     __getattr__ = dict.__getitem__
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import UndefinedMetricError
+from .graph_core import _rebuild
 from .metrics import CENTRALIZATION_KINDS, MetricsRow
 from .powerlaw import PowerLawFit
 
@@ -30,8 +30,7 @@ PROXY_NAMES = ("embedding", "homophily", "multi_connectivity", "pref_attachment"
 SMALL_SAMPLE_CUTOFF = 20
 
 
-@dataclass(frozen=True)
-class ProxyRow:
+class ProxyRow(NamedTuple):
     """The four attachment-logic proxy values for one snapshot."""
 
     label: str
@@ -41,8 +40,7 @@ class ProxyRow:
     multi_connectivity: Optional[float]
 
 
-@dataclass(frozen=True)
-class CorrelationPair:
+class CorrelationPair(NamedTuple):
     """One (proxy, centralization kind) correlation result."""
 
     proxy: str
@@ -53,8 +51,7 @@ class CorrelationPair:
     status: str  # "ok" | "insufficient-data" | "undefined-metric"
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """All proxy-vs-centralization correlations plus the driver ranking.
 
     `ranked_drivers` orders proxies by |coefficient| against degree
@@ -65,8 +62,7 @@ class CorrelationReport:
     ranked_drivers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StaticCheck:
+class StaticCheck(NamedTuple):
     """Whether one metric stayed (almost) constant across the periods."""
 
     metric: str
@@ -75,8 +71,7 @@ class StaticCheck:
     mean: float
 
 
-@dataclass(frozen=True)
-class SmallWorldThresholds:
+class SmallWorldThresholds(NamedTuple):
     """Configurable cutoffs for the four small-world flags."""
 
     density_max: float = 0.05
@@ -87,22 +82,33 @@ class SmallWorldThresholds:
     exponent_min: float = 1.0
 
 
-@dataclass(frozen=True)
-class SmallWorldVerdict:
-    """The four small-world flags and the overall `verdict`, a field set at
-    construction: None if any flag is None (an undefined input), else
-    whether all four hold."""
-
+class _VerdictFields(NamedTuple):
     label: str
     density_low: Optional[bool]
     clustering_high: Optional[bool]
     diameter_small: Optional[bool]
     scale_free: Optional[bool]
-    verdict: Optional[bool] = field(init=False)
+    verdict: Optional[bool]
 
-    def __post_init__(self):
-        flags = (self.density_low, self.clustering_high, self.diameter_small, self.scale_free)
-        object.__setattr__(self, "verdict", None if None in flags else all(flags))
+
+class SmallWorldVerdict(_VerdictFields):
+    """The four small-world flags and the overall `verdict`, a field set at
+    construction: None if any flag is None (an undefined input), else
+    whether all four hold. `_make`, `_replace`, pickle and copy derive it
+    again from the flags."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, density_low, clustering_high, diameter_small, scale_free):
+        flags = (density_low, clustering_high, diameter_small, scale_free)
+        return super().__new__(cls, label, *flags, None if None in flags else all(flags))
+
+    @classmethod
+    def _make(cls, iterable):
+        label, *flags, _ = iterable  # the verdict is derived again
+        return cls(label, *flags)
+
+    __reduce__ = _rebuild
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

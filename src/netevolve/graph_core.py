@@ -20,10 +20,9 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, dataclass, field, fields
 from datetime import datetime
 from itertools import chain, combinations, repeat
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Timestamp = Union[datetime, int, float]
 
@@ -75,28 +74,32 @@ def _event(a: str, b: str, weight) -> tuple[str, str, int]:
 
 
 def _refuse(self, name, value=None):
+    from dataclasses import FrozenInstanceError  # loaded only to raise it
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
+def _make(cls, iterable):
+    """A record's `_make`, and so its `_replace`, through its constructor:
+    NamedTuple's own calls `tuple.__new__`, which would skip the rules. Its
+    name is the attribute's, as pickle finds a bound method by name."""
+    return cls(*iterable)
+
+
 def _rebuild(self):
-    """Pickle and copy a record through its constructor, so a restored
-    record follows the label rule too."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    """Pickle and copy a record through `_make`, and so its constructor, in
+    every protocol: below protocol 2 a tuple's own reduction calls
+    `tuple.__new__`."""
+    return self._make, (tuple(self),)
 
 
-def _record(cls):
-    """`dataclass(frozen=True, slots=True)`: no `__dict__`, and pickle and
-    copy rebuild the record through its constructor, the only way to make
-    one. On Python 3.11 its `__setattr__` and `__delattr__` raise a
-    TypeError for a name that is not a field, so both refuse every name."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__setattr__ = cls.__delattr__ = _refuse
-    cls.__reduce__ = _rebuild
-    return cls
+class _EventFields(NamedTuple):
+    time: Timestamp
+    a: str
+    b: str
+    weight: int = 1
 
 
-@_record
-class InteractionEvent:
+class InteractionEvent(_EventFields):
     """One timestamped, weighted, undirected interaction between two actors.
 
     Actor labels are strings, trimmed of surrounding whitespace and
@@ -106,20 +109,23 @@ class InteractionEvent:
     `build_cumulative_snapshots` drops them with a logged warning.
     """
 
-    time: Timestamp
-    a: str
-    b: str
-    weight: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, weight = _event(_label(self.a), _label(self.b), self.weight)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "weight", weight)
+    def __new__(cls, time: Timestamp, a: str, b: str, weight: int = 1):
+        return super().__new__(cls, time, *_event(_label(a), _label(b), weight))
+
+    _make = classmethod(_make)
+    __setattr__ = __delattr__ = _refuse
+    __reduce__ = _rebuild
 
 
-@_record
-class PublicationRecord:
+class _PublicationFields(NamedTuple):
+    pub_id: str
+    date: Timestamp
+    authors: tuple[str, ...]
+
+
+class PublicationRecord(_PublicationFields):
     """One publication: an id, a date, and its author list.
 
     `authors` is a sequence of string names, not one string. Names follow
@@ -129,15 +135,17 @@ class PublicationRecord:
     per joint publication.
     """
 
-    pub_id: str
-    date: Timestamp
-    authors: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.authors, str):
-            raise ValueError(f"authors must be a sequence of names, not {self.authors!r}")
-        names = _author_names(list(self.authors))
-        object.__setattr__(self, "authors", tuple(map(sys.intern, names)))
+    def __new__(cls, pub_id: str, date: Timestamp, authors: Sequence[str]):
+        if isinstance(authors, str):
+            raise ValueError(f"authors must be a sequence of names, not {authors!r}")
+        names = _author_names(list(authors))
+        return super().__new__(cls, pub_id, date, tuple(map(sys.intern, names)))
+
+    _make = classmethod(_make)
+    __setattr__ = __delattr__ = _refuse
+    __reduce__ = _rebuild
 
 
 def _author_names(values: list) -> dict[str, None]:
@@ -152,7 +160,6 @@ def _author_names(values: list) -> dict[str, None]:
     return names
 
 
-@dataclass(frozen=True, init=False)
 class GraphSnapshot:
     """Immutable weighted undirected simple graph at one breakpoint.
 
@@ -164,15 +171,12 @@ class GraphSnapshot:
     (which may also hold isolated actors). The graph is kept as integer
     CSR: actor i is `_names[i]`, the labels sorted, and its neighbors,
     ascending, and their edge weights sit at positions `_indptr[i]` to
-    `_indptr[i + 1]` of `_indices` and `_weights`.
+    `_indptr[i + 1]` of `_indices` and `_weights`. `sum_links` is the total
+    interaction count (the sum of edge weights).
     """
 
-    label: str
-    _names: tuple[str, ...]
-    _indptr: array = field(repr=False)
-    _indices: array = field(repr=False)
-    _weights: list[int] = field(repr=False)
-    sum_links: int  # total interaction count (sum of edge weights)
+    __slots__ = ("label", "_names", "_indptr", "_indices", "_weights", "sum_links")
+    __setattr__ = __delattr__ = _refuse
 
     def __init__(self, label: str, actors: Iterable[str], edges: Mapping[tuple[str, str], int]):
         actors = set(map(_label, actors))
@@ -229,6 +233,21 @@ class GraphSnapshot:
             key = (a, b) if a <= b else (b, a)
             edges[key] = edges.get(key, 0) + _edge_weight(w, a, b)
         return cls(label, actors, edges)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(label={self.label!r}, "
+            f"_names={self._names!r}, sum_links={self.sum_links!r})"
+        )
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which checks the graph again."""
+        return type(self), (self.label, self._names, self.edges)
 
     @property
     def n_actors(self) -> int:

@@ -56,8 +56,10 @@ def parse_timestamp(text: str) -> Timestamp:
     """Parse an ASCII integer or finite float (no `_`, no `+`), or an ISO-8601
     timestamp whose date and time are separated by `T`, `t` or a space."""
     raw = text.strip()
-    # int() and float() alone would also take "1_000", "+5" and non-ASCII digits
-    if raw.isascii() and "_" not in raw and not raw.startswith("+"):
+    # int() and float() alone would also take "1_000", "+5" and non-ASCII
+    # digits; neither takes a date's "YYYY-", so a date tries neither
+    numeric = raw.isascii() and "_" not in raw and not raw.startswith("+")
+    if numeric and not (raw[4:5] == "-" and raw[:4].isdigit()):
         try:
             return int(raw)
         except ValueError:
@@ -248,7 +250,7 @@ def _publications(blocks: Iterable[bytes], source: str, warnings: list[str], err
     records of the UTF-8 bytes of `blocks`, decoded with `errors`, as (date,
     author names, 1, pub_id), each decoded as it is read, that appends each
     warning to `warnings`."""
-    seen_ids: set[str] = set()
+    seen_ids: dict[str, None] = {}  # as keys: a dict's table is half a set's
     parse_time = lru_cache(_CACHED_TIMES)(parse_timestamp)
 
     def decode(line: str) -> tuple[Timestamp, dict[str, None], int, str]:
@@ -280,7 +282,7 @@ def _publications(blocks: Iterable[bytes], source: str, warnings: list[str], err
             raise _Noise("empty author list")
         if pub_id in seen_ids:
             raise _Noise(f"duplicate pub_id {pub_id!r}")
-        seen_ids.add(pub_id)
+        seen_ids[pub_id] = None
         return date, names, 1, pub_id
 
     # records end at LF only: a bare CR between two tokens is JSON whitespace

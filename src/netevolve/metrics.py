@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import pairwise
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import UndefinedMetricError
 from .graph_core import GraphSnapshot, _giant
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """All network measures for one snapshot; None marks an undefined metric
     (never silently zero)."""
 
@@ -57,8 +55,7 @@ class MetricsRow:
     centralization_closeness: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class _PathPass:
+class _PathPass(NamedTuple):
     """One all-sources sweep over a snapshot, indexed by actor id.
 
     `betweenness` holds the raw Brandes sums over both endpoints (halve them

@@ -12,9 +12,8 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InsufficientDataError, PipelineError
 from .evolution import (
@@ -28,7 +27,8 @@ from .evolution import (
     proxy_series,
     static_attributes,
 )
-from .graph_core import GraphSnapshot, Timestamp, _Interactions, check_breakpoints
+from .graph_core import GraphSnapshot, Timestamp, check_breakpoints
+from .graph_core import _Interactions, _make, _rebuild, _refuse
 from .ingest import _BLOCK, _edge_events, _publications, format_timestamp
 from .metrics import MetricsRow, degree_histogram, metrics_row
 from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
@@ -36,8 +36,17 @@ from .powerlaw import PowerLawFit, fit_powerlaw, loglog_points
 INPUT_KINDS = ("events", "publications")
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class _ConfigFields(NamedTuple):
+    input_path: str
+    kind: str = "events"
+    breakpoints: Optional[Sequence[Timestamp]] = None
+    labels: Optional[Sequence[str]] = None
+    yearly: bool = False
+    rel_tolerance: float = 0.10
+    thresholds: SmallWorldThresholds = SmallWorldThresholds()
+
+
+class AnalysisConfig(_ConfigFields):
     """Everything run_analysis needs besides the input stream, checked on
     construction so that no fault in it waits for the input to be read;
     frozen, so no field changes after its checks.
@@ -50,15 +59,10 @@ class AnalysisConfig:
     other value is a ValueError.
     """
 
-    input_path: str
-    kind: str = "events"
-    breakpoints: Optional[Sequence[Timestamp]] = None
-    labels: Optional[Sequence[str]] = None
-    yearly: bool = False
-    rel_tolerance: float = 0.10
-    thresholds: SmallWorldThresholds = field(default_factory=SmallWorldThresholds)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.yearly and self.breakpoints is not None:
@@ -69,13 +73,17 @@ class AnalysisConfig:
             check_breakpoints(self.breakpoints, self.labels)
         if not 0.0 < self.rel_tolerance <= 1.0:
             raise ValueError(f"rel_tolerance must be in (0, 1], got {self.rel_tolerance}")
-        for name, value in asdict(self.thresholds).items():
+        for name, value in self.thresholds._asdict().items():
             if not math.isfinite(value):
                 raise ValueError(f"small-world threshold {name} must be finite, got {value}")
+        return self
+
+    _make = classmethod(_make)
+    __setattr__ = __delattr__ = _refuse
+    __reduce__ = _rebuild
 
 
-@dataclass
-class ReportBundle:
+class ReportBundle(NamedTuple):
     """All analysis outputs for one run, aligned by period label."""
 
     rows: list[MetricsRow]
@@ -197,7 +205,7 @@ def run_analysis(config: AnalysisConfig, stream: BinaryIO) -> ReportBundle:
             "labels": None if config.labels is None else list(config.labels),
             "yearly": config.yearly,
             "rel_tolerance": config.rel_tolerance,
-            "thresholds": asdict(config.thresholds),
+            "thresholds": config.thresholds._asdict(),
             # always null: perfbench/gate.py holds bundles to the seed's provenance keys
             "threads": None,
         },
@@ -255,9 +263,19 @@ def bundle_to_csv(bundle: ReportBundle) -> str:
     return _csv_text(CSV_COLUMNS, ([cell(*p) for _, cell in _TABLE] for p in periods))
 
 
+def _plain(value):
+    """`value` with each NamedTuple in it, at any depth, as the dict of its
+    fields: JSON would write a NamedTuple as a list."""
+    if hasattr(value, "_asdict"):
+        return {name: _plain(v) for name, v in value._asdict().items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_plain, value))
+    return value
+
+
 def bundle_to_json(bundle: ReportBundle) -> str:
-    """Full-precision JSON of the bundle's dataclass fields."""
-    return json.dumps(asdict(bundle), indent=2, sort_keys=True) + "\n"
+    """Full-precision JSON of the fields of the bundle's NamedTuples."""
+    return json.dumps(_plain(bundle), indent=2, sort_keys=True) + "\n"
 
 
 def _g12(pairs: Iterable[tuple[float, float]]) -> Iterable[list[str]]:

@@ -10,14 +10,12 @@ maximum-likelihood estimation are deliberately out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InsufficientDataError
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     """Least-squares line through the log-log degree/frequency points.
 
     `exponent` is the negated slope (so a frequency proportional to

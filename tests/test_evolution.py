@@ -1,7 +1,6 @@
 import math
 import random
 import warnings
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -226,10 +225,27 @@ class TestNormaltestPvalue:
         with pytest.raises(ValueError):
             _normaltest_pvalue([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 
-    def test_import_loads_neither_numpy_nor_scipy_nor_logging(self):
-        code = "import sys, netevolve.cli; print(sorted({'numpy', 'scipy', 'logging'} & set(sys.modules)))"
+    @pytest.mark.parametrize("module", ["netevolve", "netevolve.cli"])
+    def test_import_loads_no_numpy_scipy_logging_or_dataclasses(self, module):
+        # dataclasses would bring inspect, ast, dis and tokenize with it
+        unloaded = {"numpy", "scipy", "logging", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+        code = f"import sys, {module}; print(sorted({unloaded!r} & set(sys.modules)))"
         result = run_python(code)
         assert result.stdout == "[]\n", result.stderr
+
+    def test_assigning_to_a_record_still_raises_frozen_instance_error(self):
+        # dataclasses is loaded only to raise its error
+        code = (
+            "import sys, netevolve\n"
+            "print('dataclasses' in sys.modules)\n"
+            "try:\n"
+            "    netevolve.InteractionEvent(1, 'A', 'B').a = 'C'\n"
+            "except AttributeError as exc:\n"
+            "    import dataclasses\n"
+            "    print(type(exc) is dataclasses.FrozenInstanceError, exc)\n"
+        )
+        result = run_python(code)
+        assert result.stdout == "False\nTrue cannot assign to field 'a'\n", result.stderr
 
 
 def proxies_of(snapshots):
@@ -584,7 +600,7 @@ class TestClassifySmallWorld:
                 verdict.scale_free,
             ]
             assert verdict.verdict == all(flags)
-            assert asdict(verdict)["verdict"] == verdict.verdict
+            assert verdict._asdict()["verdict"] == verdict.verdict
 
     def test_thresholds_are_configurable(self):
         strict = SmallWorldThresholds(clustering_min=0.9)

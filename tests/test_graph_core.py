@@ -5,7 +5,7 @@ import pickle
 import random
 import re
 import sys
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from conftest import examples, random_snapshot, sample_config
 from oracles import cumulative_snapshots_brute
 from netevolve import (
+    AnalysisConfig,
     GraphSnapshot,
     InteractionEvent,
     PublicationRecord,
+    SmallWorldThresholds,
+    SmallWorldVerdict,
     build_cumulative_snapshots,
     giant_component,
     load_snapshots,
@@ -56,14 +59,14 @@ class TestInteractionEvent:
         with pytest.raises(ValueError, match=r"^weight 0 < 1$"):
             InteractionEvent(1, "A", "B", weight=0)
 
-    def test_dataclass_behaviour(self):
+    def test_record_behaviour(self):
         event = InteractionEvent(time=2, a=" A", b="B ", weight=np.int64(3))
         assert event == InteractionEvent(2, "A", "B", 3) and type(event.weight) is int
         assert hash(event) == hash(InteractionEvent(2, "A", "B", 3))
         assert event != InteractionEvent(2, "B", "A", 3)
         assert repr(event) == "InteractionEvent(time=2, a='A', b='B', weight=3)"
-        assert [f.name for f in fields(InteractionEvent)] == ["time", "a", "b", "weight"]
-        assert fields(InteractionEvent)[3].default == 1
+        assert InteractionEvent._fields == ("time", "a", "b", "weight")
+        assert InteractionEvent._field_defaults == {"weight": 1}
         assert InteractionEvent(2, "A", "B").weight == 1
 
 
@@ -96,7 +99,7 @@ class TestRecords:
         ids=["event", "publication"],
     )
     def test_immutable(self, record, labels):
-        for name in (fields(record)[0].name, "extra"):
+        for name in (record._fields[0], "extra"):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, name, 1)
             with pytest.raises(FrozenInstanceError):
@@ -107,6 +110,107 @@ class TestRecords:
             assert clone == record
             # restored through the constructor, so its labels are interned
             assert all(v is sys.intern(v) for v in labels(clone))
+
+
+def _rebuilds(record):
+    """Every route that rebuilds a record from its fields: `_make`,
+    `_replace`, pickle in each protocol, `copy.copy` and `copy.deepcopy`."""
+    yield "_make", lambda: type(record)._make(record)
+    yield "_replace", lambda: record._replace()
+    for p in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield f"pickle-{p}", lambda p=p: pickle.loads(pickle.dumps(record, p))
+    yield "copy", lambda: copy.copy(record)
+    yield "deepcopy", lambda: copy.deepcopy(record)
+
+
+class TestRecordRules:
+    """Each route that rebuilds a record runs its constructor's rules. The
+    faulty records are made with `tuple.__new__`, which skips them."""
+
+    @pytest.mark.parametrize(
+        "cls, values, message",
+        [
+            (InteractionEvent, (1, " ", "B", 1), "empty actor label"),
+            (InteractionEvent, (1, "A", "B", 0), "weight 0 < 1"),
+            (PublicationRecord, ("P", 1, "Ann"), "authors must be a sequence of names, not 'Ann'"),
+            (PublicationRecord, ("P", 1, ("Ann", 7)), "actor label 7 is not a string"),
+            (AnalysisConfig, ("in.csv", "edges", None, None, False, 0.1, SmallWorldThresholds()),
+             "unknown input kind 'edges'"),
+            (AnalysisConfig, ("in.csv", "events", None, None, False, 0.0, SmallWorldThresholds()),
+             "rel_tolerance must be in (0, 1], got 0.0"),
+        ],
+        ids=["blank-label", "zero-weight", "string-authors", "int-author", "kind", "tolerance"],
+    )
+    def test_every_rebuild_checks(self, cls, values, message):
+        faulty = tuple.__new__(cls, values)
+        for route, rebuild in _rebuilds(faulty):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rebuild()
+                pytest.fail(f"{route} skipped the rules")  # not a ValueError, so it escapes
+
+    @pytest.mark.parametrize(
+        "record, values",
+        [
+            (InteractionEvent(1, "Ann", "Bob", 2), (1, " Ann ", "Bob\t", np.int64(2))),
+            (PublicationRecord("P", 1, ("Ann", "Bob")), ("P", 1, [" Ann", "Bob", "Ann"])),
+        ],
+        ids=["event", "publication"],
+    )
+    def test_every_rebuild_applies_the_label_rule(self, record, values):
+        untrimmed = tuple.__new__(type(record), values)
+        for route, rebuild in _rebuilds(untrimmed):
+            clone = rebuild()
+            assert clone == record and type(clone) is type(record), route
+            assert list(map(type, clone)) == list(map(type, record)), route
+
+    def test_replace_checks_the_new_value(self):
+        event = InteractionEvent(1, "A", "B")
+        with pytest.raises(ValueError, match="^empty actor label$"):
+            event._replace(a=" ")
+        assert event._replace(b=" C ") == InteractionEvent(1, "A", "C")
+        config = AnalysisConfig("in.csv")
+        with pytest.raises(ValueError, match="^--yearly and --breakpoints are two slicing modes"):
+            config._replace(yearly=True, breakpoints=[1])
+        with pytest.raises(ValueError, match="Got unexpected field names"):
+            config._replace(threads=2)
+
+    def test_every_rebuild_derives_the_verdict(self):
+        stale = tuple.__new__(SmallWorldVerdict, ("p", True, True, True, False, True))
+        for route, rebuild in _rebuilds(stale):
+            clone = rebuild()
+            assert type(clone) is SmallWorldVerdict, route
+            assert clone == SmallWorldVerdict("p", True, True, True, False), route
+            assert clone.verdict is False, route
+        verdict = SmallWorldVerdict("p", True, True, True, True)
+        assert verdict.verdict is True
+        assert verdict._replace(scale_free=None).verdict is None
+        assert verdict._replace(scale_free=False).verdict is False
+        with pytest.raises(TypeError):
+            SmallWorldVerdict._make(verdict[:5])
+
+
+class TestSnapshotRecord:
+    """A snapshot keeps the frozen dataclass's equality, repr and refusal to
+    assign, and pickles and copies through its constructor."""
+
+    def test_equality_repr_and_immutability(self):
+        s = GraphSnapshot.from_edge_list("g", [("Ann", "Bob", 2), ("Bob", "Cy", 1)], ["Dee"])
+        assert s == GraphSnapshot("g", {"Ann", "Bob", "Cy", "Dee"}, {("Bob", "Ann"): 2, ("Cy", "Bob"): 1})
+        assert s != GraphSnapshot.from_edge_list("g", [("Ann", "Bob", 1), ("Bob", "Cy", 1)], ["Dee"])
+        assert s != GraphSnapshot.from_edge_list("h", [("Ann", "Bob", 2), ("Bob", "Cy", 1)], ["Dee"])
+        assert s != (s.label, s._names)
+        assert repr(s) == "GraphSnapshot(label='g', _names=('Ann', 'Bob', 'Cy', 'Dee'), sum_links=3)"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(s)
+        for name in ("label", "_names", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(s, name)
+        assert not hasattr(s, "__dict__")
+        pickled = [pickle.loads(pickle.dumps(s, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in [*pickled, copy.copy(s), copy.deepcopy(s)]:
+            assert clone == s and clone.edges == s.edges and clone is not s
 
 
 class TestInternedLabels:

@@ -95,6 +95,43 @@ class TestParseTimestamp:
     def test_iso_date_and_time_separators(self, text, value):
         assert parse_timestamp(text) == value
 
+    @given(
+        st.text("0123456789", min_size=4, max_size=4),
+        st.text(st.characters(codec="ascii"), max_size=20),
+        st.sampled_from(["", " ", "\t"]),
+    )
+    @settings(max_examples=examples(300, 3000))
+    def test_neither_int_nor_float_takes_a_year_and_a_dash(self, year, rest, pad):
+        # the premise that lets parse_timestamp skip both for such a text
+        text = f"{pad}{year}-{rest}"
+        for number in (int, float):
+            with pytest.raises(ValueError):
+                number(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("20000101", 20000101),
+            ("1e-5", 1e-05),
+            ("2000-13-01", "unparseable time '2000-13-01'"),
+            ("2000-", "unparseable time '2000-'"),
+            (" 2000-01-02 ", datetime(2000, 1, 2)),
+            ("2000-01-02T03:04", datetime(2000, 1, 2, 3, 4)),
+            ("2000-01-02 03:04", datetime(2000, 1, 2, 3, 4)),
+            ("2000-01-02T03:04+02:00", datetime(2000, 1, 2, 1, 4, tzinfo=timezone.utc)),
+            ("2000-01-02 03:04-05:30", datetime(2000, 1, 2, 8, 34, tzinfo=timezone.utc)),
+        ],
+    )
+    def test_dates_skip_the_numerals_with_unchanged_results(self, text, value):
+        if isinstance(value, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(value)}$"):
+                parse_timestamp(text)
+        else:
+            parsed = parse_timestamp(text)
+            assert parsed == value and type(parsed) is type(value)
+            if isinstance(value, datetime):
+                assert (parsed.tzinfo is None) == (value.tzinfo is None)
+
     def test_zulu_suffix_is_utc(self):
         value = parse_timestamp("2005-03-01T10:00:00Z")
         assert value == datetime(2005, 3, 1, 10, tzinfo=timezone.utc)
@@ -963,11 +1000,11 @@ class TestLoadBuildsNoRecord:
         expected = _loaded_by_library(config, text)
         assert len(expected[1]) == 3
 
-        def refuse(record):
-            raise AssertionError(f"{type(record).__name__} built")
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError(f"{cls.__name__} built")
 
         for record in (InteractionEvent, PublicationRecord):
-            monkeypatch.setattr(record, "__post_init__", refuse)
+            monkeypatch.setattr(record, "__new__", refuse)
         with pytest.raises(AssertionError, match="InteractionEvent built"):
             InteractionEvent(1, "A", "B")
         assert load_snapshots(config, io.BytesIO(text.encode())) == expected
